@@ -65,8 +65,6 @@ def cmd_calibrate(args) -> int:
         tau_n=args.tau_n,
         ref_camera=args.ref_camera,
         ref_marker=args.ref_marker,
-        max_samples_per_pair=args.max_samples_per_pair,
-        sample_seed=args.sample_seed,
         ambiguity_handling=not args.no_ambiguity,
         solver=_solver_options(args),
     )
@@ -316,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gauge camera (default: lowest id seen)")
     p.add_argument("--ref-marker", type=int, default=None,
                    help="gauge marker (default: lowest id seen)")
-    p.add_argument("--max-samples-per-pair", type=int, default=None,
-                   help="subsample cap for pairwise relative-pose voting")
-    p.add_argument("--sample-seed", type=int, default=0,
-                   help="seed for the subsample cap (unused without a cap)")
     p.add_argument("--no-ambiguity", action="store_true",
                    help="ablation: keep only the best pose per detection")
     _add_solver_flags(p)

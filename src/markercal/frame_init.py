@@ -4,7 +4,10 @@ Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
 candidate marker poses T. The proposal that best agrees with the rest, by the
 same summed probe-point distance used for pairwise selection, becomes the
-frame's initial pose.
+frame's initial pose. That is the proposal whose probe-point images lie
+nearest their mean (pairwise.argmin_summed_distance, O(n) per frame); ties go
+to the first minimum of the closed-form totals, so exact duplicates resolve
+to the lowest proposal index.
 """
 
 from __future__ import annotations

@@ -5,6 +5,11 @@ their candidate poses yields one sample of the camera-to-camera transform
 (likewise for two markers seen by one camera). Samples are never averaged:
 the one that best agrees with the rest, by summed squared distance over three
 probe points, is selected.
+
+With a_i the 9-vector of probe-point images of sample i and a-bar their mean,
+sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 + sum_k |a_k - a-bar|^2, so the
+selected sample is the one whose probe images lie nearest the mean, found in
+O(n). Ties go to the first minimum of these closed-form totals.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import EmptyCandidateSet
 from .geometry import RigidTransform, compose, invert
@@ -21,10 +25,6 @@ from .planar_pose import CandidateSet
 
 CAMERA_PAIR = "camera"
 MARKER_PAIR = "marker"
-
-# below this size the O(n^2) selection runs as a plain loop whose float
-# accumulation order matches the obvious reference implementation exactly
-_DIRECT_SELECT_LIMIT = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -152,27 +152,22 @@ def argmin_summed_distance(
 ) -> tuple[int, float]:
     """Index minimizing the summed probe-point distance to all transforms.
 
-    Ties break toward the lowest index. Small sets run as a direct loop whose
-    accumulation order matches the reference double loop exactly; larger sets
-    use a vectorized distance matrix.
+    Uses the identity sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 +
+    sum_k |a_k - a-bar|^2 over the stacked probe images a, so the cost is
+    O(n). Returns the first minimum of these totals: exact duplicates break
+    toward the lowest index, while near-ties within float rounding may
+    resolve differently from an O(n^2) double loop.
     """
     p = _check_probe(probe)
     n = len(transforms)
     if n == 0:
         raise EmptyCandidateSet("no transforms to select from")
-    if n <= _DIRECT_SELECT_LIMIT:
-        totals = [
-            sum(transform_distance(transforms[k], t, p) for t in transforms)
-            for k in range(n)
-        ]
-    else:
-        images = np.empty((n, 3, 3))
-        for k, t in enumerate(transforms):
-            images[k] = t.apply(p)
-        dist = np.zeros((n, n))
-        for axis in range(3):
-            dist += cdist(images[:, axis, :], images[:, axis, :], "sqeuclidean")
-        totals = dist.sum(axis=1)
+    rotations = np.stack([t.rotation for t in transforms])
+    translations = np.stack([t.translation for t in transforms])
+    images = (p @ rotations.transpose(0, 2, 1) + translations[:, None, :]).reshape(n, 9)
+    centred = images - images.mean(axis=0)
+    spread = np.sum(centred * centred, axis=1)
+    totals = n * spread + spread.sum()
     best_idx = int(np.argmin(totals))
     return best_idx, float(totals[best_idx])
 
@@ -180,8 +175,9 @@ def argmin_summed_distance(
 def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransform, float]:
     """Pick the sample with the smallest summed distance to all others.
 
-    Ties break toward the lowest sample index. Stores the selection on the
-    accumulator and returns (best transform, total distance).
+    Ties follow argmin_summed_distance (exact duplicates go to the lowest
+    sample index). Stores the selection on the accumulator and returns
+    (best transform, total distance).
     """
     if not acc.samples:
         raise EmptyCandidateSet(f"no samples for pair {acc.key}")
@@ -193,16 +189,8 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     return best, d_total
 
 
-def _subsample(acc: PairAccumulator, cap: int, rng: np.random.Generator) -> None:
-    if len(acc.samples) > cap:
-        keep = sorted(rng.choice(len(acc.samples), size=cap, replace=False))
-        acc.samples = [acc.samples[i] for i in keep]
-
-
 def collect_camera_pairs(
     candidate_sets: dict[tuple[int, int, int], CandidateSet],
-    max_samples_per_pair: int | None = None,
-    seed: int = 0,
 ) -> dict[PairKey, PairAccumulator]:
     """Accumulate camera-pair samples from per-detection candidate sets.
 
@@ -222,14 +210,13 @@ def collect_camera_pairs(
             key = PairKey(i, j, CAMERA_PAIR)
             acc = accs.setdefault(key, PairAccumulator(key))
             acc.samples.extend(camera_pair_samples(cams[i], cams[j], (t, marker)))
-    _finalize(accs, max_samples_per_pair, seed)
+    for acc in accs.values():
+        acc.canonicalize()
     return accs
 
 
 def collect_marker_pairs(
     candidate_sets: dict[tuple[int, int, int], CandidateSet],
-    max_samples_per_pair: int | None = None,
-    seed: int = 0,
 ) -> dict[PairKey, PairAccumulator]:
     """Accumulate marker-pair samples from per-detection candidate sets.
 
@@ -251,17 +238,7 @@ def collect_marker_pairs(
             # b -> a transform: marker_pair_samples maps its first argument's
             # marker into its second argument's frame
             acc.samples.extend(marker_pair_samples(markers[b], markers[a], (t, cam)))
-    _finalize(accs, max_samples_per_pair, seed)
+    for acc in accs.values():
+        acc.canonicalize()
     return accs
 
-
-def _finalize(
-    accs: dict[PairKey, PairAccumulator],
-    max_samples_per_pair: int | None,
-    seed: int,
-) -> None:
-    rng = np.random.default_rng(seed)
-    for key in sorted(accs):
-        accs[key].canonicalize()
-        if max_samples_per_pair is not None:
-            _subsample(accs[key], max_samples_per_pair, rng)

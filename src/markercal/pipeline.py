@@ -61,8 +61,6 @@ class CalibrationConfig:
     ref_camera: int | None = None
     ref_marker: int | None = None
     probe_scale: float = 1.0
-    max_samples_per_pair: int | None = None
-    sample_seed: int = 0
     ambiguity_handling: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -73,8 +71,6 @@ class CalibrationConfig:
             raise ValidationError(f"tau_n must be >= 1, got {self.tau_n}")
         if self.probe_scale <= 0:
             raise ValidationError(f"probe_scale must be positive, got {self.probe_scale}")
-        if self.max_samples_per_pair is not None and self.max_samples_per_pair < 1:
-            raise ValidationError("max_samples_per_pair must be >= 1")
 
 
 @dataclass
@@ -153,16 +149,8 @@ def calibrate(
     ref_cam = _pick_reference(config.ref_camera, cam_vertices, "camera")
     ref_marker = _pick_reference(config.ref_marker, marker_vertices, "marker")
 
-    cam_pairs = collect_camera_pairs(
-        candidate_sets,
-        max_samples_per_pair=config.max_samples_per_pair,
-        seed=config.sample_seed,
-    )
-    marker_pairs = collect_marker_pairs(
-        candidate_sets,
-        max_samples_per_pair=config.max_samples_per_pair,
-        seed=config.sample_seed,
-    )
+    cam_pairs = collect_camera_pairs(candidate_sets)
+    marker_pairs = collect_marker_pairs(candidate_sets)
     cams, cam_graph, cam_tree = _structure_side(cam_pairs, config, cam_vertices, ref_cam)
     markers, marker_graph, marker_tree = _structure_side(
         marker_pairs, config, marker_vertices, ref_marker

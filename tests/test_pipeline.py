@@ -42,7 +42,6 @@ class TestCalibrationConfig:
             {"tau_ratio": 0.5},
             {"tau_n": 0.0},
             {"probe_scale": -1.0},
-            {"max_samples_per_pair": 0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -147,12 +146,6 @@ class TestCalibrate:
         _, ds = _dataset(noise_sigma=0.3)
         result, _ = calibrate(ds, CalibrationConfig(ambiguity_handling=False))
         assert np.isfinite(result.report.final_rms)
-
-    def test_subsampled_pairs_still_recover(self):
-        gt, ds = _dataset()
-        config = CalibrationConfig(max_samples_per_pair=5)
-        result, _ = calibrate(ds, config)
-        assert result.report.final_rms < 1e-8
 
 
 class TestTrackSequence:
