@@ -255,12 +255,17 @@ def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) ->
 
 
 def _distort_normalized(a: np.ndarray, b: np.ndarray, dist: np.ndarray):
-    k1, k2, p1, p2, k3 = dist
+    """Brown-Conrady distortion of normalized coordinates.
+
+    `dist` is (5,) or (N,5). Returns (xd, yd, r2, radial); r2 and radial
+    feed the projection Jacobian.
+    """
+    k1, k2, p1, p2, k3 = (dist[..., i] for i in range(5))
     r2 = a * a + b * b
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = a * radial + 2.0 * p1 * a * b + p2 * (r2 + 2.0 * a * a)
     yd = b * radial + p1 * (r2 + 2.0 * b * b) + 2.0 * p2 * a * b
-    return xd, yd
+    return xd, yd, r2, radial
 
 
 def project(points_in_camera: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
@@ -277,7 +282,7 @@ def project(points_in_camera: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
         raise PointBehindCamera(f"depth {z.min():.3g} m <= {MIN_DEPTH}")
     a = p[:, 0] / z
     b = p[:, 1] / z
-    xd, yd = _distort_normalized(a, b, intr.dist)
+    xd, yd, _, _ = _distort_normalized(a, b, intr.dist)
     pix = np.stack([intr.fx * xd + intr.cx, intr.fy * yd + intr.cy], axis=-1)
     return pix[0] if single else pix
 
@@ -295,16 +300,13 @@ def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
     inv_z = 1.0 / np.where(front, z, 1.0)
     a = p[:, 0] * inv_z
     b = p[:, 1] * inv_z
-    d = np.broadcast_to(np.asarray(dist, dtype=np.float64), (p.shape[0], 5))
-    k1, k2, p1, p2, k3 = (d[:, i] for i in range(5))
-    r2 = a * a + b * b
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    xd = a * radial + 2.0 * p1 * a * b + p2 * (r2 + 2.0 * a * a)
-    yd = b * radial + p1 * (r2 + 2.0 * b * b) + 2.0 * p2 * a * b
+    d = np.asarray(dist, dtype=np.float64)
+    xd, yd, r2, radial = _distort_normalized(a, b, d)
     pix = np.stack([fx * xd + cx, fy * yd + cy], axis=-1)
     if not want_jacobian:
         return pix, None, front
 
+    k1, k2, p1, p2, k3 = (d[..., i] for i in range(5))
     dradial_dr2 = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
     # d(xd,yd)/d(a,b)
     dxd_da = radial + a * dradial_dr2 * 2.0 * a + 2.0 * p1 * b + 6.0 * p2 * a
@@ -321,18 +323,6 @@ def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
     jac[:, 1, 1] = fy * dyd_db * inv_z
     jac[:, 1, 2] = -fy * (dyd_da * a + dyd_db * b) * inv_z
     return pix, jac, front
-
-
-def project_points_jacobian(points: np.ndarray, intr: CameraIntrinsics):
-    """Pixels and d(pixel)/d(camera point) for an (N,3) batch of points.
-
-    Assumes all depths are positive (the caller masks behind-camera points).
-    Returns (pix (N,2), jac (N,2,3)).
-    """
-    pix, jac, _ = project_arrays(
-        points, intr.fx, intr.fy, intr.cx, intr.cy, intr.dist
-    )
-    return pix, jac
 
 
 def undistort_to_normalized(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:

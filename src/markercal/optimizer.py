@@ -6,7 +6,8 @@ transform is parameterized by a 6-vector (Rodrigues rotation plus
 translation); the reference camera and reference marker are pinned to the
 identity so the problem has no free gauge directions. The Jacobian is
 analytic and sparse: a residual row only touches the parameter blocks of its
-own camera, marker and frame.
+own camera, marker and frame. Tracking runs the same LM loop over one
+frame's six parameters with a dense Jacobian.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .geometry import (
     project_arrays,
     rotation_from_rvec,
     rotation_jacobian_factor,
+    rvec_from_rotation,
     skew_many,
     to_twist,
 )
@@ -171,7 +173,7 @@ def unpack_params(x: np.ndarray, layout: ParamLayout):
 @dataclass(frozen=True)
 class ResidualSystem:
     residuals: np.ndarray  # (8 * n_obs,) predicted - observed, px
-    jacobian: sparse.csr_matrix  # rows align with residuals
+    jacobian: sparse.csr_matrix | np.ndarray  # sparse or dense; rows align with residuals
 
 
 class ResidualBuilder:
@@ -275,17 +277,6 @@ class ResidualBuilder:
         if self.layout is None:
             raise ValueError("builder constructed without a parameter layout")
         return self.layout
-
-    def canonicalize(self, x: np.ndarray) -> np.ndarray:
-        """Re-map any rotation block that drifted past pi back to [0, pi]."""
-        layout = self._require_layout()
-        out = x.copy()
-        for off in range(0, layout.total, 6):
-            rvec = out[off : off + 3]
-            if float(rvec @ rvec) > math.pi ** 2:
-                tw = to_twist(from_twist(TwistParams(rvec, out[off + 3 : off + 6])))
-                out[off : off + 3] = tw.rvec
-        return out
 
     # -- assembly -----------------------------------------------------------
 
@@ -412,17 +403,6 @@ class ResidualBuilder:
         return out
 
 
-def build_residual_system(
-    params: np.ndarray,
-    layout: ParamLayout,
-    detections: list[Detection],
-    intrinsics: dict[int, CameraIntrinsics],
-    template: MarkerTemplate,
-) -> ResidualSystem:
-    """One-shot residual/Jacobian evaluation (see ResidualBuilder to reuse)."""
-    return ResidualBuilder(detections, intrinsics, template, layout).system(params)
-
-
 def global_cost(
     cams: dict[int, RigidTransform],
     markers: dict[int, RigidTransform],
@@ -442,6 +422,15 @@ def global_cost(
     return sse, math.sqrt(sse / (4 * builder.n_obs))
 
 
+def _canonical_rotations(x: np.ndarray) -> np.ndarray:
+    """Re-map, in place, every rotation block that drifted past pi to [0, pi]."""
+    for off in range(0, x.size, 6):
+        rvec = x[off : off + 3]
+        if float(rvec @ rvec) > math.pi ** 2:
+            x[off : off + 3] = rvec_from_rotation(rotation_from_rvec(rvec))
+    return x
+
+
 def _rms(cost: float, n_residuals: int) -> float:
     return math.sqrt(cost / (n_residuals / 2.0)) if n_residuals else 0.0
 
@@ -451,12 +440,15 @@ def lm_minimize(
 ) -> tuple[np.ndarray, LmReport]:
     """Damped normal-equation iteration with strict cost-decrease acceptance.
 
-    `builder` provides system(x) -> ResidualSystem and residuals(x); an
-    optional canonicalize(x) hook runs after every accepted step. A step is
-    accepted only if the cost strictly decreases; lambda shrinks on accept
-    and grows on reject. Terminates on the iteration budget, on mean
-    absolute improvement below opts.min_improve, on lambda passing
-    opts.max_lambda, or on a numerically zero residual.
+    `initial` is a vector of 6-blocks (Rodrigues rotation, translation) and
+    `builder` provides system(x) -> ResidualSystem and residuals(x). The
+    damped solve follows the Jacobian's type: spsolve for a scipy sparse
+    matrix, np.linalg.solve for a dense ndarray. A step is accepted only if
+    the cost strictly decreases; lambda shrinks on accept and grows on
+    reject, and every accepted x has its rotations re-mapped to angles in
+    [0, pi]. Terminates on the iteration budget, on mean absolute
+    improvement below opts.min_improve, on lambda passing opts.max_lambda,
+    or on a numerically zero residual.
     """
     x = np.array(initial, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -478,10 +470,11 @@ def lm_minimize(
     if mean_abs < _ZERO_RESIDUAL_FLOOR:
         reason = REASON_ZERO_RESIDUAL
     else:
-        eye = sparse.identity(x.size, format="csc")
+        dense = isinstance(jac, np.ndarray)
+        eye = np.eye(x.size) if dense else sparse.identity(x.size, format="csc")
         done = False
         while not done and iters < opts.max_iters:
-            jtj = (jac.T @ jac).tocsc()
+            jtj = jac.T @ jac if dense else (jac.T @ jac).tocsc()
             jtr = jac.T @ r
             stepped = False
             while iters < opts.max_iters:
@@ -498,9 +491,7 @@ def lm_minimize(
                 r_try = builder.residuals(x_try)
                 cost_try = float(r_try @ r_try)
                 if math.isfinite(cost_try) and cost_try < cost:
-                    x, r, cost = x_try, r_try, cost_try
-                    if hasattr(builder, "canonicalize"):
-                        x = builder.canonicalize(x)
+                    x, r, cost = _canonical_rotations(x_try), r_try, cost_try
                     new_mean = float(np.abs(r).mean())
                     improvement = mean_abs - new_mean
                     mean_abs = new_mean
@@ -535,9 +526,10 @@ def lm_minimize(
 
 
 def _solve_damped(jtj, eye, jtr, lam):
+    solve = np.linalg.solve if isinstance(jtj, np.ndarray) else spsolve
     try:
-        step = spsolve(jtj + lam * eye, -jtr)
-    except RuntimeError:
+        step = solve(jtj + lam * eye, -jtr)
+    except (RuntimeError, np.linalg.LinAlgError):
         return None
     if not np.all(np.isfinite(step)):
         return None
@@ -691,7 +683,10 @@ class FrameTracker:
         warm: RigidTransform | None = None,
         opts: SolverOptions = SolverOptions(),
     ) -> tuple[RigidTransform | None, float | None]:
-        """(pose, per-corner rms) for one frame; (None, None) when empty."""
+        """(pose, per-corner rms) for one frame; (None, None) when empty.
+
+        Runs lm_minimize over the frame's six pose parameters.
+        """
         if not dets:
             return None, None
         for d in dets:
@@ -699,65 +694,26 @@ class FrameTracker:
                 raise ValueError(
                     f"detection (cam={d.cam}, marker={d.marker}) outside calibration"
                 )
-        k = len(dets)
-        arrays = self._frame_arrays(dets)
-
         pose = warm if warm is not None else self.cold_start(dets)
         tw = to_twist(pose)
-        rvec, tvec = tw.rvec.copy(), tw.tvec.copy()
+        x0 = np.concatenate([tw.rvec, tw.tvec])
+        x, report = lm_minimize(x0, _FrameSystem(self, self._frame_arrays(dets)), opts)
+        self.last_iterations = report.iterations
+        return _get_twist(x, 0), report.final_rms
 
-        def assemble(rv, tv, want_jac):
-            return self._assemble(arrays, rv, tv, want_jac)
 
-        r, jac = assemble(rvec, tvec, True)
-        cost = float(r @ r)
-        if not math.isfinite(cost):
-            raise NumericalFailure("non-finite tracking cost")
-        mean_abs = float(np.abs(r).mean())
-        lam = opts.lambda_init
-        iters = 0
-        while iters < opts.max_iters and mean_abs >= _ZERO_RESIDUAL_FLOOR:
-            jtj = jac.T @ jac
-            jtr = jac.T @ r
-            stepped = False
-            while iters < opts.max_iters:
-                iters += 1
-                try:
-                    step = np.linalg.solve(jtj + lam * np.eye(6), -jtr)
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is None or not np.all(np.isfinite(step)):
-                    if lam >= opts.max_lambda:
-                        raise NumericalFailure("singular tracking system")
-                    lam *= opts.lambda_up
-                    continue
-                rv_try = rvec + step[:3]
-                tv_try = tvec + step[3:]
-                r_try, _ = assemble(rv_try, tv_try, False)
-                cost_try = float(r_try @ r_try)
-                if math.isfinite(cost_try) and cost_try < cost:
-                    rvec, tvec, r, cost = rv_try, tv_try, r_try, cost_try
-                    if float(rvec @ rvec) > math.pi ** 2:
-                        tw = to_twist(from_twist(TwistParams(rvec, tvec)))
-                        rvec = tw.rvec.copy()
-                    new_mean = float(np.abs(r).mean())
-                    improvement = mean_abs - new_mean
-                    mean_abs = new_mean
-                    lam *= opts.lambda_down
-                    stepped = True
-                    if improvement < opts.min_improve:
-                        stepped = False  # converged; leave the outer loop
-                    break
-                lam *= opts.lambda_up
-                if lam > opts.max_lambda:
-                    stepped = False
-                    break
-            if not stepped:
-                break
-            r, jac = assemble(rvec, tvec, True)
-        self.last_iterations = iters
-        rms = math.sqrt(cost / (4 * k))
-        return from_twist(TwistParams(rvec, tvec)), rms
+@dataclass(frozen=True)
+class _FrameSystem:
+    """One frame's residuals and dense (8K,6) Jacobian, as lm_minimize takes them."""
+
+    tracker: FrameTracker
+    arrays: tuple
+
+    def system(self, x: np.ndarray) -> ResidualSystem:
+        return ResidualSystem(*self.tracker._assemble(self.arrays, x[:3], x[3:], True))
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        return self.tracker._assemble(self.arrays, x[:3], x[3:], False)[0]
 
 
 def track_frame(

@@ -17,8 +17,8 @@ from markercal.geometry import (
     from_twist,
     invert,
     project,
+    project_arrays,
     project_marker_corner,
-    project_points_jacobian,
     rotation_angle,
     rotation_from_rvec,
     rotation_jacobian_factor,
@@ -339,7 +339,10 @@ class TestProjectJacobian:
         pts = np.column_stack(
             [rng.uniform(-0.4, 0.4, 10), rng.uniform(-0.4, 0.4, 10), rng.uniform(0.5, 2.5, 10)]
         )
-        pix, jac = project_points_jacobian(pts, intr)
+        pix, jac, front = project_arrays(
+            pts, intr.fx, intr.fy, intr.cx, intr.cy, intr.dist
+        )
+        assert front.all()
         np.testing.assert_allclose(pix, project(pts, intr))
         h = 1e-6
         for i in range(len(pts)):

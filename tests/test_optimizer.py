@@ -82,6 +82,12 @@ def _make_scene(rng, n_cams=3, n_markers=3, n_frames=8, noise=0.0, dist=None):
         obj_world = RigidTransform(rotation_from_rvec(rv), tv)
         frames[t] = compose(invert(cam_world[0]), compose(obj_world, marker_obj[0]))
 
+    dets = _observe(cams, markers, frames, intr, template, rng, noise)
+    return cams, markers, frames, dets, intr, template
+
+
+def _observe(cams, markers, frames, intr, template, rng=None, noise=0.0):
+    """Every camera's view of every marker in every frame, sorted by (t, cam, marker)."""
     dets = []
     for t in sorted(frames):
         for c in sorted(cams):
@@ -91,7 +97,19 @@ def _make_scene(rng, n_cams=3, n_markers=3, n_frames=8, noise=0.0, dist=None):
                 if noise:
                     pix = pix + rng.normal(scale=noise, size=pix.shape)
                 dets.append(Detection(t, c, m, pix))
-    return cams, markers, frames, dets, intr, template
+    return dets
+
+
+def _near_pi_frames(frames, rng):
+    """Truth frames turned to angle pi - 0.01 about a random axis u, and starts
+    at pi - 0.01 about -u: 0.02 rad away, but across the rvec cut at pi."""
+    truth, start = {}, {}
+    for t, pose in frames.items():
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        truth[t] = RigidTransform(rotation_from_rvec((math.pi - 0.01) * u), pose.translation)
+        start[t] = RigidTransform(rotation_from_rvec(-(math.pi - 0.01) * u), pose.translation)
+    return truth, start
 
 
 def _perturb(pose, rng, rot_deg, trans_m):
@@ -376,6 +394,22 @@ class TestLmMinimize:
         with pytest.raises(NumericalFailure):
             lm_minimize(x0, builder)
 
+    def test_rotation_past_pi_is_remapped(self):
+        rng = np.random.default_rng(27)
+        cams, markers, frames, _, intr, template = _make_scene(rng, n_frames=4)
+        truth, start = _near_pi_frames(frames, rng)
+        dets = _observe(cams, markers, truth, intr, template)
+        layout = ParamLayout.build(cams, markers, truth, 0, 0)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        x, report = lm_minimize(pack_params(cams, markers, start, layout), builder)
+        assert report.final_rms < 1e-8
+        cams_e, markers_e, frames_e = unpack_params(x, layout)
+        _assert_poses_close(cams_e, cams, 1e-6)
+        _assert_poses_close(markers_e, markers, 1e-6)
+        _assert_poses_close(frames_e, truth, 1e-6)
+        rvec_norms = np.linalg.norm(x.reshape(-1, 6)[:, :3], axis=1)
+        assert np.all(rvec_norms <= math.pi)
+
     def test_solver_options_validated(self):
         with pytest.raises(ValueError):
             SolverOptions(max_iters=0)
@@ -477,6 +511,24 @@ class TestTracking:
         warm, _ = tracker.solve(dets, warm=warm_init)
         assert rotation_angle(cold.rotation @ warm.rotation.T) < 1e-6
         assert np.linalg.norm(cold.translation - warm.translation) < 1e-6
+
+    def test_warm_start_across_pi_recovers_truth(self):
+        rng = np.random.default_rng(48)
+        cams, markers, frames, _, intr, template = _make_scene(
+            rng, n_cams=5, n_markers=4, n_frames=1
+        )
+        truth, start = _near_pi_frames(frames, rng)
+        dets = _observe(cams, markers, truth, intr, template)
+        tracker = FrameTracker(cams, markers, intr, template)
+        pose, rms = tracker.solve(dets, warm=start[0])
+        assert rms < 1e-8
+        _assert_poses_close({0: pose}, truth, 1e-6)
+
+    def test_non_finite_warm_start_raises(self):
+        tracker, dets, truth, _ = self._frame_setup(49)
+        warm = RigidTransform(truth.rotation, truth.translation + [np.nan, 0.0, 0.0])
+        with pytest.raises(NumericalFailure):
+            tracker.solve(dets, warm=warm)
 
     def test_empty_frame_is_untracked(self):
         tracker, _, _, _ = self._frame_setup(44)
