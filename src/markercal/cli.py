@@ -117,16 +117,6 @@ def _print_timing(times: list[float]) -> None:
     )
 
 
-def _pose_csv_row(t: int, pose) -> str:
-    from .geometry import rotation_to_quaternion
-
-    if pose is None:
-        return f"{t},,,,,,,"
-    w, x, y, z = (float(v) for v in rotation_to_quaternion(pose.rotation))
-    tx, ty, tz = (float(v) for v in pose.translation)
-    return f"{t},{tx!r},{ty!r},{tz!r},{x!r},{y!r},{z!r},{w!r}"
-
-
 def _track_stream(args) -> int:
     """Streaming mode: detections on stdin, one JSON line each, frames
     delimited by a change of t; each pose row is emitted as soon as its
@@ -140,7 +130,7 @@ def _track_stream(args) -> int:
     intrinsics = dio.load_intrinsics(args.intrinsics)
     session = TrackSession(result, intrinsics, _solver_options(args))
 
-    print("t,tx,ty,tz,qx,qy,qz,qw")
+    print(dio.TRAJECTORY_HEADER)
     times = []
     current_t = None
     batch = []
@@ -151,7 +141,7 @@ def _track_stream(args) -> int:
         t0 = time.perf_counter()
         pose = session.feed(batch)
         times.append(time.perf_counter() - t0)
-        print(_pose_csv_row(current_t, pose), flush=True)
+        print(dio.trajectory_csv_row(current_t, pose), flush=True)
 
     for lineno, raw in enumerate(sys.stdin, start=1):
         if not raw.strip():
@@ -205,32 +195,28 @@ _SYNTH_SCALAR_FIELDS = {
 
 
 def _load_scene_spec(path: str | None):
-    from .errors import ValidationError
-    from .geometry import CameraIntrinsics
+    from .dataset import parse_intrinsics
+    from .errors import ParseError, ValidationError
     from .synthetic import SceneSpec
 
     if path is None:
         return SceneSpec()
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON in scene spec: {e.msg}", e.lineno) from None
     if not isinstance(doc, dict):
         raise ValidationError("scene spec must be a JSON object")
     kwargs = {}
     for key, val in doc.items():
         if key == "intrinsics":
-            import numpy as np
-
-            kwargs["intrinsics"] = CameraIntrinsics(
-                fx=float(val["fx"]),
-                fy=float(val["fy"]),
-                cx=float(val["cx"]),
-                cy=float(val["cy"]),
-                dist=np.asarray(val.get("dist", [0.0] * 5), dtype=np.float64),
-                width=int(val.get("width", 640)),
-                height=int(val.get("height", 480)),
-            )
+            kwargs["intrinsics"] = parse_intrinsics(val, "scene spec")
         elif key in _SYNTH_SCALAR_FIELDS:
-            kwargs[key] = _SYNTH_SCALAR_FIELDS[key](val)
+            try:
+                kwargs[key] = _SYNTH_SCALAR_FIELDS[key](val)
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"bad scene spec field {key!r}: {e}") from None
         else:
             raise ValidationError(f"unknown scene spec field {key!r}")
     return SceneSpec(**kwargs)

@@ -102,6 +102,23 @@ def load_detections(path) -> list:
     return dets
 
 
+def parse_intrinsics(val, where: str) -> CameraIntrinsics:
+    """One camera's intrinsics from its JSON object; errors name `where`."""
+    try:
+        return CameraIntrinsics(
+            fx=float(val["fx"]),
+            fy=float(val["fy"]),
+            cx=float(val["cx"]),
+            cy=float(val["cy"]),
+            dist=np.asarray(val.get("dist", [0.0] * 5), dtype=np.float64),
+            width=int(val.get("width", 640)),
+            height=int(val.get("height", 480)),
+            pre_undistorted=bool(val.get("pre_undistorted", False)),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"bad intrinsics for {where}: {e}") from None
+
+
 def load_intrinsics(path) -> dict[int, CameraIntrinsics]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -116,19 +133,7 @@ def load_intrinsics(path) -> dict[int, CameraIntrinsics]:
             cam = int(key)
         except ValueError:
             raise ValidationError(f"camera id {key!r} is not an integer") from None
-        try:
-            out[cam] = CameraIntrinsics(
-                fx=float(val["fx"]),
-                fy=float(val["fy"]),
-                cx=float(val["cx"]),
-                cy=float(val["cy"]),
-                dist=np.asarray(val.get("dist", [0.0] * 5), dtype=np.float64),
-                width=int(val.get("width", 640)),
-                height=int(val.get("height", 480)),
-                pre_undistorted=bool(val.get("pre_undistorted", False)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"bad intrinsics for camera {key}: {e}") from None
+        out[cam] = parse_intrinsics(val, f"camera {key}")
     return out
 
 
@@ -302,16 +307,22 @@ def load_calibration(path) -> CalibrationResult:
         raise ValidationError(f"bad calibration file: {e}") from None
 
 
+TRAJECTORY_HEADER = "t,tx,ty,tz,qx,qy,qz,qw"
+
+
+def trajectory_csv_row(t: int, pose: RigidTransform | None) -> str:
+    """One trajectory CSV row; a missing pose leaves its cells empty."""
+    if pose is None:
+        return f"{t},,,,,,,"
+    w, x, y, z = (float(v) for v in rotation_to_quaternion(pose.rotation))
+    tx, ty, tz = (float(v) for v in pose.translation)
+    return f"{t},{tx!r},{ty!r},{tz!r},{x!r},{y!r},{z!r},{w!r}"
+
+
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV rows `t,tx,ty,tz,qx,qy,qz,qw`; untracked frames leave pose cells empty."""
-    lines = ["t,tx,ty,tz,qx,qy,qz,qw"]
-    for t, st in sorted(traj.frames.items()):
-        if st.pose is None:
-            lines.append(f"{t},,,,,,,")
-            continue
-        w, x, y, z = (float(v) for v in rotation_to_quaternion(st.pose.rotation))
-        tx, ty, tz = (float(v) for v in st.pose.translation)
-        lines.append(f"{t},{tx!r},{ty!r},{tz!r},{x!r},{y!r},{z!r},{w!r}")
+    lines = [TRAJECTORY_HEADER]
+    lines += [trajectory_csv_row(t, st.pose) for t, st in sorted(traj.frames.items())]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -333,7 +344,7 @@ def load_trajectory_csv(path) -> Trajectory:
     traj = Trajectory()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "t,tx,ty,tz,qx,qy,qz,qw":
+        if header != TRAJECTORY_HEADER:
             raise ParseError(f"unexpected trajectory header {header!r}", 1)
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.strip()

@@ -6,8 +6,10 @@ transform is parameterized by a 6-vector (Rodrigues rotation plus
 translation); the reference camera and reference marker are pinned to the
 identity so the problem has no free gauge directions. The Jacobian is
 analytic and sparse: a residual row only touches the parameter blocks of its
-own camera, marker and frame. Tracking runs the same LM loop over one
-frame's six parameters with a dense Jacobian.
+own camera, marker and frame. Its CSR sparsity pattern is fixed by the
+detections and built once. Tracking runs the same LM loop over one frame's
+six parameters with a dense Jacobian; both evaluate residuals and Jacobians
+through one reprojection kernel (`_reproject`, `_pose_block`, `_frame_block`).
 """
 
 from __future__ import annotations
@@ -176,6 +178,47 @@ class ResidualSystem:
     jacobian: sparse.csr_matrix | np.ndarray  # sparse or dense; rows align with residuals
 
 
+def _corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
+    """Observed corners (4N,2) and per-corner intrinsics (fx, fy, cx, cy, dist)."""
+    for d in dets:
+        if d.cam not in intrinsics:
+            raise ValueError(f"no intrinsics for camera {d.cam}")
+    intr = [intrinsics[d.cam] for d in dets]
+    obs = np.array([d.corners for d in dets]).reshape(-1, 2)
+    return obs, tuple(
+        np.repeat([getattr(i, name) for i in intr], 4, axis=0)
+        for name in ("fx", "fy", "cx", "cy", "dist")
+    )
+
+
+def _reproject(p_cam: np.ndarray, obs: np.ndarray, cam: tuple, want_jacobian: bool):
+    """(8N,) residuals of (N,4,3) camera-frame corners, and their (N,4,2,3)
+    pixel Jacobian when asked for (else None).
+
+    The model's only projection: a corner behind the camera gets
+    BEHIND_RESIDUAL in both coordinates and an all-zero Jacobian.
+    """
+    pix, pixjac, front = project_arrays(
+        p_cam.reshape(-1, 3), *cam, want_jacobian=want_jacobian
+    )
+    res = pix - obs
+    res[~front] = BEHIND_RESIDUAL
+    if not want_jacobian:
+        return res.reshape(-1), None
+    return res.reshape(-1), np.where(front[:, None, None], pixjac, 0.0).reshape(-1, 4, 2, 3)
+
+
+def _pose_block(pj: np.ndarray, rot_part: np.ndarray, trans_part: np.ndarray) -> np.ndarray:
+    """(K,4,2,6) residual derivative of a pose twist from d p_cam / d (rvec, tvec)."""
+    return np.concatenate([np.matmul(pj, rot_part), np.matmul(pj, trans_part)], axis=-1)
+
+
+def _frame_block(pj, rct, rct_rg, sk_y, s_frame) -> np.ndarray:
+    """(K,4,2,6) derivative for the frame pose; s_frame is (K,3,3) or (1,3,3)."""
+    rot_part = -np.matmul(np.matmul(rct_rg[:, None], sk_y), s_frame[:, None])
+    return _pose_block(pj, rot_part, np.broadcast_to(rct[:, None], sk_y.shape))
+
+
 class ResidualBuilder:
     """Vectorized residual and sparse-Jacobian assembly over all detections.
 
@@ -220,33 +263,33 @@ class ResidualBuilder:
         self.i_cam = np.array([cam_pos[d.cam] for d in dets], dtype=np.int64)
         self.i_marker = np.array([marker_pos[d.marker] for d in dets], dtype=np.int64)
         self.i_frame = np.array([frame_pos[d.t] for d in dets], dtype=np.int64)
-        self.obs_pix = np.array([d.corners for d in dets])  # (N,4,2)
-
-        for d in dets:
-            if d.cam not in intrinsics:
-                raise ValueError(f"no intrinsics for camera {d.cam}")
-        fx = np.array([intrinsics[d.cam].fx for d in dets])
-        fy = np.array([intrinsics[d.cam].fy for d in dets])
-        cx = np.array([intrinsics[d.cam].cx for d in dets])
-        cy = np.array([intrinsics[d.cam].cy for d in dets])
-        dist = np.array([intrinsics[d.cam].dist for d in dets])  # (N,5)
-        self._fx4 = np.repeat(fx, 4)
-        self._fy4 = np.repeat(fy, 4)
-        self._cx4 = np.repeat(cx, 4)
-        self._cy4 = np.repeat(cy, 4)
-        self._dist4 = np.repeat(dist, 4, axis=0)
+        self.obs_pix, self._cam4 = _corner_arrays(dets, intrinsics)
         self._sk_u = skew_many(template.corners)  # (4,3,3)
 
         if layout is not None:
-            self.cam_cols = np.array(
-                [layout.camera_offsets.get(d.cam, -1) for d in dets], dtype=np.int64
+            # CSR pattern of the (N,4,2,18) camera|marker|frame blocks: each
+            # row keeps the columns of its non-reference entities and of its
+            # frame, in ascending (layout) order
+            offsets = np.array(
+                [
+                    (layout.camera_offsets.get(d.cam, -1),
+                     layout.marker_offsets.get(d.marker, -1),
+                     layout.frame_offsets[d.t])
+                    for d in dets
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            shape = (self.n_obs, 4, 2, 18)
+            cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)  # (N,18)
+            keep = np.broadcast_to(np.repeat(offsets >= 0, 6, axis=1)[:, None, None], shape)
+            self._jac_keep = keep = keep.copy()
+            indices = np.broadcast_to(cols[:, None, None], shape)[keep]
+            indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=-1))))
+            # one construction up front lets scipy pick the index dtype once
+            pattern = sparse.csr_matrix(
+                (np.zeros(indices.size), indices, indptr), shape=(8 * self.n_obs, layout.total)
             )
-            self.marker_cols = np.array(
-                [layout.marker_offsets.get(d.marker, -1) for d in dets], dtype=np.int64
-            )
-            self.frame_cols = np.array(
-                [layout.frame_offsets[d.t] for d in dets], dtype=np.int64
-            )
+            self._jac_indices, self._jac_indptr = pattern.indices, pattern.indptr
 
     # -- pose table helpers -------------------------------------------------
 
@@ -298,24 +341,16 @@ class ResidualBuilder:
         a = w - tc[:, None, :]
         p_cam = np.einsum("nji,nlj->nli", rc, a)  # R_c^T (w - t_c)
 
-        pix, pixjac, front = project_arrays(
-            p_cam.reshape(-1, 3),
-            self._fx4, self._fy4, self._cx4, self._cy4, self._dist4,
-            want_jacobian=want_jacobian,
-        )
-        res = pix - self.obs_pix.reshape(-1, 2)
-        res[~front] = BEHIND_RESIDUAL
-        return res.reshape(-1), (rc, rg, rm, y, a, pixjac, front)
+        r, pj = _reproject(p_cam, self.obs_pix, self._cam4, want_jacobian)
+        return r, (rc, rg, rm, y, a, pj)
 
     def system(self, x: np.ndarray) -> ResidualSystem:
         layout = self._require_layout()
         cams, markers, frames = unpack_params(x, layout)
-        r, (rc, rg, rm, y, a, pixjac, front) = self._assemble_core(
+        r, (rc, rg, rm, y, a, pj) = self._assemble_core(
             cams, markers, frames, want_jacobian=True
         )
         n = self.n_obs
-        pj = pixjac.reshape(n, 4, 2, 3)
-        pj = np.where(front.reshape(n, 4, 1, 1), pj, 0.0)
 
         # per-entity Rodrigues derivative factors, gathered per observation
         s_cam = self._factor_table(x, layout.camera_offsets, self.cam_ids, self.i_cam, negate=True)
@@ -325,64 +360,32 @@ class ResidualBuilder:
         rct = rc.transpose(0, 2, 1)
         rct_rg = np.matmul(rct, rg)
         rct_rg_rm = np.matmul(rct_rg, rm)
-
         sk_a = skew_many(a)  # (N,4,3,3)
-        sk_y = skew_many(y)
 
-        # d p_cam / d (rvec, tvec) per block, then chain with the pixel jacobian
-        rows, cols, data = [], [], []
-
-        def emit(obs_mask, col_base, rot_part, trans_part):
-            block = np.concatenate(
-                [np.matmul(pj, rot_part), np.matmul(pj, trans_part)], axis=-1
-            )  # (N,4,2,6)
-            idx = np.nonzero(obs_mask)[0]
-            if idx.size == 0:
-                return
-            k = idx.size
-            row_idx = (
-                (8 * idx)[:, None, None, None]
-                + (2 * np.arange(4))[None, :, None, None]
-                + np.arange(2)[None, None, :, None]
-                + np.zeros((1, 1, 1, 6), dtype=np.int64)
-            )
-            col_idx = (
-                col_base[idx][:, None, None, None]
-                + np.arange(6)[None, None, None, :]
-                + np.zeros((1, 4, 2, 1), dtype=np.int64)
-            )
-            rows.append(np.broadcast_to(row_idx, (k, 4, 2, 6)).reshape(-1))
-            cols.append(np.broadcast_to(col_idx, (k, 4, 2, 6)).reshape(-1))
-            data.append(block[idx].reshape(-1))
-
+        # d p_cam / d (rvec, tvec) per block, chained with the pixel jacobian;
         # camera block: p_cam = R(-r_c) a, so the sign works out positive
-        cam_rot = np.matmul(np.matmul(rct[:, None], sk_a), s_cam[:, None])
-        cam_trans = np.broadcast_to(-rct[:, None], sk_a.shape)
-        emit(self.cam_cols >= 0, self.cam_cols, cam_rot, cam_trans)
-
-        frame_rot = -np.matmul(np.matmul(rct_rg[:, None], sk_y), s_frame[:, None])
-        frame_trans = np.broadcast_to(rct[:, None], sk_y.shape)
-        emit(self.frame_cols >= 0, self.frame_cols, frame_rot, frame_trans)
-
-        marker_rot = -np.matmul(
-            np.matmul(rct_rg_rm[:, None], self._sk_u[None]), s_marker[:, None]
+        cam_block = _pose_block(
+            pj,
+            np.matmul(np.matmul(rct[:, None], sk_a), s_cam[:, None]),
+            np.broadcast_to(-rct[:, None], sk_a.shape),
         )
-        marker_trans = np.broadcast_to(rct_rg[:, None], (n, 4, 3, 3))
-        emit(self.marker_cols >= 0, self.marker_cols, marker_rot, marker_trans)
-
-        if data:
-            jac = sparse.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(8 * n, layout.total),
-            ).tocsr()
-        else:
-            jac = sparse.csr_matrix((8 * n, layout.total))
+        marker_block = _pose_block(
+            pj,
+            -np.matmul(np.matmul(rct_rg_rm[:, None], self._sk_u[None]), s_marker[:, None]),
+            np.broadcast_to(rct_rg[:, None], (n, 4, 3, 3)),
+        )
+        frame_block = _frame_block(pj, rct, rct_rg, skew_many(y), s_frame)
+        data = np.concatenate([cam_block, marker_block, frame_block], axis=-1)[self._jac_keep]
+        # shares the pattern arrays, so callers must not modify it in place
+        jac = sparse.csr_matrix(
+            (data, self._jac_indices, self._jac_indptr), shape=(8 * n, layout.total)
+        )
         return ResidualSystem(r, jac)
 
     def _factor_table(self, x, offsets, ids, idx, negate: bool):
         """(N,3,3) gathered S factors; zero rows for reference entities.
 
-        Zero reference rows only ever multiply blocks that the column mask
+        Zero reference rows only ever multiply blocks that the keep mask
         discards, so they never reach the Jacobian.
         """
         table = np.zeros((len(ids), 3, 3))
@@ -615,40 +618,19 @@ class FrameTracker:
         rct = np.stack([self._rct[d.cam] for d in dets])  # (K,3,3)
         rct_tc = np.stack([self._rct_tc[d.cam] for d in dets])  # (K,3)
         ypts = np.stack([self._y[d.marker] for d in dets])  # (K,4,3)
-        obs = np.stack([d.corners for d in dets]).reshape(-1, 2)
-        fx = np.repeat([self.intrinsics[d.cam].fx for d in dets], 4)
-        fy = np.repeat([self.intrinsics[d.cam].fy for d in dets], 4)
-        cx = np.repeat([self.intrinsics[d.cam].cx for d in dets], 4)
-        cy = np.repeat([self.intrinsics[d.cam].cy for d in dets], 4)
-        dist = np.repeat([self.intrinsics[d.cam].dist for d in dets], 4, axis=0)
-        sk_y = skew_many(ypts)  # (K,4,3,3)
-        return rct, rct_tc, ypts, obs, fx, fy, cx, cy, dist, sk_y
+        obs, cam = _corner_arrays(dets, self.intrinsics)
+        return rct, rct_tc, ypts, obs, cam, skew_many(ypts)
 
     def _assemble(self, arrays, rv, tv, want_jac):
-        rct, rct_tc, ypts, obs, fx, fy, cx, cy, dist, sk_y = arrays
-        k = rct.shape[0]
+        rct, rct_tc, ypts, obs, cam, sk_y = arrays
         rot = rotation_from_rvec(rv)
         w = np.einsum("ij,klj->kli", rot, ypts) + tv
         p_cam = np.einsum("kij,klj->kli", rct, w) - rct_tc[:, None, :]
-        pix, pixjac, front = project_arrays(
-            p_cam.reshape(-1, 3), fx, fy, cx, cy, dist, want_jacobian=want_jac
-        )
-        r = pix - obs
-        r[~front] = BEHIND_RESIDUAL
+        r, pj = _reproject(p_cam, obs, cam, want_jac)
         if not want_jac:
-            return r.reshape(-1), None
-        pj = np.where(front[:, None, None], pixjac, 0.0).reshape(k, 4, 2, 3)
+            return r, None
         s_g = rotation_jacobian_factor(rv, rot)
-        rct_rg = np.matmul(rct, rot)
-        dp_rot = -np.matmul(np.matmul(rct_rg[:, None], sk_y), s_g)
-        block = np.concatenate(
-            [
-                np.matmul(pj, dp_rot),
-                np.matmul(pj, np.broadcast_to(rct[:, None], sk_y.shape)),
-            ],
-            axis=-1,
-        )
-        return r.reshape(-1), block.reshape(-1, 6)
+        return r, _frame_block(pj, rct, np.matmul(rct, rot), sk_y, s_g[None]).reshape(-1, 6)
 
     def cold_start(self, dets: list[Detection]) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.

@@ -15,7 +15,7 @@ O(n). Ties go to the first minimum of these closed-form totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -101,6 +101,15 @@ def transform_distance(a: RigidTransform, b: RigidTransform, probe: np.ndarray) 
     return float(np.sum(diff * diff, axis=1).sum())
 
 
+def _pair_samples(xi_i, xi_j, source, relative) -> list[TransformSample]:
+    """relative(T_i, T_j) for each Cartesian pairing of the two candidate sets."""
+    ambiguous = len(xi_i) == 2 or len(xi_j) == 2
+    return [
+        TransformSample(relative(t_i, t_j), source, idx, ambiguous)
+        for idx, (t_i, t_j) in enumerate(product(xi_i.transforms, xi_j.transforms))
+    ]
+
+
 def camera_pair_samples(
     xi_i: CandidateSet,
     xi_j: CandidateSet,
@@ -112,16 +121,7 @@ def camera_pair_samples(
     camera i) and T_j contributes T_i * T_j^-1. Result size is
     |xi_i| * |xi_j|, so 0, 1, 2 or 4 samples.
     """
-    ambiguous = len(xi_i) == 2 or len(xi_j) == 2
-    out = []
-    idx = 0
-    for t_i in xi_i.transforms:
-        for t_j in xi_j.transforms:
-            out.append(
-                TransformSample(compose(t_i, invert(t_j)), source, idx, ambiguous)
-            )
-            idx += 1
-    return out
+    return _pair_samples(xi_i, xi_j, source, lambda t_i, t_j: compose(t_i, invert(t_j)))
 
 
 def marker_pair_samples(
@@ -135,16 +135,7 @@ def marker_pair_samples(
     contributes T_j^-1 * T_i, which maps marker-i coordinates to marker-j
     coordinates.
     """
-    ambiguous = len(xi_i) == 2 or len(xi_j) == 2
-    out = []
-    idx = 0
-    for t_i in xi_i.transforms:
-        for t_j in xi_j.transforms:
-            out.append(
-                TransformSample(compose(invert(t_j), t_i), source, idx, ambiguous)
-            )
-            idx += 1
-    return out
+    return _pair_samples(xi_i, xi_j, source, lambda t_i, t_j: compose(invert(t_j), t_i))
 
 
 def argmin_summed_distance(
@@ -189,6 +180,35 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     return best, d_total
 
 
+def _collect_pairs(
+    candidate_sets, member_slot: int, pair_samples
+) -> dict[PairKey, PairAccumulator]:
+    """Accumulate pair samples from candidate sets keyed by (t, cam, marker).
+
+    Slot `member_slot` of the key (1: camera, 2: marker) names the pair
+    members; the frame and the other slot name the bridge they share. Every
+    bridge seen by two members a < b contributes pair_samples(xi_a, xi_b,
+    bridge), the samples of the member-b-to-member-a transform.
+    """
+    kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
+    by_bridge: dict[tuple[int, int], dict[int, CandidateSet]] = {}
+    for key, xi in candidate_sets.items():
+        if len(xi) == 0:
+            continue
+        by_bridge.setdefault((key[0], key[3 - member_slot]), {})[key[member_slot]] = xi
+
+    accs: dict[PairKey, PairAccumulator] = {}
+    for bridge in sorted(by_bridge):
+        members = by_bridge[bridge]
+        for a, b in combinations(sorted(members), 2):
+            key = PairKey(a, b, kind)
+            acc = accs.setdefault(key, PairAccumulator(key))
+            acc.samples.extend(pair_samples(members[a], members[b], bridge))
+    for acc in accs.values():
+        acc.canonicalize()
+    return accs
+
+
 def collect_camera_pairs(
     candidate_sets: dict[tuple[int, int, int], CandidateSet],
 ) -> dict[PairKey, PairAccumulator]:
@@ -197,22 +217,7 @@ def collect_camera_pairs(
     `candidate_sets` is keyed by (t, cam, marker). Every frame/marker bridge
     seen by two cameras contributes samples to that camera pair.
     """
-    by_bridge: dict[tuple[int, int], dict[int, CandidateSet]] = {}
-    for (t, cam, marker), xi in candidate_sets.items():
-        if len(xi) == 0:
-            continue
-        by_bridge.setdefault((t, marker), {})[cam] = xi
-
-    accs: dict[PairKey, PairAccumulator] = {}
-    for (t, marker) in sorted(by_bridge):
-        cams = by_bridge[(t, marker)]
-        for i, j in combinations(sorted(cams), 2):
-            key = PairKey(i, j, CAMERA_PAIR)
-            acc = accs.setdefault(key, PairAccumulator(key))
-            acc.samples.extend(camera_pair_samples(cams[i], cams[j], (t, marker)))
-    for acc in accs.values():
-        acc.canonicalize()
-    return accs
+    return _collect_pairs(candidate_sets, 1, camera_pair_samples)
 
 
 def collect_marker_pairs(
@@ -223,22 +228,7 @@ def collect_marker_pairs(
     For the pair (a, b) with a < b the stored transform maps marker-b
     coordinates to marker-a coordinates, matching the graph edge convention.
     """
-    by_bridge: dict[tuple[int, int], dict[int, CandidateSet]] = {}
-    for (t, cam, marker), xi in candidate_sets.items():
-        if len(xi) == 0:
-            continue
-        by_bridge.setdefault((t, cam), {})[marker] = xi
-
-    accs: dict[PairKey, PairAccumulator] = {}
-    for (t, cam) in sorted(by_bridge):
-        markers = by_bridge[(t, cam)]
-        for a, b in combinations(sorted(markers), 2):
-            key = PairKey(a, b, MARKER_PAIR)
-            acc = accs.setdefault(key, PairAccumulator(key))
-            # b -> a transform: marker_pair_samples maps its first argument's
-            # marker into its second argument's frame
-            acc.samples.extend(marker_pair_samples(markers[b], markers[a], (t, cam)))
-    for acc in accs.values():
-        acc.canonicalize()
-    return accs
-
+    # marker_pair_samples maps its first argument's marker into its second's
+    return _collect_pairs(
+        candidate_sets, 2, lambda xi_a, xi_b, src: marker_pair_samples(xi_b, xi_a, src)
+    )

@@ -155,20 +155,27 @@ class TestTrackCommand:
             d = np.abs(traj.frames[t].pose.as_matrix() - st.pose.as_matrix()).max()
             assert d < 1e-5
 
-    def test_stream_mode(self, workdir, capsys, monkeypatch):
+    def test_stream_mode(self, workdir, tmp_path, capsys, monkeypatch):
         lines = (workdir / "detections.jsonl").read_text()
         monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
-        rc = cli.main([
+        track = [
             "track",
             "--calibration", str(workdir / "cal.json"),
             "--intrinsics", str(workdir / "intrinsics.json"),
-            "--detections", "-",
-        ])
+        ]
+        rc = cli.main(track + ["--detections", "-"])
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "t,tx,ty,tz,qx,qy,qz,qw"
         assert len(out) == 11  # header + one row per frame
         assert out[1].startswith("0,") and out[10].startswith("9,")
+        # the same detections in file mode write the same CSV lines
+        rc = cli.main(track + [
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 0
+        assert out == (tmp_path / "traj.csv").read_text().splitlines()
 
     def test_stream_bad_line_exit_2(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("garbage\n"))
@@ -220,6 +227,23 @@ class TestSynthCommand:
             "synth", "--spec", str(spec_path), "--output-dir", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"intrinsics": {"fx": 500}}),
+        json.dumps({"intrinsics": {"fx": 0, "fy": 500, "cx": 320, "cy": 240}}),
+        json.dumps({"n_cameras": "three"}),
+        '{"n_cameras": 3',
+    ], ids=["missing_intrinsics_field", "zero_focal_length", "non_integer_count",
+            "invalid_json"])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        rc = cli.main([
+            "synth", "--spec", str(spec_path), "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_same_seed_identical(self, tmp_path):
         for sub in ("a", "b"):

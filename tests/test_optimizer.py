@@ -16,8 +16,10 @@ from markercal.geometry import (
     project,
     rotation_angle,
     rotation_from_rvec,
+    to_twist,
 )
 from markercal.optimizer import (
+    BEHIND_RESIDUAL,
     REASON_MAX_ITERS,
     REASON_MIN_IMPROVE,
     REASON_ZERO_RESIDUAL,
@@ -32,6 +34,7 @@ from markercal.optimizer import (
     refine_all,
     track_frame,
     unpack_params,
+    _FrameSystem,
 )
 from markercal.planar_pose import Detection
 from markercal.structure_init import StructureEstimate
@@ -328,6 +331,52 @@ class TestResidualSystem:
             ResidualBuilder([Detection(0, 9, 0, corners)], intr, template, layout)
         with pytest.raises(ValueError):
             ResidualBuilder([Detection(99, 0, 0, corners)], intr, template, layout)
+
+
+class TestBehindCamera:
+    """A corner behind its camera gets BEHIND_RESIDUAL and an all-zero Jacobian row."""
+
+    def _scene(self):
+        template = MarkerTemplate(0.04)
+        intr = {0: _intr(), 1: _intr()}
+        shift = RigidTransform(np.eye(3), np.array([0.002, 0.002, 0.0]))
+        cams = {0: RigidTransform.identity(), 1: shift}
+        markers = {0: RigidTransform.identity(), 1: shift}
+        # a quarter turn about (1,1,0) brings corner 0, (s/2,-s/2,0), 0.028 m
+        # towards every camera from 0.02 m away, so it lands behind them; the
+        # other three corners stay at depths of 0.02 m or more
+        axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        frame = RigidTransform(rotation_from_rvec(axis * math.pi / 2), np.array([0.0, 0.0, 0.02]))
+        corners = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
+        dets = [Detection(0, c, m, corners) for c in cams for m in markers]
+        return cams, markers, {0: frame}, dets, intr, template
+
+    @staticmethod
+    def _check(r, jac, n_obs):
+        r = r.reshape(n_obs, 4, 2)
+        jac = jac.reshape(n_obs, 4, 2, -1)
+        assert np.all(r[:, 0] == BEHIND_RESIDUAL)
+        assert np.all(jac[:, 0] == 0.0)
+        # the corners in front keep their own residuals and derivatives
+        assert np.all(np.abs(r[:, 1:]) < 1e4)
+        assert np.all(np.abs(jac[:, 1:]).max(axis=-1) > 0.0)
+
+    def test_residual_builder_system(self):
+        cams, markers, frames, dets, intr, template = self._scene()
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        x = pack_params(cams, markers, frames, layout)
+        system = builder.system(x)
+        np.testing.assert_array_equal(system.residuals, builder.residuals(x))
+        self._check(system.residuals, system.jacobian.toarray(), len(dets))
+
+    def test_frame_tracker_system(self):
+        cams, markers, frames, dets, intr, template = self._scene()
+        tracker = FrameTracker(cams, markers, intr, template)
+        tw = to_twist(frames[0])
+        x = np.concatenate([tw.rvec, tw.tvec])
+        system = _FrameSystem(tracker, tracker._frame_arrays(dets)).system(x)
+        self._check(system.residuals, system.jacobian, len(dets))
 
 
 class TestLmMinimize:
