@@ -195,17 +195,13 @@ _SYNTH_SCALAR_FIELDS = {
 
 
 def _load_scene_spec(path: str | None):
-    from .dataset import parse_intrinsics
-    from .errors import ParseError, ValidationError
+    from .dataset import json_scalar, parse_intrinsics, read_json
+    from .errors import ValidationError
     from .synthetic import SceneSpec
 
     if path is None:
         return SceneSpec()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in scene spec: {e.msg}", e.lineno) from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("scene spec must be a JSON object")
     kwargs = {}
@@ -214,8 +210,8 @@ def _load_scene_spec(path: str | None):
             kwargs["intrinsics"] = parse_intrinsics(val, "scene spec")
         elif key in _SYNTH_SCALAR_FIELDS:
             try:
-                kwargs[key] = _SYNTH_SCALAR_FIELDS[key](val)
-            except (TypeError, ValueError) as e:
+                kwargs[key] = json_scalar(val, _SYNTH_SCALAR_FIELDS[key], key)
+            except TypeError as e:
                 raise ValidationError(f"bad scene spec field {key!r}: {e}") from None
         else:
             raise ValidationError(f"unknown scene spec field {key!r}")

@@ -102,29 +102,50 @@ def load_detections(path) -> list:
     return dets
 
 
+def read_json(path):
+    """The document in a JSON file; a syntax error becomes ParseError with its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from None
+
+
+def json_scalar(val, kind: type, name: str):
+    """`val` as `kind` (bool, int, float or str), or TypeError if its JSON type differs.
+
+    Booleans come only from true/false, integers only from integers and
+    floats from any number; nothing is converted from a bool or a string.
+    """
+    allowed = (int, float) if kind is float else kind
+    if isinstance(val, bool) != (kind is bool) or not isinstance(val, allowed):
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
 def parse_intrinsics(val, where: str) -> CameraIntrinsics:
     """One camera's intrinsics from its JSON object; errors name `where`."""
     try:
         return CameraIntrinsics(
-            fx=float(val["fx"]),
-            fy=float(val["fy"]),
-            cx=float(val["cx"]),
-            cy=float(val["cy"]),
-            dist=np.asarray(val.get("dist", [0.0] * 5), dtype=np.float64),
-            width=int(val.get("width", 640)),
-            height=int(val.get("height", 480)),
-            pre_undistorted=bool(val.get("pre_undistorted", False)),
+            fx=json_scalar(val["fx"], float, "fx"),
+            fy=json_scalar(val["fy"], float, "fy"),
+            cx=json_scalar(val["cx"], float, "cx"),
+            cy=json_scalar(val["cy"], float, "cy"),
+            dist=np.array(
+                [json_scalar(v, float, "dist") for v in val.get("dist", [0.0] * 5)]
+            ),
+            width=json_scalar(val.get("width", 640), int, "width"),
+            height=json_scalar(val.get("height", 480), int, "height"),
+            pre_undistorted=json_scalar(
+                val.get("pre_undistorted", False), bool, "pre_undistorted"
+            ),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"bad intrinsics for {where}: {e}") from None
 
 
 def load_intrinsics(path) -> dict[int, CameraIntrinsics]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("intrinsics file must be a JSON object keyed by camera id")
     out = {}
@@ -272,11 +293,7 @@ def save_calibration(result: CalibrationResult, path) -> None:
 
 
 def load_calibration(path) -> CalibrationResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}") from None
+    doc = read_json(path)
     try:
         cams = _structure_from_json(doc["cameras"], "camera")
         markers = _structure_from_json(doc["markers"], "marker")
@@ -385,11 +402,7 @@ def save_ground_truth(gt, path) -> None:
 def load_ground_truth(path):
     from .synthetic import GroundTruth
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}") from None
+    doc = read_json(path)
     try:
         traj = Trajectory()
         for t, pose in doc["trajectory"].items():

@@ -24,14 +24,8 @@ def _as_array(x, shape) -> np.ndarray:
     return a
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ p == cross(v, p)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def skew_many(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices for a (..., 3) batch of vectors."""
+    """Cross-product matrices of a (..., 3) array: skew_many(v) @ p == cross(v, p)."""
     v = np.asarray(v, dtype=np.float64)
     out = np.zeros(v.shape + (3,))
     out[..., 0, 1] = -v[..., 2]
@@ -58,11 +52,6 @@ class RigidTransform:
     def identity() -> RigidTransform:
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m) -> RigidTransform:
-        m = np.asarray(m, dtype=np.float64)
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -77,18 +66,6 @@ class RigidTransform:
     def orthonormality_drift(self) -> float:
         r = self.rotation
         return float(np.abs(r.T @ r - np.eye(3)).max())
-
-
-@dataclass(frozen=True)
-class TwistParams:
-    """Six-parameter transform: Rodrigues rotation vector plus translation."""
-
-    rvec: np.ndarray  # (3,) radians * unit axis, angle canonicalized to [0, pi]
-    tvec: np.ndarray  # (3,) meters
-
-    def __post_init__(self):
-        object.__setattr__(self, "rvec", _as_array(self.rvec, (3,)))
-        object.__setattr__(self, "tvec", _as_array(self.tvec, (3,)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +140,7 @@ def rotation_from_rvec(rvec: np.ndarray) -> np.ndarray:
     """Rodrigues formula, exact for any angle; series below 1e-8 rad."""
     v = np.asarray(rvec, dtype=np.float64)
     theta = math.sqrt(float(v @ v))
-    k = skew(v)
+    k = skew_many(v)
     if theta < 1e-8:
         return np.eye(3) + k + 0.5 * (k @ k)
     k /= theta
@@ -206,7 +183,7 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
 def rvec_from_rotation(r: np.ndarray) -> np.ndarray:
     """Rotation vector with angle in [0, pi].
 
-    At angle exactly pi the axis sign is ambiguous; it is canonicalized so
+    At angle exactly pi the axis sign is ambiguous; it is chosen so
     the first nonzero component is positive.
     """
     q = rotation_to_quaternion(r)
@@ -230,14 +207,6 @@ def rotation_angle(r: np.ndarray) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(q[1:])), min(float(q[0]), 1.0))
 
 
-def to_twist(t: RigidTransform) -> TwistParams:
-    return TwistParams(rvec_from_rotation(t.rotation), t.translation)
-
-
-def from_twist(p: TwistParams) -> RigidTransform:
-    return RigidTransform(rotation_from_rvec(p.rvec), p.tvec)
-
-
 def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
     """Factor S(v) such that d(R(v) @ p)/dv = -R(v) @ skew(p) @ S(v).
 
@@ -246,7 +215,7 @@ def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) ->
     """
     v = np.asarray(rvec, dtype=np.float64)
     theta_sq = float(v @ v)
-    k = skew(v)
+    k = skew_many(v)
     if theta_sq < 1e-6:
         return np.eye(3) - 0.5 * k + (k @ k) / 6.0
     if rot is None:
@@ -336,36 +305,15 @@ def undistort_to_normalized(pixels: np.ndarray, intr: CameraIntrinsics) -> np.nd
     yd = (pix[:, 1] - intr.cy) / intr.fy
     if not intr.has_distortion:
         return np.stack([xd, yd], axis=-1)
-    k1, k2, p1, p2, k3 = intr.dist
     a, b = xd.copy(), yd.copy()
     for _ in range(30):
-        r2 = a * a + b * b
-        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        da = 2.0 * p1 * a * b + p2 * (r2 + 2.0 * a * a)
-        db = p1 * (r2 + 2.0 * b * b) + 2.0 * p2 * a * b
-        a_new = (xd - da) / radial
-        b_new = (yd - db) / radial
+        # xd - xm = xd - a * radial - tangential, so this is the fixed point
+        # a = (xd - tangential) / radial
+        xm, ym, _, radial = _distort_normalized(a, b, intr.dist)
+        a_new = a + (xd - xm) / radial
+        b_new = b + (yd - ym) / radial
         if max(np.abs(a_new - a).max(), np.abs(b_new - b).max()) < 1e-14:
             a, b = a_new, b_new
             break
         a, b = a_new, b_new
     return np.stack([a, b], axis=-1)
-
-
-def project_marker_corner(
-    cam_from_obj: RigidTransform,
-    marker_from_objref: RigidTransform,
-    template: MarkerTemplate,
-    corner_index: int,
-    intr: CameraIntrinsics,
-) -> np.ndarray:
-    """Project one template corner through camera <- object <- marker chain.
-
-    `corner_index` is 1-based (1..4) matching the template corner order.
-    """
-    if not 1 <= corner_index <= 4:
-        raise ValueError(f"corner index {corner_index} not in 1..4")
-    point = compose(cam_from_obj, marker_from_objref).apply(
-        template.corners[corner_index - 1]
-    )
-    return project(point, intr)

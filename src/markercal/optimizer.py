@@ -27,16 +27,13 @@ from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
     RigidTransform,
-    TwistParams,
     compose,
-    from_twist,
     invert,
     project_arrays,
     rotation_from_rvec,
     rotation_jacobian_factor,
     rvec_from_rotation,
     skew_many,
-    to_twist,
 )
 from .planar_pose import Detection, estimate_two_poses
 from .structure_init import StructureEstimate
@@ -51,19 +48,20 @@ REASON_MIN_IMPROVE = "min_improve"
 REASON_LAMBDA_LIMIT = "lambda_limit"
 REASON_ZERO_RESIDUAL = "zero_residual"
 
+# LM damping: initial value, factors on reject and accept, and the limit
+LAMBDA_INIT = 1e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.5
+MAX_LAMBDA = 1e10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 10000
     min_improve: float = 1e-4  # px, mean absolute residual improvement
-    lambda_init: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.5
-    max_lambda: float = 1e10
 
     def __post_init__(self):
-        for name in ("max_iters", "min_improve", "lambda_init", "lambda_up",
-                     "lambda_down", "max_lambda"):
+        for name in ("max_iters", "min_improve"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -135,13 +133,12 @@ class ParamLayout:
 
 
 def _put_twist(x: np.ndarray, offset: int, pose: RigidTransform) -> None:
-    tw = to_twist(pose)
-    x[offset : offset + 3] = tw.rvec
-    x[offset + 3 : offset + 6] = tw.tvec
+    x[offset : offset + 3] = rvec_from_rotation(pose.rotation)
+    x[offset + 3 : offset + 6] = pose.translation
 
 
 def _get_twist(x: np.ndarray, offset: int) -> RigidTransform:
-    return from_twist(TwistParams(x[offset : offset + 3], x[offset + 3 : offset + 6]))
+    return RigidTransform(rotation_from_rvec(x[offset : offset + 3]), x[offset + 3 : offset + 6])
 
 
 def pack_params(
@@ -236,24 +233,9 @@ class ResidualBuilder:
         dets = sorted(detections, key=lambda d: d.key)
         self.layout = layout
         self.template = template
-        if layout is None:
-            self.cam_ids = sorted({d.cam for d in dets})
-            self.marker_ids = sorted({d.marker for d in dets})
-            self.frame_ids = sorted({d.t for d in dets})
-        else:
-            known_cams = {layout.ref_camera, *layout.camera_ids}
-            known_markers = {layout.ref_marker, *layout.marker_ids}
-            frame_set = set(layout.frame_ids)
-            for d in dets:
-                if d.cam not in known_cams:
-                    raise ValueError(f"detection for camera {d.cam} outside the layout")
-                if d.marker not in known_markers:
-                    raise ValueError(f"detection for marker {d.marker} outside the layout")
-                if d.t not in frame_set:
-                    raise ValueError(f"detection at frame {d.t} outside the layout")
-            self.cam_ids = sorted(known_cams)
-            self.marker_ids = sorted(known_markers)
-            self.frame_ids = sorted(layout.frame_ids)
+        self.cam_ids = sorted({d.cam for d in dets})
+        self.marker_ids = sorted({d.marker for d in dets})
+        self.frame_ids = sorted({d.t for d in dets})
         cam_pos = {c: i for i, c in enumerate(self.cam_ids)}
         marker_pos = {m: i for i, m in enumerate(self.marker_ids)}
         frame_pos = {t: i for i, t in enumerate(self.frame_ids)}
@@ -263,10 +245,17 @@ class ResidualBuilder:
         self.i_cam = np.array([cam_pos[d.cam] for d in dets], dtype=np.int64)
         self.i_marker = np.array([marker_pos[d.marker] for d in dets], dtype=np.int64)
         self.i_frame = np.array([frame_pos[d.t] for d in dets], dtype=np.int64)
-        self.obs_pix, self._cam4 = _corner_arrays(dets, intrinsics)
-        self._sk_u = skew_many(template.corners)  # (4,3,3)
 
         if layout is not None:
+            known_cams = {layout.ref_camera, *layout.camera_ids}
+            known_markers = {layout.ref_marker, *layout.marker_ids}
+            for d in dets:
+                if d.cam not in known_cams:
+                    raise ValueError(f"detection for camera {d.cam} outside the layout")
+                if d.marker not in known_markers:
+                    raise ValueError(f"detection for marker {d.marker} outside the layout")
+                if d.t not in layout.frame_offsets:
+                    raise ValueError(f"detection at frame {d.t} outside the layout")
             # CSR pattern of the (N,4,2,18) camera|marker|frame blocks: each
             # row keeps the columns of its non-reference entities and of its
             # frame, in ascending (layout) order
@@ -290,6 +279,8 @@ class ResidualBuilder:
                 (np.zeros(indices.size), indices, indptr), shape=(8 * self.n_obs, layout.total)
             )
             self._jac_indices, self._jac_indptr = pattern.indices, pattern.indptr
+        self.obs_pix, self._cam4 = _corner_arrays(dets, intrinsics)
+        self._sk_u = skew_many(template.corners)  # (4,3,3)
 
     # -- pose table helpers -------------------------------------------------
 
@@ -389,10 +380,10 @@ class ResidualBuilder:
         discards, so they never reach the Jacobian.
         """
         table = np.zeros((len(ids), 3, 3))
-        pos = {i: k for k, i in enumerate(ids)}
-        for i, off in offsets.items():
-            rvec = -x[off : off + 3] if negate else x[off : off + 3]
-            table[pos[i]] = rotation_jacobian_factor(rvec)
+        for k, i in enumerate(ids):
+            if i in offsets:
+                rvec = x[offsets[i] : offsets[i] + 3]
+                table[k] = rotation_jacobian_factor(-rvec if negate else rvec)
         return table[idx]
 
     def per_frame_rms(self, residuals: np.ndarray) -> dict[int, float]:
@@ -450,8 +441,8 @@ def lm_minimize(
     the cost strictly decreases; lambda shrinks on accept and grows on
     reject, and every accepted x has its rotations re-mapped to angles in
     [0, pi]. Terminates on the iteration budget, on mean absolute
-    improvement below opts.min_improve, on lambda passing opts.max_lambda,
-    or on a numerically zero residual.
+    improvement below opts.min_improve, on lambda passing MAX_LAMBDA, or on
+    a numerically zero residual.
     """
     x = np.array(initial, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -465,7 +456,7 @@ def lm_minimize(
     mean_abs = float(np.abs(r).mean()) if n_res else 0.0
     initial_rms = _rms(cost, n_res)
     history = [cost]
-    lam = opts.lambda_init
+    lam = LAMBDA_INIT
     iters = 0
     accepted = 0
     reason = REASON_MAX_ITERS
@@ -484,11 +475,11 @@ def lm_minimize(
                 iters += 1
                 step = _solve_damped(jtj, eye, jtr, lam)
                 if step is None:
-                    if lam >= opts.max_lambda:
+                    if lam >= MAX_LAMBDA:
                         raise NumericalFailure(
                             "singular normal equations at maximum damping"
                         )
-                    lam *= opts.lambda_up
+                    lam *= LAMBDA_UP
                     continue
                 x_try = x + step
                 r_try = builder.residuals(x_try)
@@ -500,15 +491,15 @@ def lm_minimize(
                     mean_abs = new_mean
                     history.append(cost)
                     accepted += 1
-                    lam *= opts.lambda_down
+                    lam *= LAMBDA_DOWN
                     stepped = True
                     if mean_abs < _ZERO_RESIDUAL_FLOOR:
                         reason, done = REASON_ZERO_RESIDUAL, True
                     elif improvement < opts.min_improve:
                         reason, done = REASON_MIN_IMPROVE, True
                     break
-                lam *= opts.lambda_up
-                if lam > opts.max_lambda:
+                lam *= LAMBDA_UP
+                if lam > MAX_LAMBDA:
                     reason, done = REASON_LAMBDA_LIMIT, True
                     break
             if done:
@@ -650,8 +641,9 @@ class FrameTracker:
             inv_marker = invert(self.markers[d.marker])
             for t_mc in (h.best, h.alt):
                 g = compose(compose(self.cams[d.cam], t_mc), inv_marker)
-                tw = to_twist(g)
-                r, _ = self._assemble(arrays, tw.rvec, tw.tvec, False)
+                r, _ = self._assemble(
+                    arrays, rvec_from_rotation(g.rotation), g.translation, False
+                )
                 cost = float(r @ r)
                 if math.isfinite(cost) and (best is None or cost < best[0]):
                     best = (cost, g)
@@ -677,8 +669,7 @@ class FrameTracker:
                     f"detection (cam={d.cam}, marker={d.marker}) outside calibration"
                 )
         pose = warm if warm is not None else self.cold_start(dets)
-        tw = to_twist(pose)
-        x0 = np.concatenate([tw.rvec, tw.tvec])
+        x0 = np.concatenate([rvec_from_rotation(pose.rotation), pose.translation])
         x, report = lm_minimize(x0, _FrameSystem(self, self._frame_arrays(dets)), opts)
         self.last_iterations = report.iterations
         return _get_twist(x, 0), report.final_rms

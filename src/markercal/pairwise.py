@@ -29,7 +29,7 @@ MARKER_PAIR = "marker"
 
 @dataclass(frozen=True, order=True)
 class PairKey:
-    """Unordered pair of camera ids or marker ids, canonicalized to a < b."""
+    """Unordered pair of camera ids or marker ids, stored with a < b."""
 
     a: int
     b: int
@@ -72,10 +72,6 @@ class PairAccumulator:
     key: PairKey
     samples: list[TransformSample] = field(default_factory=list)
     selected: SelectedTransform | None = None
-
-    def canonicalize(self) -> None:
-        """Sort samples into the (frame, bridge, product index) order."""
-        self.samples.sort(key=lambda s: (s.source, s.product_index))
 
 
 def probe_points(scale: float) -> np.ndarray:
@@ -188,7 +184,9 @@ def _collect_pairs(
     Slot `member_slot` of the key (1: camera, 2: marker) names the pair
     members; the frame and the other slot name the bridge they share. Every
     bridge seen by two members a < b contributes pair_samples(xi_a, xi_b,
-    bridge), the samples of the member-b-to-member-a transform.
+    bridge), the samples of the member-b-to-member-a transform. Bridges are
+    visited in sorted order and give each pair at most one batch, so every
+    pair's samples come out in (source, product_index) order.
     """
     kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
     by_bridge: dict[tuple[int, int], dict[int, CandidateSet]] = {}
@@ -204,8 +202,6 @@ def _collect_pairs(
             key = PairKey(a, b, kind)
             acc = accs.setdefault(key, PairAccumulator(key))
             acc.samples.extend(pair_samples(members[a], members[b], bridge))
-    for acc in accs.values():
-        acc.canonicalize()
     return accs
 
 

@@ -43,6 +43,9 @@ from .structure_init import (
     minimum_spanning_tree,
 )
 
+# m; the axis probe points used to compare transforms sit this far out
+PROBE_SCALE = 1.0
+
 
 @dataclass(frozen=True)
 class CalibrationConfig:
@@ -51,26 +54,25 @@ class CalibrationConfig:
     tau_ratio gates the two-pose ambiguity test (a detection whose
     second-best reprojection error is less than tau_ratio times the best
     keeps both poses). tau_n inflates graph edge weights for pairs seen
-    in fewer than tau_n samples. References default to the lowest id
-    present. ambiguity_handling=False is an ablation switch: every
-    detection then contributes only its best pose.
+    in fewer than tau_n samples. ref_camera and ref_marker fix the gauge;
+    they default to the lowest id present. ambiguity_handling=False is an
+    ablation switch: every detection then contributes only its best pose.
+    solver holds the LM iteration budget and stop threshold.
     """
 
     tau_ratio: float = 2.0
     tau_n: float = DEFAULT_TAU_N
     ref_camera: int | None = None
     ref_marker: int | None = None
-    probe_scale: float = 1.0
     ambiguity_handling: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.tau_ratio < 1.0:
+        # written so that NaN fails too
+        if not self.tau_ratio >= 1.0:
             raise ValidationError(f"tau_ratio must be >= 1, got {self.tau_ratio}")
-        if self.tau_n < 1.0:
+        if not self.tau_n >= 1.0:
             raise ValidationError(f"tau_n must be >= 1, got {self.tau_n}")
-        if self.probe_scale <= 0:
-            raise ValidationError(f"probe_scale must be positive, got {self.probe_scale}")
 
 
 @dataclass
@@ -93,17 +95,15 @@ def detection_candidates(
     behind the camera get an empty set and drop out of later stages.
     """
     template = MarkerTemplate(dataset.marker_side)
+    # ratios are clamped to >= 1, so a threshold of 1 keeps only the best pose
+    tau = config.tau_ratio if config.ambiguity_handling else 1.0
     out = {}
     for d in dataset.detections:
         try:
             h = estimate_two_poses(d, dataset.intrinsics[d.cam], template)
         except (DegenerateQuad, NoValidPose):
-            out[d.key] = candidate_set(None, config.tau_ratio)
-            continue
-        if config.ambiguity_handling:
-            out[d.key] = candidate_set(h, config.tau_ratio)
-        else:
-            out[d.key] = CandidateSet((h.best,), h.ratio)
+            h = None
+        out[d.key] = candidate_set(h, tau)
     return out
 
 
@@ -120,7 +120,7 @@ def _pick_reference(requested: int | None, vertices, kind: str) -> int:
 def _structure_side(
     accumulators: dict, config: CalibrationConfig, vertices, reference: int
 ) -> tuple[StructureEstimate, PoseGraph, list]:
-    probe = probe_points(config.probe_scale)
+    probe = probe_points(PROBE_SCALE)
     for acc in accumulators.values():
         select_optimal(acc, probe)
     graph = build_graph(list(accumulators.values()), config.tau_n, vertices=vertices)
@@ -161,7 +161,7 @@ def calibrate(
     per_frame: dict[int, dict] = {}
     for key, cset in candidate_sets.items():
         per_frame.setdefault(key[0], {})[key] = cset
-    probe = probe_points(config.probe_scale)
+    probe = probe_points(PROBE_SCALE)
     frame_sets = [
         frame_candidates(t, per_frame.get(t, {}), cams, markers)
         for t in range(dataset.n_frames)

@@ -291,28 +291,17 @@ def generate(spec: SceneSpec):
 @dataclass(frozen=True)
 class HornAlignment:
     transform: RigidTransform  # maps the first point set into the second
-    scale: float  # 1.0 unless with_scale was requested
     rms: float  # per-axis residual after alignment, input units
 
 
-def _as_points(seq) -> np.ndarray:
-    if isinstance(seq, np.ndarray):
-        return np.asarray(seq, dtype=np.float64).reshape(-1, 3)
-    items = list(seq)
-    if items and isinstance(items[0], RigidTransform):
-        return np.array([p.translation for p in items])
-    return np.asarray(items, dtype=np.float64).reshape(-1, 3)
+def align_horn(est: np.ndarray, gt: np.ndarray) -> HornAlignment:
+    """Closed-form least-squares rigid alignment of (N,3) points est -> gt.
 
-
-def align_horn(est, gt, with_scale: bool = False) -> HornAlignment:
-    """Closed-form least-squares rigid (or similarity) alignment est -> gt.
-
-    Accepts (N,3) arrays or sequences of transforms (their translations are
-    used). Raises DegenerateConfiguration for fewer than 3 correspondences
-    or collinear/coincident point sets, where the rotation is not unique.
+    Raises DegenerateConfiguration for fewer than 3 correspondences or
+    collinear/coincident point sets, where the rotation is not unique.
     """
-    p = _as_points(est)
-    q = _as_points(gt)
+    p = np.asarray(est, dtype=np.float64).reshape(-1, 3)
+    q = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if p.shape != q.shape:
         raise ValueError(f"point sets differ in shape: {p.shape} vs {q.shape}")
     n = p.shape[0]
@@ -324,14 +313,13 @@ def align_horn(est, gt, with_scale: bool = False) -> HornAlignment:
         sv = np.linalg.svd(pts, compute_uv=False)
         if sv[1] <= 1e-8 * max(float(sv[0]), 1e-300):
             raise DegenerateConfiguration("collinear or coincident points")
-    u, s, vt = np.linalg.svd(pc.T @ qc)
+    u, _, vt = np.linalg.svd(pc.T @ qc)
     d = np.array([1.0, 1.0, float(np.sign(np.linalg.det(vt.T @ u.T)))])
     rot = (vt.T * d) @ u.T
-    scale = float((s @ d) / (pc**2).sum()) if with_scale else 1.0
-    trans = q.mean(axis=0) - scale * rot @ p.mean(axis=0)
-    res = scale * (rot @ p.T).T + trans - q
+    trans = q.mean(axis=0) - rot @ p.mean(axis=0)
+    res = (rot @ p.T).T + trans - q
     rms = math.sqrt(float((res**2).sum()) / (3 * n))
-    return HornAlignment(RigidTransform(rot, trans), scale, rms)
+    return HornAlignment(RigidTransform(rot, trans), rms)
 
 
 def evaluate(result: CalibrationResult, gt: GroundTruth) -> ErrorReport:

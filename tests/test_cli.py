@@ -233,8 +233,16 @@ class TestSynthCommand:
         json.dumps({"intrinsics": {"fx": 0, "fy": 500, "cx": 320, "cy": 240}}),
         json.dumps({"n_cameras": "three"}),
         '{"n_cameras": 3',
+        json.dumps({"ambiguity_stress": "false"}),
+        json.dumps({"n_cameras": 2.9}),
+        json.dumps({"seed": True}),
+        json.dumps({"intrinsics": {"fx": 500, "fy": 500, "cx": 320, "cy": 240,
+                                   "pre_undistorted": "false"}}),
+        json.dumps({"intrinsics": {"fx": 500, "fy": 500, "cx": 320, "cy": 240,
+                                   "width": 640.9}}),
     ], ids=["missing_intrinsics_field", "zero_focal_length", "non_integer_count",
-            "invalid_json"])
+            "invalid_json", "string_bool", "fractional_count", "bool_seed",
+            "string_intrinsics_bool", "fractional_width"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

@@ -12,19 +12,15 @@ from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
     RigidTransform,
-    TwistParams,
     compose,
-    from_twist,
     invert,
     project,
     project_arrays,
-    project_marker_corner,
     rotation_angle,
     rotation_from_rvec,
     rotation_jacobian_factor,
     rotation_to_quaternion,
     rvec_from_rotation,
-    to_twist,
     undistort_to_normalized,
 )
 
@@ -100,13 +96,6 @@ class TestRigidTransform:
             back = compose(t, invert(t))
             np.testing.assert_allclose(back.as_matrix(), np.eye(4), atol=1e-9)
 
-    def test_matrix_round_trip(self):
-        rng = np.random.default_rng(11)
-        t = _random_transform(rng)
-        np.testing.assert_allclose(
-            RigidTransform.from_matrix(t.as_matrix()).as_matrix(), t.as_matrix()
-        )
-
     def test_apply_batch_matches_single(self):
         rng = np.random.default_rng(3)
         t = _random_transform(rng)
@@ -160,12 +149,11 @@ class TestInvert:
 
 class TestTwist:
     def test_zero_twist_is_identity(self):
-        t = from_twist(TwistParams(np.zeros(3), np.zeros(3)))
-        np.testing.assert_allclose(t.as_matrix(), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(rotation_from_rvec(np.zeros(3)), np.eye(3), atol=1e-15)
 
     def test_half_turn_about_x(self):
-        t = from_twist(TwistParams([math.pi, 0.0, 0.0], np.zeros(3)))
-        np.testing.assert_allclose(t.rotation, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
+        rot = rotation_from_rvec([math.pi, 0.0, 0.0])
+        np.testing.assert_allclose(rot, np.diag([1.0, -1.0, -1.0]), atol=1e-12)
 
     def test_round_trip_1000_random_twists(self):
         # oracle: the quaternion exponential, coded independently above
@@ -174,21 +162,17 @@ class TestTwist:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             rvec = axis * rng.uniform(1e-8, math.pi - 1e-6)
-            tvec = rng.uniform(-5, 5, 3)
-            p = TwistParams(rvec, tvec)
-            t = from_twist(p)
-            np.testing.assert_allclose(t.rotation, _quat_exp_rotation(rvec), atol=1e-12)
-            back = to_twist(t)
-            np.testing.assert_allclose(back.rvec, rvec, atol=1e-9)
-            np.testing.assert_allclose(back.tvec, tvec, atol=1e-12)
+            rot = rotation_from_rvec(rvec)
+            np.testing.assert_allclose(rot, _quat_exp_rotation(rvec), atol=1e-12)
+            np.testing.assert_allclose(rvec_from_rotation(rot), rvec, atol=1e-9)
 
     def test_round_trip_preserves_rotation_action(self):
         rng = np.random.default_rng(29)
         t = _random_transform(rng)
-        again = from_twist(to_twist(t))
+        again = rotation_from_rvec(rvec_from_rotation(t.rotation))
         vecs = rng.normal(size=(100, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        np.testing.assert_allclose(vecs @ again.rotation.T, vecs @ t.rotation.T, atol=1e-9)
+        np.testing.assert_allclose(vecs @ again.T, vecs @ t.rotation.T, atol=1e-9)
 
     def test_angle_pi_sign_canonicalization(self):
         # first nonzero rvec component comes out positive at a half turn
@@ -379,36 +363,18 @@ class TestRotationJacobianFactor:
 
 class TestProjectMarkerCorner:
     def test_marker_one_meter_ahead(self):
+        # a marker 1 m ahead, facing the camera with its +x to the right:
+        # the template corners land bottom-right, top-right, top-left,
+        # bottom-left (counter-clockwise in the image), so a detector that
+        # reports top-left, top-right, bottom-right, bottom-left must be
+        # re-indexed [2, 1, 0, 3]
         tpl = MarkerTemplate(side=0.04)
-        cam_from_obj = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
-        got = project_marker_corner(
-            cam_from_obj, RigidTransform.identity(), tpl, 1, DEFAULT_INTR
-        )
+        facing = RigidTransform(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 1.0])
+        pix = project(facing.apply(tpl.corners), DEFAULT_INTR)
         np.testing.assert_allclose(
-            got, [600.0 * 0.02 + 320.0, 600.0 * -0.02 + 240.0]
+            pix, [[332.0, 252.0], [332.0, 228.0], [308.0, 228.0], [308.0, 252.0]]
         )
-
-    def test_behind_camera_propagates(self):
-        tpl = MarkerTemplate(side=0.04)
-        cam_from_obj = RigidTransform(np.eye(3), [0.0, 0.0, -1.0])
-        with pytest.raises(PointBehindCamera):
-            project_marker_corner(cam_from_obj, RigidTransform.identity(), tpl, 1, DEFAULT_INTR)
-
-    def test_corner_index_bounds(self):
-        tpl = MarkerTemplate(side=0.04)
-        t = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
-        for bad in (0, 5):
-            with pytest.raises(ValueError):
-                project_marker_corner(t, RigidTransform.identity(), tpl, bad, DEFAULT_INTR)
-
-    def test_matches_manual_chain(self):
-        rng = np.random.default_rng(59)
-        tpl = MarkerTemplate(side=0.05)
-        cam_from_obj = RigidTransform(rotation_from_rvec([0.1, -0.2, 0.05]), [0.02, -0.01, 0.9])
-        marker_from_ref = RigidTransform(rotation_from_rvec([0.0, 0.3, 0.0]), [0.05, 0.0, 0.01])
-        for l in range(1, 5):
-            manual = project(
-                cam_from_obj.apply(marker_from_ref.apply(tpl.corners[l - 1])), DEFAULT_INTR
-            )
-            got = project_marker_corner(cam_from_obj, marker_from_ref, tpl, l, DEFAULT_INTR)
-            np.testing.assert_allclose(got, manual, atol=1e-12)
+        top_left_first = np.array(
+            [[308.0, 228.0], [332.0, 228.0], [332.0, 252.0], [308.0, 252.0]]
+        )
+        np.testing.assert_allclose(top_left_first[[2, 1, 0, 3]], pix)

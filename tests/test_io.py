@@ -137,6 +137,19 @@ class TestLoadIntrinsics:
         with pytest.raises(ParseError):
             load_intrinsics(p)
 
+    @pytest.mark.parametrize("field", [
+        {"pre_undistorted": "false"},
+        {"width": 640.9},
+        {"height": True},
+        {"fx": "600"},
+        {"dist": [True, 0, 0, 0, 0]},
+    ])
+    def test_wrong_json_type(self, tmp_path, field):
+        p = tmp_path / "i.json"
+        p.write_text(json.dumps({"0": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, **field}}))
+        with pytest.raises(ValidationError, match="camera 0"):
+            load_intrinsics(p)
+
 
 class TestDataset:
     def _one(self):

@@ -16,7 +16,7 @@ from markercal.geometry import (
     project,
     rotation_angle,
     rotation_from_rvec,
-    to_twist,
+    rvec_from_rotation,
 )
 from markercal.optimizer import (
     BEHIND_RESIDUAL,
@@ -373,8 +373,7 @@ class TestBehindCamera:
     def test_frame_tracker_system(self):
         cams, markers, frames, dets, intr, template = self._scene()
         tracker = FrameTracker(cams, markers, intr, template)
-        tw = to_twist(frames[0])
-        x = np.concatenate([tw.rvec, tw.tvec])
+        x = np.concatenate([rvec_from_rotation(frames[0].rotation), frames[0].translation])
         system = _FrameSystem(tracker, tracker._frame_arrays(dets)).system(x)
         self._check(system.residuals, system.jacobian, len(dets))
 

@@ -41,7 +41,8 @@ class TestCalibrationConfig:
         [
             {"tau_ratio": 0.5},
             {"tau_n": 0.0},
-            {"probe_scale": -1.0},
+            {"tau_ratio": float("nan")},
+            {"tau_n": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -62,6 +63,20 @@ class TestDetectionCandidates:
         assert all(len(s.transforms) == 1 for s in sets.values())
         both = detection_candidates(ds, CalibrationConfig())
         assert any(len(s.transforms) == 2 for s in both.values())
+
+    def test_ablation_equals_unit_threshold(self):
+        # ratios are clamped to >= 1, so tau_ratio=1 keeps exactly the best
+        # pose of every detection, which is what the ablation keeps
+        _, ds = _dataset(ambiguity_stress=True, noise_sigma=0.2)
+        assert any(len(s) == 2 for s in detection_candidates(ds).values())
+        off = detection_candidates(ds, CalibrationConfig(ambiguity_handling=False))
+        unit = detection_candidates(ds, CalibrationConfig(tau_ratio=1.0))
+        assert off.keys() == unit.keys()
+        for key, cset in off.items():
+            assert cset.ratio == unit[key].ratio
+            assert len(cset) == len(unit[key])
+            for a, b in zip(cset.transforms, unit[key].transforms):
+                np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
 
 
 class TestCalibrate:
