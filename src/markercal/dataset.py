@@ -74,11 +74,15 @@ def parse_detection_line(line: str, lineno: int | None = None):
     for name in ("t", "cam", "marker"):
         if isinstance(obj[name], bool) or not isinstance(obj[name], int):
             raise ParseError(f"field {name!r} must be an integer", lineno)
+    rows = obj["corners"]
+    if not (isinstance(rows, list) and len(rows) == 4
+            and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+        raise ParseError("corners must be a 4x2 array of numbers", lineno)
     try:
-        corners = np.asarray(obj["corners"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParseError("corners must be a 4x2 array of numbers", lineno) from None
-    if corners.shape != (4, 2) or not np.all(np.isfinite(corners)):
+        corners = np.array([[json_scalar(v, float, "corners") for v in row] for row in rows])
+    except TypeError as e:
+        raise ParseError(str(e), lineno) from None
+    if not np.all(np.isfinite(corners)):
         raise ParseError("corners must be a finite 4x2 array", lineno)
     return Detection(obj["t"], obj["cam"], obj["marker"], corners)
 

@@ -2,12 +2,14 @@
 
 Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
-candidate marker poses T. The proposal that best agrees with the rest, by the
-same summed probe-point distance used for pairwise selection, becomes the
-frame's initial pose. That is the proposal whose probe-point images lie
-nearest their mean (pairwise.argmin_summed_distance, O(n) per frame); ties go
-to the first minimum of the closed-form totals, so exact duplicates resolve
-to the lowest proposal index.
+candidate marker poses T. A frame's proposals are formed as one PoseStack by
+object_poses, which the tracker's cold start uses too. The proposal that
+best agrees with the rest, by the same summed probe-point distance used for
+pairwise selection, becomes the frame's initial pose. That is the proposal
+whose probe-point images lie nearest their mean
+(pairwise.argmin_summed_distance, O(n) per frame); ties go to the first
+minimum of the closed-form totals, so exact duplicates resolve to the lowest
+proposal index.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoDetectionsInFrame
-from .geometry import RigidTransform, compose, invert
+from .geometry import PoseStack, RigidTransform, compose_many, invert_many
 from .pairwise import argmin_summed_distance
 from .planar_pose import CandidateSet
 from .structure_init import StructureEstimate
@@ -28,17 +30,9 @@ SOURCE_TRACKED = "tracked"
 
 
 @dataclass(frozen=True)
-class FrameCandidate:
-    transform: RigidTransform  # reference marker -> reference camera
-    cam: int
-    marker: int
-    ratio: float
-
-
-@dataclass(frozen=True)
 class FramePoseCandidates:
     t: int
-    candidates: tuple[FrameCandidate, ...]
+    candidates: PoseStack  # reference marker -> reference camera
 
 
 @dataclass(frozen=True)
@@ -62,14 +56,24 @@ class Trajectory:
         return len(self.frames)
 
 
+def object_poses(cams: dict, markers: dict, views: list) -> PoseStack:
+    """G = C_c * T * M_m^-1 for each (c, m, T) in `views`: the object pose
+    (reference marker to reference camera) implied by marker m seen at pose T
+    by camera c, given camera poses `cams` and marker poses `markers`."""
+    c = PoseStack.of([cams[c] for c, _, _ in views])
+    m = PoseStack.of([markers[m] for _, m, _ in views])
+    return compose_many(compose_many(c, PoseStack.of([t for _, _, t in views])), invert_many(m))
+
+
 def frame_candidates(
     t: int,
     candidate_sets: dict[tuple[int, int, int], CandidateSet],
     cams: StructureEstimate,
     markers: StructureEstimate,
 ) -> FramePoseCandidates:
-    """Object-pose proposals for frame t, one per candidate marker pose."""
-    out: list[FrameCandidate] = []
+    """Object-pose proposals for frame t, one per candidate marker pose, in
+    sorted (t, cam, marker) order."""
+    views = []
     for (tt, c, m) in sorted(candidate_sets):
         if tt != t:
             continue
@@ -80,20 +84,16 @@ def frame_candidates(
             raise ValueError(
                 f"detection (t={tt}, cam={c}, marker={m}) outside the structure estimate"
             )
-        cam_pose = cams.poses[c]
-        marker_inv = invert(markers.poses[m])
-        for transform in xi.transforms:
-            g = compose(compose(cam_pose, transform), marker_inv)
-            out.append(FrameCandidate(g, c, m, xi.ratio))
-    return FramePoseCandidates(t, tuple(out))
+        views += [(c, m, transform) for transform in xi.transforms]
+    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, views))
 
 
 def select_frame_pose(c: FramePoseCandidates, probe: np.ndarray) -> RigidTransform:
     """The proposal minimizing summed probe distance to all proposals."""
     if not c.candidates:
         raise NoDetectionsInFrame(f"frame {c.t} has no detections")
-    idx, _ = argmin_summed_distance([fc.transform for fc in c.candidates], probe)
-    return c.candidates[idx].transform
+    idx, _ = argmin_summed_distance(c.candidates, probe)
+    return c.candidates[idx]
 
 
 def build_trajectory(

@@ -16,6 +16,7 @@ from .errors import PointBehindCamera
 
 MIN_DEPTH = 1e-9  # meters; points at or below this depth cannot be projected
 _ORTHO_DRIFT = 1e-9
+_EYE3 = np.eye(3)
 
 
 def _as_array(x, shape) -> np.ndarray:
@@ -63,10 +64,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def orthonormality_drift(self) -> float:
-        r = self.rotation
-        return float(np.abs(r.T @ r - np.eye(3)).max())
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -82,6 +79,10 @@ class CameraIntrinsics:
     pre_undistorted: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError("fx, fy, cx and cy must be finite")
+        if not np.all(np.isfinite(self.dist)):
+            raise ValueError("distortion coefficients must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -117,23 +118,70 @@ class MarkerTemplate:
         object.__setattr__(self, "corners", corners)
 
 
+@dataclass(frozen=True)
+class PoseStack:
+    """n rigid transforms as stacked arrays: rotations (n,3,3), translations (n,3).
+
+    An integer index gives one RigidTransform (a read-only view of its row);
+    an index array or slice gives a PoseStack.
+    """
+
+    rotations: np.ndarray
+    translations: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rotations", _as_array(self.rotations, (-1, 3, 3)))
+        object.__setattr__(self, "translations", _as_array(self.translations, (-1, 3)))
+
+    @staticmethod
+    def of(transforms) -> PoseStack:
+        return PoseStack([t.rotation for t in transforms], [t.translation for t in transforms])
+
+    def __len__(self) -> int:
+        return len(self.translations)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return RigidTransform(self.rotations[idx], self.translations[idx])
+        return PoseStack(self.rotations[idx], self.translations[idx])
+
+
+def _compose(ra, ta, rb, tb):
+    """Rotation and translation of (ra, ta) after (rb, tb), for one transform
+    or a stack. Rotations that drift from orthonormal by more than
+    _ORTHO_DRIFT are projected back onto SO(3)."""
+    r = np.matmul(ra, rb)
+    t = np.matmul(ra, tb[..., None])[..., 0] + ta
+    drift = np.abs(np.matmul(np.swapaxes(r, -1, -2), r) - _EYE3)
+    if drift.max(initial=0.0) > _ORTHO_DRIFT:
+        bad = drift.max(axis=(-2, -1)) > _ORTHO_DRIFT
+        u, _, vt = np.linalg.svd(r[bad])
+        u[..., 2] *= np.sign(np.linalg.det(np.matmul(u, vt)))[:, None]  # no reflections
+        r[bad] = np.matmul(u, vt)
+    return r, t
+
+
+def _invert(r, t):
+    rt = np.swapaxes(r, -1, -2)
+    return rt, -np.matmul(rt, t[..., None])[..., 0]
+
+
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition applying b first, then a: result @ p == a @ (b @ p)."""
-    r = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    out = RigidTransform(r, t)
-    if out.orthonormality_drift() > _ORTHO_DRIFT:
-        u, _, vt = np.linalg.svd(r)
-        r = u @ vt
-        if np.linalg.det(r) < 0:
-            r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        out = RigidTransform(r, t)
-    return out
+    return RigidTransform(*_compose(a.rotation, a.translation, b.rotation, b.translation))
 
 
 def invert(t: RigidTransform) -> RigidTransform:
-    rt = t.rotation.T
-    return RigidTransform(rt, -(rt @ t.translation))
+    return RigidTransform(*_invert(t.rotation, t.translation))
+
+
+def compose_many(a: PoseStack, b: PoseStack) -> PoseStack:
+    """Row-wise compose(a[i], b[i])."""
+    return PoseStack(*_compose(a.rotations, a.translations, b.rotations, b.translations))
+
+
+def invert_many(s: PoseStack) -> PoseStack:
+    return PoseStack(*_invert(s.rotations, s.translations))
 
 
 def rotation_from_rvec(rvec: np.ndarray) -> np.ndarray:

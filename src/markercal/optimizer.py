@@ -22,13 +22,12 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .errors import DegenerateQuad, NoValidPose, NumericalFailure
-from .frame_init import SOURCE_REFINED, FrameState, Trajectory
+from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
-    compose,
-    invert,
     project_arrays,
     rotation_from_rvec,
     rotation_jacobian_factor,
@@ -282,18 +281,6 @@ class ResidualBuilder:
         self.obs_pix, self._cam4 = _corner_arrays(dets, intrinsics)
         self._sk_u = skew_many(template.corners)  # (4,3,3)
 
-    # -- pose table helpers -------------------------------------------------
-
-    def _tables(self, poses: dict[int, RigidTransform], ids: list[int]):
-        n = len(ids)
-        rot = np.empty((n, 3, 3))
-        trans = np.empty((n, 3))
-        for k, i in enumerate(ids):
-            p = poses[i]
-            rot[k] = p.rotation
-            trans[k] = p.translation
-        return rot, trans
-
     def residuals_from_poses(
         self,
         cams: dict[int, RigidTransform],
@@ -315,16 +302,13 @@ class ResidualBuilder:
     # -- assembly -----------------------------------------------------------
 
     def _assemble_core(self, cams, markers, frames, want_jacobian: bool):
-        rc_all, tc_all = self._tables(cams, self.cam_ids)
-        rm_all, tm_all = self._tables(markers, self.marker_ids)
-        rg_all, tg_all = self._tables(frames, self.frame_ids)
-
-        rc = rc_all[self.i_cam]  # (N,3,3)
-        tc = tc_all[self.i_cam]
-        rm = rm_all[self.i_marker]
-        tm = tm_all[self.i_marker]
-        rg = rg_all[self.i_frame]
-        tg = tg_all[self.i_frame]
+        # one row per observation
+        cam = PoseStack.of([cams[c] for c in self.cam_ids])[self.i_cam]
+        marker = PoseStack.of([markers[m] for m in self.marker_ids])[self.i_marker]
+        frame = PoseStack.of([frames[t] for t in self.frame_ids])[self.i_frame]
+        rc, tc = cam.rotations, cam.translations  # (N,3,3), (N,3)
+        rm, tm = marker.rotations, marker.translations
+        rg, tg = frame.rotations, frame.translations
 
         u = self.template.corners  # (4,3)
         y = np.einsum("nij,lj->nli", rm, u) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
@@ -540,7 +524,8 @@ def refine_all(
     """Jointly refine cameras, markers and all tracked frame poses.
 
     Reference camera and reference marker stay exactly identity. Untracked
-    frames pass through unchanged.
+    frames pass through unchanged and their detections stay out of the cost;
+    in calibrate() those are detections with no usable pose candidate.
     """
     tpl = template if template is not None else MarkerTemplate(init.marker_side)
     tracked = {t: pose for t, pose in init.traj.tracked_items()}
@@ -548,7 +533,9 @@ def refine_all(
         init.cams.poses, init.markers.poses, tracked,
         init.cams.reference, init.markers.reference,
     )
-    builder = ResidualBuilder(detections, intrinsics, tpl, layout)
+    builder = ResidualBuilder(
+        [d for d in detections if d.t in tracked], intrinsics, tpl, layout
+    )
     x0 = pack_params(init.cams.poses, init.markers.poses, tracked, layout)
     x_opt, lm = lm_minimize(x0, builder, opts)
     cams, markers, frames = unpack_params(x_opt, layout)
@@ -612,44 +599,53 @@ class FrameTracker:
         obs, cam = _corner_arrays(dets, self.intrinsics)
         return rct, rct_tc, ypts, obs, cam, skew_many(ypts)
 
+    @staticmethod
+    def _camera_points(arrays, rot, tv):
+        """(...,K,4,3) camera-frame corners under object poses (...,3,3), (...,3)."""
+        rct, rct_tc, ypts = arrays[:3]
+        w = np.einsum("...ij,klj->...kli", rot, ypts) + tv[..., None, None, :]
+        return np.einsum("kij,...klj->...kli", rct, w) - rct_tc[:, None, :]
+
     def _assemble(self, arrays, rv, tv, want_jac):
-        rct, rct_tc, ypts, obs, cam, sk_y = arrays
+        rct, _, _, obs, cam, sk_y = arrays
         rot = rotation_from_rvec(rv)
-        w = np.einsum("ij,klj->kli", rot, ypts) + tv
-        p_cam = np.einsum("kij,klj->kli", rct, w) - rct_tc[:, None, :]
-        r, pj = _reproject(p_cam, obs, cam, want_jac)
+        r, pj = _reproject(self._camera_points(arrays, rot, tv), obs, cam, want_jac)
         if not want_jac:
             return r, None
         s_g = rotation_jacobian_factor(rv, rot)
         return r, _frame_block(pj, rct, np.matmul(rct, rot), sk_y, s_g[None]).reshape(-1, 6)
 
-    def cold_start(self, dets: list[Detection]) -> RigidTransform:
+    def cold_start(self, dets: list[Detection], arrays=None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
 
-        Both planar solutions of every detection are mapped into the gauge
-        and scored by total reprojection cost over all of the frame's
-        detections; the cheapest wins. Scoring both solutions keeps an
+        Both planar solutions of every detection, best before alt in sorted
+        key order, are mapped into the gauge (frame_init.object_poses) and
+        scored in one reprojection of the frame's corners under every
+        proposal. The first proposal of least finite cost wins; raises
+        NoValidPose when there is none. Scoring both solutions keeps an
         ambiguous first view from starting the track in the flipped basin.
+        `arrays` are the frame's _frame_arrays, built here when not given.
         """
-        arrays = self._frame_arrays(dets)
-        best = None
+        views = []
         for d in sorted(dets, key=lambda d: d.key):
             try:
                 h = estimate_two_poses(d, self.intrinsics[d.cam], self.template)
             except (DegenerateQuad, NoValidPose):
                 continue
-            inv_marker = invert(self.markers[d.marker])
-            for t_mc in (h.best, h.alt):
-                g = compose(compose(self.cams[d.cam], t_mc), inv_marker)
-                r, _ = self._assemble(
-                    arrays, rvec_from_rotation(g.rotation), g.translation, False
-                )
-                cost = float(r @ r)
-                if math.isfinite(cost) and (best is None or cost < best[0]):
-                    best = (cost, g)
-        if best is None:
+            views += [(d.cam, d.marker, h.best), (d.cam, d.marker, h.alt)]
+        if not views:
             raise NoValidPose("no usable cold-start candidate in frame")
-        return best[1]
+        proposals = object_poses(self.cams, self.markers, views)
+        arrays = arrays if arrays is not None else self._frame_arrays(dets)
+        n = len(proposals)
+        p_cam = self._camera_points(arrays, proposals.rotations, proposals.translations)
+        obs, *cam = (np.concatenate([a] * n) for a in (arrays[3], *arrays[4]))
+        r = _reproject(p_cam.reshape(-1, 4, 3), obs, tuple(cam), False)[0].reshape(n, -1)
+        cost = np.einsum("pi,pi->p", r, r)
+        finite = np.isfinite(cost)
+        if not finite.any():
+            raise NoValidPose("no finite-cost cold-start candidate in frame")
+        return proposals[int(np.argmin(np.where(finite, cost, np.inf)))]
 
     def solve(
         self,
@@ -668,9 +664,10 @@ class FrameTracker:
                 raise ValueError(
                     f"detection (cam={d.cam}, marker={d.marker}) outside calibration"
                 )
-        pose = warm if warm is not None else self.cold_start(dets)
+        arrays = self._frame_arrays(dets)
+        pose = warm if warm is not None else self.cold_start(dets, arrays)
         x0 = np.concatenate([rvec_from_rotation(pose.rotation), pose.translation])
-        x, report = lm_minimize(x0, _FrameSystem(self, self._frame_arrays(dets)), opts)
+        x, report = lm_minimize(x0, _FrameSystem(self, arrays), opts)
         self.last_iterations = report.iterations
         return _get_twist(x, 0), report.final_rms
 

@@ -2,8 +2,10 @@
 
 Whenever two cameras see the same marker in the same frame, each pairing of
 their candidate poses yields one sample of the camera-to-camera transform
-(likewise for two markers seen by one camera). Samples are never averaged:
-the one that best agrees with the rest, by summed squared distance over three
+(likewise for two markers seen by one camera). A collector forms all of its
+samples in one batched product over a stack of every candidate pose, and
+each pair keeps its samples as a PoseStack. Samples are never averaged: the
+one that best agrees with the rest, by summed squared distance over three
 probe points, is selected.
 
 With a_i the 9-vector of probe-point images of sample i and a-bar their mean,
@@ -20,7 +22,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import EmptyCandidateSet
-from .geometry import RigidTransform, compose, invert
+from .geometry import PoseStack, RigidTransform, compose_many, invert_many
 from .planar_pose import CandidateSet
 
 CAMERA_PAIR = "camera"
@@ -43,26 +45,11 @@ class PairKey:
 
 
 @dataclass(frozen=True)
-class TransformSample:
-    """One observed relative transform plus where it came from.
-
-    `source` is (frame, bridge id): the marker both cameras saw, or the
-    camera that saw both markers. `product_index` orders the candidates of
-    an ambiguous detection pairing.
-    """
-
-    transform: RigidTransform
-    source: tuple[int, int] = (-1, -1)
-    product_index: int = 0
-    from_ambiguous: bool = False
-
-
-@dataclass(frozen=True)
 class SelectedTransform:
     best: RigidTransform
     d_total: float  # m^2, summed distance of best against all samples
     d_mean: float  # m^2
-    index: int  # position of best in the sample list
+    index: int  # position of best in the sample stack
 
 
 @dataclass
@@ -70,7 +57,7 @@ class PairAccumulator:
     """All transform samples collected for one pair, plus the selection."""
 
     key: PairKey
-    samples: list[TransformSample] = field(default_factory=list)
+    samples: PoseStack = field(default_factory=lambda: PoseStack.of(()))
     selected: SelectedTransform | None = None
 
 
@@ -97,46 +84,7 @@ def transform_distance(a: RigidTransform, b: RigidTransform, probe: np.ndarray) 
     return float(np.sum(diff * diff, axis=1).sum())
 
 
-def _pair_samples(xi_i, xi_j, source, relative) -> list[TransformSample]:
-    """relative(T_i, T_j) for each Cartesian pairing of the two candidate sets."""
-    ambiguous = len(xi_i) == 2 or len(xi_j) == 2
-    return [
-        TransformSample(relative(t_i, t_j), source, idx, ambiguous)
-        for idx, (t_i, t_j) in enumerate(product(xi_i.transforms, xi_j.transforms))
-    ]
-
-
-def camera_pair_samples(
-    xi_i: CandidateSet,
-    xi_j: CandidateSet,
-    source: tuple[int, int] = (-1, -1),
-) -> list[TransformSample]:
-    """Camera-j-to-camera-i transforms from one marker seen by both cameras.
-
-    Each Cartesian pairing of the candidate marker poses T_i (marker to
-    camera i) and T_j contributes T_i * T_j^-1. Result size is
-    |xi_i| * |xi_j|, so 0, 1, 2 or 4 samples.
-    """
-    return _pair_samples(xi_i, xi_j, source, lambda t_i, t_j: compose(t_i, invert(t_j)))
-
-
-def marker_pair_samples(
-    xi_i: CandidateSet,
-    xi_j: CandidateSet,
-    source: tuple[int, int] = (-1, -1),
-) -> list[TransformSample]:
-    """Marker-i-to-marker-j transforms from one camera seeing both markers.
-
-    Each pairing of the candidate poses T_i (marker i to the camera) and T_j
-    contributes T_j^-1 * T_i, which maps marker-i coordinates to marker-j
-    coordinates.
-    """
-    return _pair_samples(xi_i, xi_j, source, lambda t_i, t_j: compose(invert(t_j), t_i))
-
-
-def argmin_summed_distance(
-    transforms: list[RigidTransform], probe: np.ndarray
-) -> tuple[int, float]:
+def argmin_summed_distance(poses: PoseStack, probe: np.ndarray) -> tuple[int, float]:
     """Index minimizing the summed probe-point distance to all transforms.
 
     Uses the identity sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 +
@@ -146,12 +94,10 @@ def argmin_summed_distance(
     resolve differently from an O(n^2) double loop.
     """
     p = _check_probe(probe)
-    n = len(transforms)
+    n = len(poses)
     if n == 0:
         raise EmptyCandidateSet("no transforms to select from")
-    rotations = np.stack([t.rotation for t in transforms])
-    translations = np.stack([t.translation for t in transforms])
-    images = (p @ rotations.transpose(0, 2, 1) + translations[:, None, :]).reshape(n, 9)
+    images = (p @ poses.rotations.transpose(0, 2, 1) + poses.translations[:, None, :]).reshape(n, 9)
     centred = images - images.mean(axis=0)
     spread = np.sum(centred * centred, axis=1)
     totals = n * spread + spread.sum()
@@ -168,40 +114,54 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     """
     if not acc.samples:
         raise EmptyCandidateSet(f"no samples for pair {acc.key}")
-    best_idx, d_total = argmin_summed_distance(
-        [s.transform for s in acc.samples], probe
-    )
-    best = acc.samples[best_idx].transform
+    best_idx, d_total = argmin_summed_distance(acc.samples, probe)
+    best = acc.samples[best_idx]
     acc.selected = SelectedTransform(best, d_total, d_total / len(acc.samples), best_idx)
     return best, d_total
 
 
-def _collect_pairs(
-    candidate_sets, member_slot: int, pair_samples
-) -> dict[PairKey, PairAccumulator]:
+def _collect_pairs(candidate_sets, member_slot: int) -> dict[PairKey, PairAccumulator]:
     """Accumulate pair samples from candidate sets keyed by (t, cam, marker).
 
     Slot `member_slot` of the key (1: camera, 2: marker) names the pair
     members; the frame and the other slot name the bridge they share. Every
-    bridge seen by two members a < b contributes pair_samples(xi_a, xi_b,
-    bridge), the samples of the member-b-to-member-a transform. Bridges are
-    visited in sorted order and give each pair at most one batch, so every
-    pair's samples come out in (source, product_index) order.
+    bridge seen by two members a < b contributes one sample of the
+    member-b-to-member-a transform per pairing of their candidate poses:
+    T_a * T_b^-1 for cameras, with T_a's candidates outermost, and
+    T_a^-1 * T_b for markers, with T_b's outermost. The pairings are listed
+    in (bridge, a < b, product) order as index pairs into one stack of all
+    candidate poses, composed in one batch, and split by pair in that order.
     """
     kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
-    by_bridge: dict[tuple[int, int], dict[int, CandidateSet]] = {}
+    transforms: list[RigidTransform] = []
+    by_bridge: dict[tuple[int, int], dict[int, range]] = {}
     for key, xi in candidate_sets.items():
         if len(xi) == 0:
             continue
-        by_bridge.setdefault((key[0], key[3 - member_slot]), {})[key[member_slot]] = xi
+        rows = range(len(transforms), len(transforms) + len(xi))
+        transforms.extend(xi.transforms)
+        by_bridge.setdefault((key[0], key[3 - member_slot]), {})[key[member_slot]] = rows
 
-    accs: dict[PairKey, PairAccumulator] = {}
+    keys: dict[PairKey, int] = {}
+    pairings, owner = [], []
     for bridge in sorted(by_bridge):
         members = by_bridge[bridge]
         for a, b in combinations(sorted(members), 2):
-            key = PairKey(a, b, kind)
-            acc = accs.setdefault(key, PairAccumulator(key))
-            acc.samples.extend(pair_samples(members[a], members[b], bridge))
+            outer, inner = (members[a], members[b]) if kind == CAMERA_PAIR else (members[b], members[a])
+            pairings += product(outer, inner)
+            owner += [keys.setdefault(PairKey(a, b, kind), len(keys))] * (len(outer) * len(inner))
+
+    poses = PoseStack.of(transforms)
+    outer, inner = np.array(pairings, dtype=np.int64).reshape(-1, 2).T
+    if kind == CAMERA_PAIR:
+        samples = compose_many(poses[outer], invert_many(poses[inner]))
+    else:
+        samples = compose_many(invert_many(poses[inner]), poses[outer])
+    accs = {key: PairAccumulator(key) for key in keys}
+    order = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(np.bincount(owner))[:-1]
+    for acc, rows in zip(accs.values(), np.split(order, bounds)):
+        acc.samples = samples[rows]
     return accs
 
 
@@ -211,9 +171,11 @@ def collect_camera_pairs(
     """Accumulate camera-pair samples from per-detection candidate sets.
 
     `candidate_sets` is keyed by (t, cam, marker). Every frame/marker bridge
-    seen by two cameras contributes samples to that camera pair.
+    seen by two cameras a < b contributes T_a * T_b^-1 (camera-b coordinates
+    to camera-a coordinates) for each pairing of the two candidate marker
+    poses: 1, 2 or 4 samples.
     """
-    return _collect_pairs(candidate_sets, 1, camera_pair_samples)
+    return _collect_pairs(candidate_sets, 1)
 
 
 def collect_marker_pairs(
@@ -221,10 +183,8 @@ def collect_marker_pairs(
 ) -> dict[PairKey, PairAccumulator]:
     """Accumulate marker-pair samples from per-detection candidate sets.
 
-    For the pair (a, b) with a < b the stored transform maps marker-b
-    coordinates to marker-a coordinates, matching the graph edge convention.
+    For the pair (a, b) with a < b every camera that sees both markers in a
+    frame contributes T_a^-1 * T_b, which maps marker-b coordinates to
+    marker-a coordinates, matching the graph edge convention.
     """
-    # marker_pair_samples maps its first argument's marker into its second's
-    return _collect_pairs(
-        candidate_sets, 2, lambda xi_a, xi_b, src: marker_pair_samples(xi_b, xi_a, src)
-    )
+    return _collect_pairs(candidate_sets, 2)

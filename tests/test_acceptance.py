@@ -17,7 +17,6 @@ from scipy.sparse import csr_matrix
 
 from markercal.dataset import Dataset
 from markercal.frame_init import (
-    FrameCandidate,
     FramePoseCandidates,
     FrameState,
     SOURCE_INIT,
@@ -27,6 +26,7 @@ from markercal.frame_init import (
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     compose,
     invert,
@@ -44,7 +44,6 @@ from markercal.optimizer import (
 from markercal.pairwise import (
     PairAccumulator,
     PairKey,
-    TransformSample,
     probe_points,
     select_optimal,
     transform_distance,
@@ -246,21 +245,14 @@ def test_criterion_4_selection_matches_brute_force():
 
         if case % 2 == 0:
             acc = PairAccumulator(PairKey(0, 1, "camera"))
-            acc.samples = [
-                TransformSample(t, (i, 0), 0, False) for i, t in enumerate(transforms)
-            ]
+            acc.samples = PoseStack.of(transforms)
             select_optimal(acc, probe)
             assert acc.selected.index == expect
         else:
-            cands = FramePoseCandidates(
-                t=case,
-                candidates=[
-                    FrameCandidate(t, cam=0, marker=i, ratio=1.0)
-                    for i, t in enumerate(transforms)
-                ],
-            )
+            cands = FramePoseCandidates(t=case, candidates=PoseStack.of(transforms))
             chosen = select_frame_pose(cands, probe)
-            assert chosen is transforms[expect]
+            assert np.array_equal(chosen.rotation, transforms[expect].rotation)
+            assert np.array_equal(chosen.translation, transforms[expect].translation)
     print("\nselection oracle: 100/100 candidate sets matched exactly")
 
 

@@ -97,6 +97,22 @@ class TestCalibrateCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_finite_intrinsics_exit_2(self, workdir, tmp_path, capsys):
+        intr = json.loads((workdir / "intrinsics.json").read_text())
+        intr["0"]["fx"] = float("nan")
+        bad = tmp_path / "intrinsics.json"
+        bad.write_text(json.dumps(intr))
+        rc = cli.main([
+            "calibrate",
+            "--detections", str(workdir / "detections.jsonl"),
+            "--intrinsics", str(bad),
+            "--marker-side", "0.04",
+            "--output", str(tmp_path / "cal.json"),
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "cal.json").exists()
+
     def test_disconnected_exit_3(self, tmp_path, capsys):
         spec = SceneSpec(
             n_cameras=2, circle_radius=0.7, object="cube", n_frames=8,

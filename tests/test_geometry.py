@@ -11,9 +11,12 @@ from markercal.errors import PointBehindCamera
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     compose,
+    compose_many,
     invert,
+    invert_many,
     project,
     project_arrays,
     rotation_angle,
@@ -147,6 +150,55 @@ class TestInvert:
         np.testing.assert_allclose(invert(invert(t)).as_matrix(), t.as_matrix(), atol=1e-12)
 
 
+class TestPoseStack:
+    def test_rows_and_indexing(self):
+        rng = np.random.default_rng(23)
+        transforms = [_random_transform(rng) for _ in range(5)]
+        stack = PoseStack.of(transforms)
+        assert len(stack) == 5
+        assert stack.rotations.shape == (5, 3, 3) and stack.translations.shape == (5, 3)
+        row = stack[3]
+        assert isinstance(row, RigidTransform)
+        np.testing.assert_array_equal(row.as_matrix(), transforms[3].as_matrix())
+        sub = stack[np.array([4, 0])]
+        assert isinstance(sub, PoseStack) and len(sub) == 2
+        np.testing.assert_array_equal(sub.translations[0], transforms[4].translation)
+        assert not stack.rotations.flags.writeable
+        empty = PoseStack.of(())
+        assert len(empty) == 0
+        assert len(compose_many(empty, invert_many(empty))) == 0
+
+    def test_matches_matrix_products_bit_for_bit(self):
+        # rows against the 3x3 products written out with @
+        rng = np.random.default_rng(29)
+        a = [_random_transform(rng) for _ in range(200)]
+        b = [_random_transform(rng) for _ in range(200)]
+        ab = compose_many(PoseStack.of(a), PoseStack.of(b))
+        inv = invert_many(PoseStack.of(b))
+        for i in range(200):
+            ra, rb = a[i].rotation, b[i].rotation
+            np.testing.assert_array_equal(ab.rotations[i], ra @ rb)
+            np.testing.assert_array_equal(
+                ab.translations[i], ra @ b[i].translation + a[i].translation
+            )
+            np.testing.assert_array_equal(inv.rotations[i], rb.T)
+            np.testing.assert_array_equal(inv.translations[i], -(rb.T @ b[i].translation))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_drifted_rotations_projected_to_so3(self, sign):
+        # a rotation scaled off the group, and one scaled off a reflection:
+        # both compose to a proper rotation
+        rng = np.random.default_rng(37)
+        good = _random_transform(rng)
+        off = RigidTransform(good.rotation @ np.diag([1.0, 1.0, sign]) * (1.0 + 1e-6), [0.0, 0.0, 1.0])
+        out = compose_many(PoseStack.of([off, good]), PoseStack.of([good, good]))
+        for r in out.rotations:
+            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
+            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(out.rotations[1], good.rotation @ good.rotation)
+        np.testing.assert_array_equal(compose(off, good).rotation, out.rotations[0])
+
+
 class TestTwist:
     def test_zero_twist_is_identity(self):
         np.testing.assert_allclose(rotation_from_rvec(np.zeros(3)), np.eye(3), atol=1e-15)
@@ -220,6 +272,14 @@ class TestIntrinsics:
             CameraIntrinsics(fx=-1.0, fy=600.0, cx=320.0, cy=240.0)
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"fx": float("nan")}, {"fy": float("inf")}, {"cx": float("nan")},
+        {"cy": -float("inf")}, {"dist": [0.0, 0.0, float("nan"), 0.0, 0.0]},
+    ])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**{"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0, **bad})
 
     def test_pre_undistorted_forces_zero_dist(self):
         intr = CameraIntrinsics(

@@ -87,6 +87,18 @@ class TestParseDetectionLine:
         with pytest.raises(ParseError, match="corners"):
             parse_detection_line(line)
 
+    @pytest.mark.parametrize("corners", [
+        [["1", "2"], [3, 4], [5, 6], [7, 8]],
+        [[1, 2], [True, 4], [5, 6], [7, 8]],
+        [[1, 2], [3, 4], [5, None], [7, 8]],
+        [[1, 2], [3, 4], [5, 6], [[7], 8]],
+    ], ids=["string", "bool", "null", "nested"])
+    def test_non_number_corner_values(self, corners):
+        line = json.dumps({"t": 0, "cam": 0, "marker": 0, "corners": corners})
+        with pytest.raises(ParseError, match="corners") as e:
+            parse_detection_line(line, 5)
+        assert e.value.line == 5
+
 
 class TestLoadDetections:
     def test_blank_lines_skipped(self, tmp_path):
@@ -148,6 +160,20 @@ class TestLoadIntrinsics:
         p = tmp_path / "i.json"
         p.write_text(json.dumps({"0": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, **field}}))
         with pytest.raises(ValidationError, match="camera 0"):
+            load_intrinsics(p)
+
+    @pytest.mark.parametrize("field", [
+        {"fx": float("nan")},
+        {"fy": float("inf")},
+        {"cx": float("-inf")},
+        {"cy": float("nan")},
+        {"dist": [0, float("nan"), 0, 0, 0]},
+    ], ids=["fx_nan", "fy_inf", "cx_minus_inf", "cy_nan", "dist_nan"])
+    def test_non_finite_value(self, tmp_path, field):
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        p = tmp_path / "i.json"
+        p.write_text(json.dumps({"0": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, **field}}))
+        with pytest.raises(ValidationError, match="finite"):
             load_intrinsics(p)
 
 

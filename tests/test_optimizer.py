@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from markercal.errors import NumericalFailure
+from markercal.errors import NoValidPose, NumericalFailure
 from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
     CameraIntrinsics,
@@ -36,8 +36,9 @@ from markercal.optimizer import (
     unpack_params,
     _FrameSystem,
 )
-from markercal.planar_pose import Detection
+from markercal.planar_pose import Detection, estimate_two_poses
 from markercal.structure_init import StructureEstimate
+from markercal.synthetic import SceneSpec, generate
 
 DIST = np.array([-0.2, 0.05, 0.001, -0.001, 0.01])
 
@@ -598,3 +599,48 @@ class TestTracking:
         b, rms_b = track_frame(dets, cams, markers, intr, template, warm=frames[0])
         np.testing.assert_allclose(a.as_matrix(), b.as_matrix(), atol=1e-12)
         assert math.isclose(rms_a, rms_b, rel_tol=1e-12)
+
+    def test_cold_start_returns_first_cheapest_proposal(self):
+        # criterion-5 geometry, where most detections keep both planar poses.
+        # The oracle scores each proposal G = C * T * M^-1 on its own, with
+        # the refinement's residual builder, and keeps the first minimum
+        spec = SceneSpec(
+            n_cameras=5, circle_radius=0.20, camera_height=2.0,
+            intrinsics=CameraIntrinsics(
+                fx=1800.0, fy=1800.0, cx=640.0, cy=480.0, width=1280, height=960
+            ),
+            object="flat-grid", marker_side=0.06, n_frames=4, trajectory="orbit",
+            noise_sigma=0.5, ambiguity_stress=True, seed=3,
+        )
+        gt, dets, intr = generate(spec)
+        cams, markers = gt.cams_gt.poses, gt.markers_gt.poses
+        template = MarkerTemplate(spec.marker_side)
+        tracker = FrameTracker(cams, markers, intr, template)
+        by_frame = {}
+        for d in dets:
+            by_frame.setdefault(d.t, []).append(d)
+        ambiguous = 0
+        for t, frame_dets in sorted(by_frame.items()):
+            builder = ResidualBuilder(frame_dets, intr, template)
+            best_cost, best = math.inf, None
+            for d in sorted(frame_dets, key=lambda d: d.key):
+                h = estimate_two_poses(d, intr[d.cam], template)
+                ambiguous += h.ratio < 2.0
+                for t_mc in (h.best, h.alt):
+                    g = compose(compose(cams[d.cam], t_mc), invert(markers[d.marker]))
+                    r = builder.residuals_from_poses(cams, markers, {t: g})
+                    if float(r @ r) < best_cost:
+                        best_cost, best = float(r @ r), g
+            got = tracker.cold_start(frame_dets)
+            assert np.array_equal(got.rotation, best.rotation), t
+            assert np.array_equal(got.translation, best.translation), t
+        assert ambiguous > len(dets) // 2
+
+    def test_cold_start_without_usable_detection_raises(self):
+        tracker, dets, _, _ = self._frame_setup(50)
+        line = np.array([[300.0, 200.0], [310.0, 210.0], [320.0, 220.0], [330.0, 230.0]])
+        degenerate = [Detection(d.t, d.cam, d.marker, line) for d in dets]
+        with pytest.raises(NoValidPose):
+            tracker.cold_start(degenerate)
+        with pytest.raises(NoValidPose):
+            tracker.solve(degenerate)

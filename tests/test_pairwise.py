@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from markercal.errors import EmptyCandidateSet
-from markercal.frame_init import FrameCandidate, FramePoseCandidates, select_frame_pose
+from markercal.frame_init import FramePoseCandidates, select_frame_pose
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     compose,
     invert,
@@ -24,11 +26,9 @@ from markercal.pairwise import (
     MARKER_PAIR,
     PairAccumulator,
     PairKey,
-    TransformSample,
-    camera_pair_samples,
+    argmin_summed_distance,
     collect_camera_pairs,
     collect_marker_pairs,
-    marker_pair_samples,
     probe_points,
     select_optimal,
     transform_distance,
@@ -117,14 +117,32 @@ class TestTransformDistance:
             transform_distance(t, t, collinear)
 
 
+def _only_samples(accs, key) -> list[RigidTransform]:
+    assert set(accs) == {key}
+    samples = accs[key].samples
+    return [samples[i] for i in range(len(samples))]
+
+
+def _same(a: RigidTransform, b: RigidTransform) -> bool:
+    return np.array_equal(a.rotation, b.rotation) and np.array_equal(
+        a.translation, b.translation
+    )
+
+
 class TestCameraPairSamples:
     def test_product_sizes(self):
         rng = np.random.default_rng(103)
         t1, t2, t3, t4 = (_random_transform(rng) for _ in range(4))
-        assert len(camera_pair_samples(_xi(t1), _xi(t2))) == 1
-        assert len(camera_pair_samples(_xi(t1, t2), _xi(t3, t4))) == 4
-        assert len(camera_pair_samples(_xi(), _xi(t1))) == 0
-        assert all(s.from_ambiguous for s in camera_pair_samples(_xi(t1, t2), _xi(t3)))
+
+        def n_samples(xi_0, xi_1):
+            accs = collect_camera_pairs({(0, 0, 0): xi_0, (0, 1, 0): xi_1})
+            return len(_only_samples(accs, PairKey(0, 1)))
+
+        assert n_samples(_xi(t1), _xi(t2)) == 1
+        assert n_samples(_xi(t1, t2), _xi(t3, t4)) == 4
+        assert n_samples(_xi(t1, t2), _xi(t3)) == 2
+        # an empty set bridges nothing
+        assert collect_camera_pairs({(0, 0, 0): _xi(), (0, 1, 0): _xi(t1)}) == {}
 
     def test_recovers_ground_truth_relative_pose(self):
         # two cameras a meter apart, a marker tilted enough for both views to
@@ -136,15 +154,18 @@ class TestCameraPairSamples:
         xi0 = _estimated_xi(marker, cam0, cam=0)
         xi1 = _estimated_xi(marker, cam1, cam=1)
         assert len(xi0) == 1 and len(xi1) == 1
-        samples = camera_pair_samples(xi0, xi1, source=(0, 0))
+        accs = collect_camera_pairs({(0, 0, 0): xi0, (0, 1, 0): xi1})
+        samples = _only_samples(accs, PairKey(0, 1))
         assert len(samples) == 1
         truth = compose(cam0, invert(cam1))  # camera-1 coords -> camera-0 coords
-        got = samples[0].transform
+        got = samples[0]
         assert rotation_angle(got.rotation.T @ truth.rotation) < 1e-6
         assert np.linalg.norm(got.translation - truth.translation) < 1e-6
 
 
 class TestMarkerPairSamples:
+    KEY = PairKey(0, 1, MARKER_PAIR)
+
     def test_recovers_ground_truth_relative_pose(self):
         cam = RigidTransform(rotation_from_rvec([0.0, 0.2, 0.0]), [0.0, 0.0, 1.0])
         m0 = RigidTransform(rotation_from_rvec([0.5, 0.1, 0.0]), [-0.05, 0.0, 0.0])
@@ -152,10 +173,11 @@ class TestMarkerPairSamples:
         xi0 = _estimated_xi(m0, cam, marker=0)
         xi1 = _estimated_xi(m1, cam, marker=1)
         assert len(xi0) == 1 and len(xi1) == 1
-        samples = marker_pair_samples(xi0, xi1, source=(0, 0))
+        accs = collect_marker_pairs({(0, 0, 0): xi0, (0, 0, 1): xi1})
+        samples = _only_samples(accs, self.KEY)
         assert len(samples) == 1
-        truth = compose(invert(m1), m0)  # marker-0 coords -> marker-1 coords
-        got = samples[0].transform
+        truth = compose(invert(m0), m1)  # marker-1 coords -> marker-0 coords
+        got = samples[0]
         assert rotation_angle(got.rotation.T @ truth.rotation) < 1e-6
         assert np.linalg.norm(got.translation - truth.translation) < 1e-6
 
@@ -168,12 +190,13 @@ class TestMarkerPairSamples:
         xi0 = _estimated_xi(m0, cam, marker=0, tau=1e14)
         xi1 = _estimated_xi(m1, cam, marker=1, tau=1e14)
         assert len(xi0) == 2 and len(xi1) == 2
-        samples = marker_pair_samples(xi0, xi1)
+        accs = collect_marker_pairs({(0, 0, 0): xi0, (0, 0, 1): xi1})
+        samples = _only_samples(accs, self.KEY)
         assert len(samples) == 4
-        truth = compose(invert(m1), m0)
+        truth = compose(invert(m0), m1)
         best = min(
-            rotation_angle(s.transform.rotation.T @ truth.rotation)
-            + np.linalg.norm(s.transform.translation - truth.translation)
+            rotation_angle(s.rotation.T @ truth.rotation)
+            + np.linalg.norm(s.translation - truth.translation)
             for s in samples
         )
         assert best < 1e-6
@@ -183,22 +206,18 @@ class TestSelectOptimal:
     def test_singleton(self):
         rng = np.random.default_rng(107)
         t = _random_transform(rng)
-        acc = PairAccumulator(PairKey(0, 1), [TransformSample(t)])
+        acc = PairAccumulator(PairKey(0, 1), PoseStack.of([t]))
         best, d_total = select_optimal(acc, PROBE)
-        assert best is t
+        assert _same(best, t)
         assert d_total == 0.0
         assert acc.selected.index == 0
 
     def test_majority_wins_with_index_tiebreak(self):
         eye = RigidTransform.identity()
         outlier = RigidTransform(rotation_from_rvec([0.0, 0.0, 2.0]), [0.5, 0.0, 0.0])
-        acc = PairAccumulator(
-            PairKey(0, 1),
-            [TransformSample(eye), TransformSample(eye), TransformSample(eye),
-             TransformSample(outlier)],
-        )
+        acc = PairAccumulator(PairKey(0, 1), PoseStack.of([eye, eye, eye, outlier]))
         best, _ = select_optimal(acc, PROBE)
-        assert best is eye
+        assert _same(best, eye)
         assert acc.selected.index == 0
 
     def test_empty_raises(self):
@@ -208,8 +227,8 @@ class TestSelectOptimal:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(109)
         for _ in range(10):
-            samples = [TransformSample(_random_transform(rng)) for _ in range(50)]
-            acc = PairAccumulator(PairKey(0, 1), list(samples))
+            samples = [_random_transform(rng) for _ in range(50)]
+            acc = PairAccumulator(PairKey(0, 1), PoseStack.of(samples))
             best, d_total = select_optimal(acc, PROBE)
             idx, oracle_total = _brute_force_argmin(samples, PROBE)
             assert acc.selected.index == idx
@@ -218,8 +237,8 @@ class TestSelectOptimal:
     def test_large_set_path_matches_oracle(self):
         # three times the largest set of criterion 4, against the O(n^2) oracle
         rng = np.random.default_rng(113)
-        samples = [TransformSample(_random_transform(rng)) for _ in range(150)]
-        acc = PairAccumulator(PairKey(0, 1), list(samples))
+        samples = [_random_transform(rng) for _ in range(150)]
+        acc = PairAccumulator(PairKey(0, 1), PoseStack.of(samples))
         select_optimal(acc, PROBE)
         idx, oracle_total = _brute_force_argmin(samples, PROBE)
         assert acc.selected.index == idx
@@ -227,23 +246,21 @@ class TestSelectOptimal:
 
     def test_permutation_invariant_for_distinct_distances(self):
         rng = np.random.default_rng(127)
-        samples = [TransformSample(_random_transform(rng)) for _ in range(12)]
-        acc = PairAccumulator(PairKey(0, 1), list(samples))
+        samples = [_random_transform(rng) for _ in range(12)]
+        acc = PairAccumulator(PairKey(0, 1), PoseStack.of(samples))
         best, _ = select_optimal(acc, PROBE)
         perm = list(rng.permutation(12))
-        acc2 = PairAccumulator(PairKey(0, 1), [samples[i] for i in perm])
+        acc2 = PairAccumulator(PairKey(0, 1), PoseStack.of([samples[i] for i in perm]))
         best2, _ = select_optimal(acc2, PROBE)
-        assert best2 is best
+        assert _same(best2, best)
 
     def test_selection_invariants(self):
         rng = np.random.default_rng(131)
-        samples = [TransformSample(_random_transform(rng)) for _ in range(9)]
-        acc = PairAccumulator(PairKey(0, 1), list(samples))
+        samples = [_random_transform(rng) for _ in range(9)]
+        acc = PairAccumulator(PairKey(0, 1), PoseStack.of(samples))
         best, d_total = select_optimal(acc, PROBE)
-        assert any(s.transform is best for s in acc.samples)
-        recomputed = sum(
-            transform_distance(best, s.transform, PROBE) for s in acc.samples
-        )
+        assert any(_same(s, best) for s in samples)
+        recomputed = sum(transform_distance(best, s, PROBE) for s in samples)
         assert abs(recomputed - d_total) < 1e-12
 
     def test_tight_clusters_match_oracle_totals(self):
@@ -262,10 +279,10 @@ class TestSelectOptimal:
                     rotation_from_rvec(rng.normal(scale=spread, size=3)),
                     rng.normal(scale=spread, size=3),
                 )
-                samples.append(TransformSample(compose(center, jitter)))
-            acc = PairAccumulator(PairKey(0, 1), samples)
+                samples.append(compose(center, jitter))
+            acc = PairAccumulator(PairKey(0, 1), PoseStack.of(samples))
             _, d_total = select_optimal(acc, PROBE)
-            totals = _brute_force_totals([s.transform for s in samples], PROBE)
+            totals = _brute_force_totals(samples, PROBE)
             chosen = totals[acc.selected.index]
             assert chosen == pytest.approx(totals.min(), rel=1e-8)
             assert d_total == pytest.approx(chosen, rel=1e-8)
@@ -274,7 +291,7 @@ class TestSelectOptimal:
     def test_exact_duplicate_ties_go_to_lowest_index(self, n):
         # a copy of the winner, inserted at or before it, ties with it exactly
         # (every total rises by the distance to the copy, which is zero for
-        # both), so both selectors must return the copy's earlier position
+        # both), so both selectors must pick the copy's earlier position
         rng = np.random.default_rng(n)
         transforms = [_random_transform(rng) for _ in range(n)]
         winner = int(np.argmin(_brute_force_totals(transforms, PROBE)))
@@ -283,19 +300,15 @@ class TestSelectOptimal:
         copy = RigidTransform(twin.rotation.copy(), twin.translation.copy())
         transforms.insert(pos, copy)
 
-        acc = PairAccumulator(PairKey(0, 1), [TransformSample(t) for t in transforms])
+        stack = PoseStack.of(transforms)
+        acc = PairAccumulator(PairKey(0, 1), stack)
         best, _ = select_optimal(acc, PROBE)
         assert acc.selected.index == pos
-        assert best is copy
+        assert _same(best, copy)
 
-        cands = FramePoseCandidates(
-            t=0,
-            candidates=tuple(
-                FrameCandidate(t, cam=0, marker=i, ratio=1.0)
-                for i, t in enumerate(transforms)
-            ),
-        )
-        assert select_frame_pose(cands, PROBE) is copy
+        # frame selection runs the same argmin over its proposal stack
+        assert argmin_summed_distance(stack, PROBE)[0] == pos
+        assert _same(select_frame_pose(FramePoseCandidates(0, stack), PROBE), copy)
 
 
 def _brute_force_totals(transforms, probe) -> np.ndarray:
@@ -309,10 +322,10 @@ def _brute_force_argmin(samples, probe):
     """Independent O(n^2) evaluation of the selection rule."""
     totals = []
     for k in range(len(samples)):
-        tk = samples[k].transform
+        tk = samples[k]
         total = 0.0
         for s in samples:
-            diff = tk.apply(probe) - s.transform.apply(probe)
+            diff = tk.apply(probe) - s.apply(probe)
             total += float((diff ** 2).sum())
         totals.append(total)
     best = min(range(len(totals)), key=lambda i: (totals[i], i))
@@ -348,8 +361,6 @@ class TestCollectors:
             assert acc.key.kind == CAMERA_PAIR
             # 3 frames x 2 markers bridges, possibly more if ambiguous
             assert len(acc.samples) >= 6
-            sort_keys = [(s.source, s.product_index) for s in acc.samples]
-            assert sort_keys == sorted(sort_keys)
             best, _ = select_optimal(acc, PROBE)
             truth = compose(cams[key.a], invert(cams[key.b]))
             assert rotation_angle(best.rotation.T @ truth.rotation) < 1e-5
@@ -365,3 +376,47 @@ class TestCollectors:
         truth = compose(invert(markers[0]), markers[1])  # marker-1 -> marker-0
         assert rotation_angle(best.rotation.T @ truth.rotation) < 1e-5
         assert np.linalg.norm(best.translation - truth.translation) < 1e-5
+
+    def _with_ambiguous_sets(self):
+        # every third detection keeps both planar poses, and one is unusable
+        xi, _, _ = self._scene_candidate_sets()
+        rng = np.random.default_rng(149)
+        for n, key in enumerate(sorted(xi)):
+            if n % 3 == 0:
+                xi[key] = _xi(*xi[key].transforms, _random_transform(rng), ratio=1.5)
+        xi[(1, 2, 0)] = _xi()
+        return xi
+
+    @pytest.mark.parametrize("collect, slot", [(collect_camera_pairs, 1), (collect_marker_pairs, 2)])
+    def test_batched_samples_match_per_pairing_reference(self, collect, slot):
+        xi = self._with_ambiguous_sets()
+        accs = collect(xi)
+        ref = _reference_pairs(xi, slot)
+        assert list(accs) == list(ref)
+        for key, samples in ref.items():
+            got = accs[key].samples
+            assert len(got) == len(samples)
+            for i, expect in enumerate(samples):
+                assert _same(got[i], expect), (key, i)
+        assert any(len(s) > 6 for s in ref.values())  # ambiguous products present
+
+
+def _reference_pairs(xi, member_slot) -> dict[PairKey, list[RigidTransform]]:
+    """Pair samples built one at a time with compose/invert, in (bridge, a<b,
+    product) order: T_a * T_b^-1 for cameras, T_a^-1 * T_b for markers."""
+    kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
+    by_bridge = {}
+    for key, cset in xi.items():
+        if len(cset):
+            by_bridge.setdefault((key[0], key[3 - member_slot]), {})[key[member_slot]] = cset
+    ref = {}
+    for bridge in sorted(by_bridge):
+        members = by_bridge[bridge]
+        for a, b in combinations(sorted(members), 2):
+            xa, xb = members[a].transforms, members[b].transforms
+            if kind == CAMERA_PAIR:
+                samples = [compose(ta, invert(tb)) for ta, tb in product(xa, xb)]
+            else:
+                samples = [compose(invert(ta), tb) for tb, ta in product(xb, xa)]
+            ref.setdefault(PairKey(a, b, kind), []).extend(samples)
+    return ref

@@ -12,6 +12,7 @@ from markercal.pipeline import (
     detection_candidates,
     track_sequence,
 )
+from markercal.planar_pose import Detection
 from markercal.synthetic import SceneSpec, evaluate, generate
 
 
@@ -156,6 +157,26 @@ class TestCalibrate:
         widened = Dataset(ds.detections, intr, ds.marker_side, ds.n_frames)
         result, _ = calibrate(widened)
         assert 77 not in result.cams.poses
+
+    def test_frame_with_only_unusable_detections_left_untracked(self):
+        # frame 16 holds a single detection with collinear corners: it has no
+        # pose candidate, so the frame stays untracked and the detection must
+        # not reach the refinement
+        spec = SceneSpec(n_frames=16, seed=1)
+        _, dets, intr = generate(spec)
+        line = np.array([[100.0, 100.0], [110.0, 110.0], [120.0, 120.0], [130.0, 130.0]])
+        extra = Dataset(dets + [Detection(16, 0, 0, line)], intr, spec.marker_side, 17)
+        result, _ = calibrate(extra)
+        plain, _ = calibrate(Dataset(dets, intr, spec.marker_side, 16))
+        assert result.traj.frames[16].pose is None
+        pairs = [(result.cams.poses, plain.cams.poses),
+                 (result.markers.poses, plain.markers.poses),
+                 (dict(result.traj.tracked_items()), dict(plain.traj.tracked_items()))]
+        for got, expect in pairs:
+            assert got.keys() == expect.keys()
+            for k in expect:
+                assert np.array_equal(got[k].rotation, expect[k].rotation)
+                assert np.array_equal(got[k].translation, expect[k].translation)
 
     def test_ablation_still_runs(self):
         _, ds = _dataset(noise_sigma=0.3)

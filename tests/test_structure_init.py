@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from markercal.errors import DisconnectedGraph
-from markercal.geometry import RigidTransform, compose, invert, rotation_from_rvec
+from markercal.geometry import PoseStack, RigidTransform, compose, invert, rotation_from_rvec
 from markercal.pairwise import (
     CAMERA_PAIR,
     MARKER_PAIR,
     PairAccumulator,
     PairKey,
     SelectedTransform,
-    TransformSample,
 )
 from markercal.structure_init import (
     PoseGraph,
@@ -29,7 +28,7 @@ from markercal.structure_init import (
 
 def _acc(a, b, d_mean, s, kind=CAMERA_PAIR, transform=None) -> PairAccumulator:
     t = transform if transform is not None else RigidTransform.identity()
-    samples = [TransformSample(t) for _ in range(s)]
+    samples = PoseStack.of([t] * s)
     selected = SelectedTransform(t, d_mean * s, d_mean, 0)
     return PairAccumulator(PairKey(a, b, kind), samples, selected)
 
@@ -88,7 +87,7 @@ class TestBuildGraph:
             build_graph([], tau_n=0.5)
         with pytest.raises(ValueError):
             build_graph([_acc(0, 1, 0.1, 5), _acc(0, 1, 0.1, 5, kind=MARKER_PAIR)])
-        unselected = PairAccumulator(PairKey(0, 1), [TransformSample(RigidTransform.identity())])
+        unselected = PairAccumulator(PairKey(0, 1), PoseStack.of([RigidTransform.identity()]))
         with pytest.raises(ValueError):
             build_graph([unselected])
 
