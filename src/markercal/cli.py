@@ -85,7 +85,8 @@ def cmd_calibrate(args) -> int:
     rep = result.report
     print(
         f"refined {n_tracked}/{ds.n_frames} frames: rms {rep.initial_rms:.6g} px "
-        f"-> {rep.final_rms:.6g} px in {rep.iterations} iterations ({rep.reason})"
+        f"-> {rep.final_rms:.6g} px in {rep.iterations} iterations ({rep.reason}); "
+        f"{rep.left_out} detections left out"
     )
 
     dio.save_calibration(result, args.output)

@@ -56,13 +56,14 @@ class Trajectory:
         return len(self.frames)
 
 
-def object_poses(cams: dict, markers: dict, views: list) -> PoseStack:
-    """G = C_c * T * M_m^-1 for each (c, m, T) in `views`: the object pose
-    (reference marker to reference camera) implied by marker m seen at pose T
-    by camera c, given camera poses `cams` and marker poses `markers`."""
-    c = PoseStack.of([cams[c] for c, _, _ in views])
-    m = PoseStack.of([markers[m] for _, m, _ in views])
-    return compose_many(compose_many(c, PoseStack.of([t for _, _, t in views])), invert_many(m))
+def object_poses(cams: dict, markers: dict, views: list, poses: PoseStack) -> PoseStack:
+    """G = C_c * T * M_m^-1 for each (c, m) in `views` and row T of `poses`:
+    the object pose (reference marker to reference camera) implied by marker
+    m seen at pose T by camera c, given camera poses `cams` and marker poses
+    `markers`."""
+    c = PoseStack.of([cams[c] for c, _ in views])
+    m = PoseStack.of([markers[m] for _, m in views])
+    return compose_many(compose_many(c, poses), invert_many(m))
 
 
 def frame_candidates(
@@ -73,7 +74,7 @@ def frame_candidates(
 ) -> FramePoseCandidates:
     """Object-pose proposals for frame t, one per candidate marker pose, in
     sorted (t, cam, marker) order."""
-    views = []
+    views, transforms = [], []
     for (tt, c, m) in sorted(candidate_sets):
         if tt != t:
             continue
@@ -84,8 +85,10 @@ def frame_candidates(
             raise ValueError(
                 f"detection (t={tt}, cam={c}, marker={m}) outside the structure estimate"
             )
-        views += [(c, m, transform) for transform in xi.transforms]
-    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, views))
+        views += [(c, m)] * len(xi)
+        transforms += xi.transforms
+    poses = PoseStack.of(transforms)
+    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, views, poses))
 
 
 def select_frame_pose(c: FramePoseCandidates, probe: np.ndarray) -> RigidTransform:

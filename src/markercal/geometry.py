@@ -90,10 +90,6 @@ class CameraIntrinsics:
         dist = np.zeros(5) if self.pre_undistorted else self.dist
         object.__setattr__(self, "dist", _as_array(dist, (5,)))
 
-    @property
-    def has_distortion(self) -> bool:
-        return bool(np.any(self.dist != 0.0))
-
 
 @dataclass(frozen=True)
 class MarkerTemplate:
@@ -342,26 +338,30 @@ def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
     return pix, jac, front
 
 
-def undistort_to_normalized(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Map (N,2) pixels to normalized camera coordinates, removing distortion.
+def undistort_arrays(pixels, fx, fy, cx, cy, dist) -> np.ndarray:
+    """Map (G,K,2) pixels to normalized camera coordinates, removing distortion.
 
-    Fixed-point iteration; exact inverse of the projection model to ~1e-12
-    for moderate distortion.
+    fx, fy, cx and cy broadcast against (G,K) and dist against (G,K,5).
+    Fixed-point iteration, at most 30 rounds, run per group of K points: a
+    group stops once its largest update falls below 1e-14, and a group
+    without distortion takes no round. Exact inverse of the projection model
+    to ~1e-12 for moderate distortion.
     """
-    pix = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-    xd = (pix[:, 0] - intr.cx) / intr.fx
-    yd = (pix[:, 1] - intr.cy) / intr.fy
-    if not intr.has_distortion:
-        return np.stack([xd, yd], axis=-1)
+    pix = np.asarray(pixels, dtype=np.float64)
+    xd = (pix[..., 0] - cx) / fx
+    yd = (pix[..., 1] - cy) / fy
     a, b = xd.copy(), yd.copy()
+    dist = np.broadcast_to(dist, a.shape + (5,))
+    active = np.flatnonzero(np.any(dist != 0.0, axis=(1, 2)))
     for _ in range(30):
+        if not active.size:
+            break
         # xd - xm = xd - a * radial - tangential, so this is the fixed point
         # a = (xd - tangential) / radial
-        xm, ym, _, radial = _distort_normalized(a, b, intr.dist)
-        a_new = a + (xd - xm) / radial
-        b_new = b + (yd - ym) / radial
-        if max(np.abs(a_new - a).max(), np.abs(b_new - b).max()) < 1e-14:
-            a, b = a_new, b_new
-            break
-        a, b = a_new, b_new
+        a_old, b_old = a[active], b[active]
+        xm, ym, _, radial = _distort_normalized(a_old, b_old, dist[active])
+        a[active] = a_old + (xd[active] - xm) / radial
+        b[active] = b_old + (yd[active] - ym) / radial
+        step = np.maximum(np.abs(a[active] - a_old), np.abs(b[active] - b_old)).max(axis=1)
+        active = active[~(step < 1e-14)]
     return np.stack([a, b], axis=-1)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .errors import DegenerateQuad, NoValidPose, NumericalFailure
+from .errors import NoValidPose, NumericalFailure
 from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
 from .geometry import (
     CameraIntrinsics,
@@ -34,7 +34,13 @@ from .geometry import (
     rvec_from_rotation,
     skew_many,
 )
-from .planar_pose import Detection, estimate_two_poses
+from .planar_pose import (
+    POSE_OK,
+    Detection,
+    corner_arrays,
+    estimate_two_poses,  # noqa: F401  bound by name for perfbench/tracing.py
+    planar_poses,
+)
 from .structure_init import StructureEstimate
 
 BEHIND_RESIDUAL = 1e6  # px, replaces residuals of points behind the camera
@@ -82,6 +88,7 @@ class FitReport:
     iterations: int
     per_frame_rms: dict[int, float]
     reason: str = ""
+    left_out: int = 0  # detections outside the estimate, kept out of the cost
 
 
 @dataclass(frozen=True)
@@ -172,19 +179,6 @@ def unpack_params(x: np.ndarray, layout: ParamLayout):
 class ResidualSystem:
     residuals: np.ndarray  # (8 * n_obs,) predicted - observed, px
     jacobian: sparse.csr_matrix | np.ndarray  # sparse or dense; rows align with residuals
-
-
-def _corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
-    """Observed corners (4N,2) and per-corner intrinsics (fx, fy, cx, cy, dist)."""
-    for d in dets:
-        if d.cam not in intrinsics:
-            raise ValueError(f"no intrinsics for camera {d.cam}")
-    intr = [intrinsics[d.cam] for d in dets]
-    obs = np.array([d.corners for d in dets]).reshape(-1, 2)
-    return obs, tuple(
-        np.repeat([getattr(i, name) for i in intr], 4, axis=0)
-        for name in ("fx", "fy", "cx", "cy", "dist")
-    )
 
 
 def _reproject(p_cam: np.ndarray, obs: np.ndarray, cam: tuple, want_jacobian: bool):
@@ -278,7 +272,7 @@ class ResidualBuilder:
                 (np.zeros(indices.size), indices, indptr), shape=(8 * self.n_obs, layout.total)
             )
             self._jac_indices, self._jac_indptr = pattern.indices, pattern.indptr
-        self.obs_pix, self._cam4 = _corner_arrays(dets, intrinsics)
+        self.obs_pix, self._cam4 = corner_arrays(dets, intrinsics)
         self._sk_u = skew_many(template.corners)  # (4,3,3)
 
     def residuals_from_poses(
@@ -524,8 +518,9 @@ def refine_all(
     """Jointly refine cameras, markers and all tracked frame poses.
 
     Reference camera and reference marker stay exactly identity. Untracked
-    frames pass through unchanged and their detections stay out of the cost;
-    in calibrate() those are detections with no usable pose candidate.
+    frames pass through unchanged. Detections of untracked frames, cameras or
+    markers outside the estimate stay out of the cost, and the report counts
+    them; in calibrate() those are detections with no usable pose candidate.
     """
     tpl = template if template is not None else MarkerTemplate(init.marker_side)
     tracked = {t: pose for t, pose in init.traj.tracked_items()}
@@ -533,9 +528,11 @@ def refine_all(
         init.cams.poses, init.markers.poses, tracked,
         init.cams.reference, init.markers.reference,
     )
-    builder = ResidualBuilder(
-        [d for d in detections if d.t in tracked], intrinsics, tpl, layout
-    )
+    kept = [
+        d for d in detections
+        if d.t in tracked and d.cam in init.cams.poses and d.marker in init.markers.poses
+    ]
+    builder = ResidualBuilder(kept, intrinsics, tpl, layout)
     x0 = pack_params(init.cams.poses, init.markers.poses, tracked, layout)
     x_opt, lm = lm_minimize(x0, builder, opts)
     cams, markers, frames = unpack_params(x_opt, layout)
@@ -552,6 +549,7 @@ def refine_all(
         iterations=lm.iterations,
         per_frame_rms=builder.per_frame_rms(builder.residuals(x_opt)),
         reason=lm.reason,
+        left_out=len(detections) - len(kept),
     )
     return CalibrationResult(
         cams=StructureEstimate(init.cams.reference, cams, init.cams.tree_edges),
@@ -596,7 +594,7 @@ class FrameTracker:
         rct = np.stack([self._rct[d.cam] for d in dets])  # (K,3,3)
         rct_tc = np.stack([self._rct_tc[d.cam] for d in dets])  # (K,3)
         ypts = np.stack([self._y[d.marker] for d in dets])  # (K,4,3)
-        obs, cam = _corner_arrays(dets, self.intrinsics)
+        obs, cam = corner_arrays(dets, self.intrinsics)
         return rct, rct_tc, ypts, obs, cam, skew_many(ypts)
 
     @staticmethod
@@ -618,29 +616,32 @@ class FrameTracker:
     def cold_start(self, dets: list[Detection], arrays=None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
 
-        Both planar solutions of every detection, best before alt in sorted
-        key order, are mapped into the gauge (frame_init.object_poses) and
-        scored in one reprojection of the frame's corners under every
-        proposal. The first proposal of least finite cost wins; raises
-        NoValidPose when there is none. Scoring both solutions keeps an
-        ambiguous first view from starting the track in the flipped basin.
-        `arrays` are the frame's _frame_arrays, built here when not given.
+        The planar poses of all detections come from one planar_poses call
+        over the frame's corners. Both solutions of every usable detection,
+        best before alt in sorted key order, are mapped into the gauge
+        (frame_init.object_poses) and scored in one reprojection of the
+        usable detections' corners under every proposal. The first proposal
+        of least finite cost wins; raises NoValidPose when there is none.
+        Scoring both solutions keeps an ambiguous first view from starting
+        the track in the flipped basin. `arrays` are the frame's
+        _frame_arrays, built here when not given.
         """
-        views = []
-        for d in sorted(dets, key=lambda d: d.key):
-            try:
-                h = estimate_two_poses(d, self.intrinsics[d.cam], self.template)
-            except (DegenerateQuad, NoValidPose):
-                continue
-            views += [(d.cam, d.marker, h.best), (d.cam, d.marker, h.alt)]
-        if not views:
-            raise NoValidPose("no usable cold-start candidate in frame")
-        proposals = object_poses(self.cams, self.markers, views)
         arrays = arrays if arrays is not None else self._frame_arrays(dets)
+        poses = planar_poses(arrays[3], arrays[4], self.template)
+        usable = poses.status == POSE_OK
+        rows = [i for i in sorted(range(len(dets)), key=lambda i: dets[i].key) if usable[i]]
+        if not rows:
+            raise NoValidPose("no usable cold-start candidate in frame")
+        views = [(dets[i].cam, dets[i].marker) for i in rows for _ in range(2)]
+        proposals = object_poses(
+            self.cams, self.markers, views,
+            PoseStack(poses.rotations[rows], poses.translations[rows]),
+        )
         n = len(proposals)
         p_cam = self._camera_points(arrays, proposals.rotations, proposals.translations)
         obs, *cam = (np.concatenate([a] * n) for a in (arrays[3], *arrays[4]))
-        r = _reproject(p_cam.reshape(-1, 4, 3), obs, tuple(cam), False)[0].reshape(n, -1)
+        r = _reproject(p_cam.reshape(-1, 4, 3), obs, tuple(cam), False)[0]
+        r = r.reshape(n, len(dets), 8)[:, usable].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import DegenerateQuad, NoValidPose, ValidationError
+from .errors import NoValidPose, ValidationError
 from .frame_init import (
     SOURCE_TRACKED,
     FrameState,
@@ -33,7 +33,14 @@ from .pairwise import (
     probe_points,
     select_optimal,
 )
-from .planar_pose import CandidateSet, Detection, candidate_set, estimate_two_poses
+from .planar_pose import (
+    CandidateSet,
+    Detection,
+    candidate_set,
+    corner_arrays,
+    estimate_two_poses,  # noqa: F401  bound by name for perfbench/tracing.py
+    planar_poses,
+)
 from .structure_init import (
     DEFAULT_TAU_N,
     PoseGraph,
@@ -97,14 +104,9 @@ def detection_candidates(
     template = MarkerTemplate(dataset.marker_side)
     # ratios are clamped to >= 1, so a threshold of 1 keeps only the best pose
     tau = config.tau_ratio if config.ambiguity_handling else 1.0
-    out = {}
-    for d in dataset.detections:
-        try:
-            h = estimate_two_poses(d, dataset.intrinsics[d.cam], template)
-        except (DegenerateQuad, NoValidPose):
-            h = None
-        out[d.key] = candidate_set(h, tau)
-    return out
+    dets = dataset.detections
+    poses = planar_poses(*corner_arrays(dets, dataset.intrinsics), template)
+    return {d.key: candidate_set(poses.hypothesis(i), tau) for i, d in enumerate(dets)}
 
 
 def _pick_reference(requested: int | None, vertices, kind: str) -> int:
@@ -134,18 +136,22 @@ def calibrate(
     """Full offline calibration from detections alone.
 
     Returns the refined result plus the intermediate artifacts (candidate
-    sets, co-observation graphs, spanning trees). Cameras that appear in
-    the intrinsics file but never detect anything are left out of the
-    estimate; raises DisconnectedGraph when the observed cameras (or
-    markers) do not form one connected component.
+    sets, co-observation graphs, spanning trees). Cameras and markers with
+    no usable detection (none at all, or only degenerate ones) are left out
+    of the estimate. Raises NoValidPose when no detection is usable, and
+    DisconnectedGraph when the remaining cameras (or markers) do not form
+    one connected component.
     """
     if not dataset.detections:
         raise ValidationError("dataset contains no detections")
 
     candidate_sets = detection_candidates(dataset, config)
 
-    cam_vertices = sorted({d.cam for d in dataset.detections})
-    marker_vertices = sorted({d.marker for d in dataset.detections})
+    usable = [key for key, cset in candidate_sets.items() if len(cset)]
+    if not usable:
+        raise NoValidPose("no detection yields a usable pose")
+    cam_vertices = sorted({c for _, c, _ in usable})
+    marker_vertices = sorted({m for _, _, m in usable})
     ref_cam = _pick_reference(config.ref_camera, cam_vertices, "camera")
     ref_marker = _pick_reference(config.ref_marker, marker_vertices, "marker")
 

@@ -1,26 +1,42 @@
-"""Two-solution planar pose estimation for square markers.
+"""Two-solution planar pose estimation for square markers, batched.
 
 A plane seen under perspective admits up to two physically plausible poses
 (the second is a reflection about the plane orthogonal to the viewing ray of
-the marker center). This module recovers both, scores each by its RMS corner
-reprojection error, and exposes the error ratio as an ambiguity measure: a
-ratio near 1 means the detection alone cannot tell the two poses apart.
+the marker center). `planar_poses` recovers both for every detection of a
+batch at once, in the manner of IPPE (Collins & Bartoli, "Infinitesimal
+Plane-based Pose Estimation", IJCV 2014). Each step is one array operation
+over all rows: the quad checks, undistortion, the normalized DLT homography
+(one SVD over (N,8,9)), the split into two rotations and their projection
+onto SO(3), the least-squares translations, and the RMS corner reprojection
+scores through `project_arrays`.
+
+Every row gets a status. POSE_OK rows carry both poses, best first.
+DEGENERATE_QUAD means coincident or collinear corners, an area of at most
+1 px^2 or a rank-deficient homography. NO_VALID_POSE means no solution lies
+in front of the camera, or the viewing geometry is degenerate. A row that
+fails a check gets a benign placeholder before the next LAPACK call, so one
+bad detection cannot poison its batch, and every row comes out exactly as
+its own one-row call would. `estimate_two_poses` is that one-row call; it
+raises DegenerateQuad or NoValidPose for the failing statuses.
+
+The error ratio is the ambiguity measure: a ratio near 1 means the
+detection alone cannot tell the two poses apart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuad, NoValidPose, PointBehindCamera
+from .errors import DegenerateQuad, NoValidPose
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
     RigidTransform,
-    project,
-    undistort_to_normalized,
+    project,  # noqa: F401  bound by name for perfbench/tracing.py
+    project_arrays,
+    undistort_arrays,
 )
 
 # ratio reported when only one decomposition places the marker in front of
@@ -28,6 +44,14 @@ from .geometry import (
 SINGLE_SOLUTION_RATIO = 1e12
 
 _ERR_FLOOR = 1e-12  # px; denominator clamp for the ratio
+_EPS = 1e-12  # rank, determinant and scale floor of the decomposition
+
+POSE_OK = 0
+DEGENERATE_QUAD = 1
+NO_VALID_POSE = 2
+
+_NEXT = np.array([1, 2, 3, 0])  # corner i -> corner i+1 around the quad
+_PAIRS = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -80,190 +104,248 @@ class CandidateSet:
         return len(self.transforms)
 
 
-def _check_quad(corners: np.ndarray) -> None:
-    x, y = corners[:, 0], corners[:, 1]
-    area = 0.5 * abs(
-        float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+@dataclass(frozen=True)
+class PlanarPoses:
+    """Both marker-to-camera pose candidates of N detections, best first.
+
+    Rows whose status is not POSE_OK hold NaN poses, errors and ratios.
+    """
+
+    rotations: np.ndarray  # (N,2,3,3)
+    translations: np.ndarray  # (N,2,3)
+    errors: np.ndarray  # (N,2) RMS corner reprojection error, px
+    ratios: np.ndarray  # (N,) as PoseHypothesis.ratio
+    status: np.ndarray  # (N,) POSE_OK, DEGENERATE_QUAD or NO_VALID_POSE
+
+    def hypothesis(self, i: int) -> PoseHypothesis | None:
+        """Row i as a PoseHypothesis; None unless its status is POSE_OK."""
+        if self.status[i] != POSE_OK:
+            return None
+        best, alt = (RigidTransform(self.rotations[i, k], self.translations[i, k]) for k in (0, 1))
+        err = self.errors[i]
+        return PoseHypothesis(best, alt, float(err[0]), float(err[1]), float(self.ratios[i]))
+
+
+def corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
+    """Observed corners (4N,2) and per-corner intrinsics (fx, fy, cx, cy, dist)."""
+    for d in dets:
+        if d.cam not in intrinsics:
+            raise ValueError(f"no intrinsics for camera {d.cam}")
+    intr = [intrinsics[d.cam] for d in dets]
+    obs = np.array([d.corners for d in dets]).reshape(-1, 2)
+    return obs, tuple(
+        np.repeat([getattr(i, name) for i in intr], 4, axis=0)
+        for name in ("fx", "fy", "cx", "cy", "dist")
     )
-    if area <= 1.0:
-        raise DegenerateQuad(f"quad area {area:.3g} px^2 <= 1")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.linalg.norm(corners[i] - corners[j]) < 1e-9:
-                raise DegenerateQuad(f"corners {i} and {j} coincide")
-    for i in range(4):
-        a, b, c = corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4]
-        u, w = b - a, c - a
-        tri = abs(float(u[0] * w[1] - u[1] * w[0]))
-        if tri < 1e-9:
-            raise DegenerateQuad(f"corners {i},{i+1},{i+2} are collinear")
 
 
-def _normalization(pts: np.ndarray) -> np.ndarray:
-    """Similarity matrix moving the centroid to the origin, mean radius sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = float(np.linalg.norm(pts - centroid, axis=1).mean())
-    scale = math.sqrt(2.0) / mean_dist if mean_dist > 0 else 1.0
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _fail(status: np.ndarray, bad: np.ndarray, code: int) -> np.ndarray:
+    """Give `code` to the rows still POSE_OK where `bad`; the new ok mask."""
+    status[(status == POSE_OK) & bad] = code
+    return status == POSE_OK
 
 
-def _dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Exact homography from 4 correspondences (normalized DLT)."""
-    ts, td = _normalization(src), _normalization(dst)
-    s = src @ ts[:2, :2].T + ts[:2, 2]
-    d = dst @ td[:2, :2].T + td[:2, 2]
-    a = np.zeros((8, 9))
-    for k in range(4):
-        x, y = s[k]
-        u, v = d[k]
-        a[2 * k] = [-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u]
-        a[2 * k + 1] = [0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v]
-    _, sv, vt = np.linalg.svd(a)
-    if sv[-2] < 1e-12:
-        raise DegenerateQuad("homography system rank-deficient")
-    h = vt[-1].reshape(3, 3)
-    return np.linalg.inv(td) @ h @ ts
+def _park(ok: np.ndarray, x: np.ndarray, benign) -> np.ndarray:
+    """x with every row outside `ok` replaced by `benign`."""
+    return np.where(ok.reshape(ok.shape + (1,) * (x.ndim - ok.ndim)), x, benign)
 
 
-def _project_to_so3(m: np.ndarray) -> np.ndarray:
+def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
+    """(N,) rows with area <= 1 px^2, coincident or collinear corners.
+
+    Written so that non-finite corners count as degenerate too.
+    """
+    nxt = corners[:, _NEXT]
+    u, w = nxt - corners, nxt[:, _NEXT] - corners
+    cross = corners[..., 0] * nxt[..., 1] - corners[..., 1] * nxt[..., 0]
+    area = 0.5 * np.abs(np.sum(cross, axis=1))
+    gap = corners[:, _PAIRS[0]] - corners[:, _PAIRS[1]]
+    gap = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=1)
+    tri = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]).min(axis=1)
+    return ~((area > 1.0) & (gap >= 1e-9) & (tri >= 1e-9))
+
+
+def _normalization(pts: np.ndarray):
+    """Similarity matrices (...,3,3) moving the centroid of (...,4,2) points
+    to the origin at mean radius sqrt(2), and the moved points."""
+    centroid = pts.mean(axis=-2)
+    mean_dist = np.linalg.norm(pts - centroid[..., None, :], axis=-1).mean(axis=-1)
+    scale = np.sqrt(2.0) / np.where(mean_dist > 0, mean_dist, np.sqrt(2.0))
+    t = np.zeros(scale.shape + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = scale
+    t[..., :2, 2] = -scale[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    return t, scale[..., None, None] * pts + t[..., None, :2, 2]
+
+
+def _homographies(src: np.ndarray, dst: np.ndarray):
+    """Exact template-to-image homographies (N,3,3) from the normalized DLT,
+    and the (N,) rows whose system is rank-deficient. src is (4,2), dst (N,4,2)."""
+    t_src, s = _normalization(src)
+    t_dst, d = _normalization(dst)
+    n = len(dst)
+    a = np.zeros((n, 4, 2, 9))
+    a[:, :, 0, 0:2] = -s
+    a[:, :, 0, 2] = -1.0
+    a[:, :, 1, 3:5] = -s
+    a[:, :, 1, 5] = -1.0
+    a[..., 6:8] = d[..., None] * s[:, None, :]
+    a[..., 8] = d
+    _, sv, vt = np.linalg.svd(a.reshape(n, 8, 9))
+    h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(n, 3, 3) @ t_src
+    return h, sv[:, -2] < _EPS
+
+
+def _so3(m: np.ndarray) -> np.ndarray:
+    """Nearest rotations to a (...,3,3) stack, reflections excluded."""
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    flip = np.linalg.det(np.matmul(u, vt)) < 0
+    u[..., 2] *= np.where(flip, -1.0, 1.0)[..., None]
+    return np.matmul(u, vt)
 
 
-def _two_rotations(h: np.ndarray) -> list[np.ndarray]:
-    """Two-fold rotation decomposition of a plane homography.
+def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """(N,2,3,3) two-fold rotation decomposition of plane homographies.
 
     Works in the frame rotated so the marker-center viewing ray becomes the
     z axis; there the top-left 2x2 block of the rotation is a scaled copy of
     the homography Jacobian at the template origin, and the missing row is
     determined up to the sign flip that produces the second solution.
+    Updates `status` in place for degenerate rows.
     """
-    v = h[:2, 2]
-    jac = np.array(
-        [
-            [h[0, 0] - h[2, 0] * v[0], h[0, 1] - h[2, 1] * v[0]],
-            [h[1, 0] - h[2, 0] * v[1], h[1, 1] - h[2, 1] * v[1]],
-        ]
-    )
-    s = float(np.linalg.norm(v))
-    if s < 1e-12:
-        rv = np.eye(3)
-    else:
-        t = math.sqrt(s * s + 1.0)
-        k = np.array(
-            [[0.0, 0.0, v[0]], [0.0, 0.0, v[1]], [-v[0], -v[1], 0.0]]
-        ) / s
-        sin_t = s / t
-        cos_t = 1.0 / t
-        rv = np.eye(3) + sin_t * k + (1.0 - cos_t) * (k @ k)
+    n = len(h)
+    eye2, eye3 = np.eye(2), np.eye(3)
+    v = h[:, :2, 2]  # (N,2)
+    jac = h[:, :2, :2] - v[:, :, None] * h[:, None, 2, :2]
+    s = np.sqrt(np.einsum("ni,ni->n", v, v))
+    small = s < _EPS
+    k = np.zeros((n, 3, 3))
+    k[:, :2, 2] = v
+    k[:, 2, :2] = -v
+    k /= np.where(small, 1.0, s)[:, None, None]
+    t = np.sqrt(s * s + 1.0)
+    sin_t, cos_t = s / t, 1.0 / t
+    rv = eye3 + sin_t[:, None, None] * k + (1.0 - cos_t)[:, None, None] * np.matmul(k, k)
+    rv = np.where(small[:, None, None], eye3, rv)
 
-    b_mat = rv[:2, :2] - np.outer(v, rv[2, :2])
-    det = b_mat[0, 0] * b_mat[1, 1] - b_mat[0, 1] * b_mat[1, 0]
-    if abs(det) < 1e-12:
-        raise NoValidPose("degenerate viewing geometry")
-    a_mat = np.linalg.solve(b_mat, jac)
+    b_mat = rv[:, :2, :2] - v[:, :, None] * rv[:, None, 2, :2]
+    det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
+    ok = _fail(status, ~(np.abs(det) >= _EPS), NO_VALID_POSE)
+    a_mat = np.linalg.solve(_park(ok, b_mat, eye2), _park(ok, jac, eye2))
 
-    aat = a_mat @ a_mat.T
-    disc = math.sqrt((aat[0, 0] - aat[1, 1]) ** 2 + 4.0 * aat[0, 1] ** 2)
-    gamma = math.sqrt(0.5 * (aat[0, 0] + aat[1, 1] + disc))
-    if gamma < 1e-12:
-        raise DegenerateQuad("vanishing homography Jacobian")
-    r22 = a_mat / gamma
+    aat = np.matmul(a_mat, a_mat.transpose(0, 2, 1))
+    disc = np.sqrt((aat[:, 0, 0] - aat[:, 1, 1]) ** 2 + 4.0 * aat[:, 0, 1] ** 2)
+    gamma = np.sqrt(0.5 * (aat[:, 0, 0] + aat[:, 1, 1] + disc))
+    ok = _fail(status, ~(gamma >= _EPS), DEGENERATE_QUAD)
+    r22 = a_mat / np.where(ok, gamma, 1.0)[:, None, None]
 
-    gram = np.eye(2) - r22.T @ r22
-    b0 = math.sqrt(max(gram[0, 0], 0.0))
-    b1 = math.copysign(math.sqrt(max(gram[1, 1], 0.0)), gram[0, 1])
-    rotations = []
-    for sign in (1.0, -1.0):
-        col1 = np.array([r22[0, 0], r22[1, 0], sign * b0])
-        col2 = np.array([r22[0, 1], r22[1, 1], sign * b1])
-        col3 = np.cross(col1, col2)
-        rotations.append(_project_to_so3(rv @ np.column_stack([col1, col2, col3])))
-    return rotations
+    gram = eye2 - np.matmul(r22.transpose(0, 2, 1), r22)
+    b0 = np.sqrt(np.maximum(gram[:, 0, 0], 0.0))
+    b1 = np.copysign(np.sqrt(np.maximum(gram[:, 1, 1], 0.0)), gram[:, 0, 1])
+    cols = np.zeros((n, 2, 3, 3))
+    cols[:, :, :2, :2] = r22[:, None]
+    for i, sign in enumerate((1.0, -1.0)):
+        cols[:, i, 2, 0] = sign * b0
+        cols[:, i, 2, 1] = sign * b1
+    c0, c1 = cols[..., 0], cols[..., 1]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        cols[..., i, 2] = c0[..., j] * c1[..., k] - c0[..., k] * c1[..., j]
+    return _so3(_park(ok, np.matmul(rv[:, None], cols), eye3))
 
 
-def _translation_for(rot: np.ndarray, template_xy: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
-    """Least-squares translation given a rotation and normalized observations."""
-    w = np.column_stack([template_xy, np.zeros(4)]) @ rot.T  # (4,3) rotated corners
-    lhs = np.zeros((8, 3))
-    rhs = np.zeros(8)
-    a, b = norm_xy[:, 0], norm_xy[:, 1]
-    lhs[0::2, 0] = 1.0
-    lhs[0::2, 2] = -a
-    rhs[0::2] = a * w[:, 2] - w[:, 0]
-    lhs[1::2, 1] = 1.0
-    lhs[1::2, 2] = -b
-    rhs[1::2] = b * w[:, 2] - w[:, 1]
-    t, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return t
+def _translations(rot: np.ndarray, template_xy: np.ndarray, norm_xy: np.ndarray):
+    """Least-squares translations (N,2,3) for rotations (N,2,3,3) and
+    normalized observations (N,4,2), and the rotated template corners.
+
+    Each corner k gives t_x - a_k t_z = a_k w_z - w_x and the same in y, with
+    w the rotated corner and (a, b) its normalized observation. The x and y
+    offsets are the means given t_z, so t_z comes from the centered system.
+    """
+    w = np.einsum("nsij,kj->nski", rot[..., :2], template_xy)  # (N,2,4,3)
+    ab = norm_xy[:, None]  # (N,1,4,2)
+    rhs = ab * w[..., 2:] - w[..., :2]  # (N,2,4,2)
+    d_ab = ab - ab.mean(axis=2, keepdims=True)
+    d_rhs = rhs - rhs.mean(axis=2, keepdims=True)
+    tz = -np.sum(d_ab * d_rhs, axis=(2, 3)) / np.sum(d_ab * d_ab, axis=(2, 3))
+    txy = ab.mean(axis=2) * tz[..., None] + rhs.mean(axis=2)
+    return np.concatenate([txy, tz[..., None]], axis=-1), w
 
 
-def _rms_error(
-    pose: RigidTransform,
-    template: MarkerTemplate,
-    corners: np.ndarray,
-    intr: CameraIntrinsics,
-) -> float:
-    pix = project(pose.apply(template.corners), intr)
-    return float(np.sqrt(np.sum((pix - corners) ** 2) / 4.0))
-
-
-def ambiguity_ratio(err_best: float, err_alt: float) -> float:
+def ambiguity_ratio(err_best, err_alt):
     """err_alt / err_best with the denominator clamped at 1e-12 px, >= 1."""
-    return max(1.0, err_alt / max(err_best, _ERR_FLOOR))
+    return np.maximum(1.0, err_alt / np.maximum(err_best, _ERR_FLOOR))
+
+
+def planar_poses(corners: np.ndarray, cam: tuple, template: MarkerTemplate) -> PlanarPoses:
+    """Both marker-to-camera pose candidates for N detections at once.
+
+    `corners` are the (N,4,2) or (4N,2) pixel corners and `cam` their
+    per-corner intrinsics (fx, fy, cx, cy, dist), as corner_arrays builds
+    them. Pipeline: undistort corners to normalized coordinates, fit the
+    exact template-to-image homography, split it into the two plane-pose
+    rotations, recover each translation by least squares, then score both
+    solutions by RMS corner reprojection error (through the full distortion
+    model, against the raw pixel corners).
+    """
+    corners = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+    n = len(corners)
+    fx, fy, cx, cy = (np.reshape(a, (n, 4)) for a in cam[:4])
+    dist = np.reshape(cam[4], (n, 4, 5))
+    template_xy = template.corners[:, :2]
+    status = np.zeros(n, dtype=np.int8)
+
+    ok = _fail(status, _quad_is_degenerate(corners), DEGENERATE_QUAD)
+    norm_xy = undistort_arrays(corners, fx, fy, cx, cy, dist)
+    ok = _fail(status, ~np.isfinite(norm_xy).all(axis=(1, 2)), NO_VALID_POSE)
+    norm_xy = _park(ok, norm_xy, template_xy)
+
+    h, rank_deficient = _homographies(template_xy, norm_xy)
+    ok = _fail(status, rank_deficient, DEGENERATE_QUAD)
+    h22 = h[:, 2, 2]
+    ok = _fail(status, ~(np.abs(h22) >= _EPS), NO_VALID_POSE)
+    h = h / np.where(ok, h22, 1.0)[:, None, None]
+
+    rot = _two_rotations(h, status)
+    tvec, w = _translations(rot, template_xy, norm_xy)
+    pix, _, front = project_arrays(
+        (w + tvec[..., None, :]).reshape(-1, 3),
+        *(np.repeat(a, 2, axis=0).reshape(-1) for a in (fx, fy, cx, cy)),
+        np.repeat(dist, 2, axis=0).reshape(-1, 5),
+        want_jacobian=False,
+    )
+    valid = (tvec[..., 2] > 0.0) & front.reshape(n, 2, 4).all(axis=-1)
+    valid &= (status == POSE_OK)[:, None]
+    sq = ((pix.reshape(n, 2, 4, 2) - corners[:, None]) ** 2).reshape(n, 2, 8)
+    err = np.sqrt(np.sum(sq, axis=-1) / 4.0)
+    ok = _fail(status, ~valid.any(axis=1), NO_VALID_POSE)
+
+    # best first; the alt of a one-solution row duplicates its best
+    swap = valid[:, 1] & (~valid[:, 0] | (err[:, 1] < err[:, 0]))
+    single = valid[:, 0] != valid[:, 1]
+    first = swap.astype(np.int64)
+    order = np.stack([first, np.where(single, first, 1 - first)], axis=1)
+    rows = np.arange(n)[:, None]
+    rot, tvec, err = rot[rows, order], tvec[rows, order], err[rows, order]
+    ratio = np.where(single, SINGLE_SOLUTION_RATIO, ambiguity_ratio(err[:, 0], err[:, 1]))
+    return PlanarPoses(*(_park(ok, x, np.nan) for x in (rot, tvec, err, ratio)), status)
 
 
 def estimate_two_poses(
     d: Detection, intr: CameraIntrinsics, template: MarkerTemplate
 ) -> PoseHypothesis:
-    """Both marker-to-camera pose candidates for one detection.
-
-    Pipeline: undistort corners to normalized coordinates, fit the exact
-    template-to-image homography, split it into the two plane-pose rotations,
-    recover each translation by least squares, then score both solutions by
-    RMS corner reprojection error (through the full distortion model, against
-    the raw pixel corners).
+    """Both marker-to-camera pose candidates for one detection: the one-row
+    call of planar_poses.
 
     Raises DegenerateQuad for collinear or coincident corners and NoValidPose
     when neither solution places the marker in front of the camera.
     """
-    _check_quad(d.corners)
-    norm_xy = undistort_to_normalized(d.corners, intr)
-    template_xy = template.corners[:, :2]
-    h = _dlt_homography(template_xy, norm_xy)
-    if abs(h[2, 2]) < 1e-12:
-        raise NoValidPose("marker center projects to infinity")
-    h = h / h[2, 2]
-
-    scored: list[tuple[float, RigidTransform]] = []
-    for rot in _two_rotations(h):
-        tvec = _translation_for(rot, template_xy, norm_xy)
-        if tvec[2] <= 0.0:
-            continue
-        pose = RigidTransform(rot, tvec)
-        try:
-            scored.append((_rms_error(pose, template, d.corners, intr), pose))
-        except PointBehindCamera:
-            continue
-    if not scored:
-        raise NoValidPose(
-            f"both pose candidates behind camera for (t={d.t}, cam={d.cam}, marker={d.marker})"
-        )
-    scored.sort(key=lambda item: item[0])
-    if len(scored) == 1:
-        err, pose = scored[0]
-        return PoseHypothesis(pose, pose, err, err, SINGLE_SOLUTION_RATIO)
-    (err_best, best), (err_alt, alt) = scored
-    return PoseHypothesis(best, alt, err_best, err_alt, ambiguity_ratio(err_best, err_alt))
+    poses = planar_poses(*corner_arrays([d], {d.cam: intr}), template)
+    where = f"(t={d.t}, cam={d.cam}, marker={d.marker})"
+    if poses.status[0] == DEGENERATE_QUAD:
+        raise DegenerateQuad(f"degenerate corner quad for {where}")
+    if poses.status[0] == NO_VALID_POSE:
+        raise NoValidPose(f"no pose candidate in front of the camera for {where}")
+    return poses.hypothesis(0)
 
 
 def candidate_set(h: PoseHypothesis | None, tau_e: float) -> CandidateSet:

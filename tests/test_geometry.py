@@ -24,7 +24,7 @@ from markercal.geometry import (
     rotation_jacobian_factor,
     rotation_to_quaternion,
     rvec_from_rotation,
-    undistort_to_normalized,
+    undistort_arrays,
 )
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,6 @@ class TestIntrinsics:
             dist=[-0.1, 0.01, 0.001, -0.001, 0.0], pre_undistorted=True,
         )
         np.testing.assert_array_equal(intr.dist, np.zeros(5))
-        assert not intr.has_distortion
 
 
 class TestMarkerTemplate:
@@ -365,12 +364,13 @@ class TestUndistort:
             [rng.uniform(-0.3, 0.3, 20), rng.uniform(-0.3, 0.3, 20), np.ones(20)]
         )
         pix = project(pts, intr)
-        normalized = undistort_to_normalized(pix, intr)
-        np.testing.assert_allclose(normalized, pts[:, :2], atol=1e-10)
+        normalized = undistort_arrays(pix[None], intr.fx, intr.fy, intr.cx, intr.cy, intr.dist)
+        np.testing.assert_allclose(normalized[0], pts[:, :2], atol=1e-10)
 
     def test_no_distortion_is_linear(self):
-        normalized = undistort_to_normalized([[380.0, 240.0]], DEFAULT_INTR)
-        np.testing.assert_allclose(normalized, [[0.1, 0.0]], atol=1e-15)
+        i = DEFAULT_INTR
+        normalized = undistort_arrays([[[380.0, 240.0]]], i.fx, i.fy, i.cx, i.cy, i.dist)
+        np.testing.assert_allclose(normalized[0], [[0.1, 0.0]], atol=1e-15)
 
 
 class TestProjectJacobian:

@@ -636,6 +636,18 @@ class TestTracking:
             assert np.array_equal(got.translation, best.translation), t
         assert ambiguous > len(dets) // 2
 
+    def test_cold_start_ignores_a_degenerate_detection(self):
+        # the degenerate detection takes the place of a dropped one, so its
+        # garbage corners would otherwise weigh on every proposal's cost
+        tracker, dets, _, _ = self._frame_setup(51, noise=0.5)
+        kept = [d for d in dets if (d.cam, d.marker) != (1, 2)]
+        line = np.array([[300.0, 200.0], [310.0, 210.0], [320.0, 220.0], [330.0, 230.0]])
+        with_bad = [Detection(0, 1, 2, line)] + kept
+        plain = tracker.cold_start(kept)
+        got = tracker.cold_start(with_bad)
+        assert np.array_equal(got.rotation, plain.rotation)
+        assert np.array_equal(got.translation, plain.translation)
+
     def test_cold_start_without_usable_detection_raises(self):
         tracker, dets, _, _ = self._frame_setup(50)
         line = np.array([[300.0, 200.0], [310.0, 210.0], [320.0, 220.0], [330.0, 230.0]])

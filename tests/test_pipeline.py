@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from markercal.dataset import Dataset, save_calibration
-from markercal.errors import DisconnectedGraph, ValidationError
+from markercal.errors import DisconnectedGraph, NoValidPose, ValidationError
 from markercal.pipeline import (
     CalibrationConfig,
     TrackSession,
@@ -177,6 +177,34 @@ class TestCalibrate:
             for k in expect:
                 assert np.array_equal(got[k].rotation, expect[k].rotation)
                 assert np.array_equal(got[k].translation, expect[k].translation)
+
+    @pytest.mark.parametrize("cam, marker", [(9, 0), (0, 77)])
+    def test_entity_with_only_unusable_detections_left_out(self, cam, marker):
+        # a new camera 9 (or marker 77) is seen once, with collinear corners:
+        # it has no pose candidate, so it stays out of the estimate like an
+        # intrinsics-only camera, and its detection stays out of the cost
+        spec = SceneSpec(n_frames=16, seed=1)
+        _, dets, intr = generate(spec)
+        intr = {**intr, 9: intr[0]}
+        line = np.array([[100.0, 100.0], [110.0, 110.0], [120.0, 120.0], [130.0, 130.0]])
+        extra = Dataset(dets + [Detection(3, cam, marker, line)], intr, spec.marker_side, 16)
+        result, _ = calibrate(extra)
+        plain, _ = calibrate(Dataset(dets, intr, spec.marker_side, 16))
+        assert 9 not in result.cams.poses and 77 not in result.markers.poses
+        assert result.report.left_out == 1 and plain.report.left_out == 0
+        assert result.report.final_rms == plain.report.final_rms
+        for got, expect in [(result.cams.poses, plain.cams.poses),
+                            (result.markers.poses, plain.markers.poses)]:
+            assert got.keys() == expect.keys()
+            for k in expect:
+                assert np.array_equal(got[k].as_matrix(), expect[k].as_matrix())
+
+    def test_no_usable_detection_raises(self):
+        _, ds = _dataset()
+        line = np.array([[100.0, 100.0], [110.0, 110.0], [120.0, 120.0], [130.0, 130.0]])
+        dets = [Detection(d.t, d.cam, d.marker, line) for d in ds.detections]
+        with pytest.raises(NoValidPose, match="no detection"):
+            calibrate(Dataset(dets, ds.intrinsics, ds.marker_side, ds.n_frames))
 
     def test_ablation_still_runs(self):
         _, ds = _dataset(noise_sigma=0.3)

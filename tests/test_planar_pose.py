@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from markercal.errors import DegenerateQuad
+from markercal.errors import DegenerateQuad, NoValidPose
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
@@ -19,13 +19,18 @@ from markercal.geometry import (
     rotation_from_rvec,
 )
 from markercal.planar_pose import (
+    DEGENERATE_QUAD,
+    NO_VALID_POSE,
+    POSE_OK,
     CandidateSet,
     Detection,
     PoseHypothesis,
     SINGLE_SOLUTION_RATIO,
     ambiguity_ratio,
     candidate_set,
+    corner_arrays,
     estimate_two_poses,
+    planar_poses,
 )
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
@@ -162,6 +167,84 @@ class TestEstimateTwoPoses:
         tiny = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(DegenerateQuad):
             estimate_two_poses(Detection(0, 0, 0, tiny), INTR, TPL)
+
+
+DISTORTED = CameraIntrinsics(
+    fx=620.0, fy=615.0, cx=315.0, cy=245.0, dist=[-0.15, 0.03, 0.0012, -0.0009, 0.004],
+)
+
+
+def _batch(dets, intrinsics):
+    return planar_poses(*corner_arrays(dets, intrinsics), TPL)
+
+
+def _assert_row_is_own_call(poses, i, d, intr):
+    """Row i of a batch carries exactly what the one-row call gives d."""
+    try:
+        h = estimate_two_poses(d, intr, TPL)
+    except DegenerateQuad:
+        assert poses.status[i] == DEGENERATE_QUAD
+        assert np.isnan(poses.rotations[i]).all() and np.isnan(poses.errors[i]).all()
+        return
+    except NoValidPose:
+        assert poses.status[i] == NO_VALID_POSE
+        assert np.isnan(poses.translations[i]).all() and np.isnan(poses.ratios[i])
+        return
+    assert poses.status[i] == POSE_OK
+    got = poses.hypothesis(i)
+    for a, b in ((got.best, h.best), (got.alt, h.alt)):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+    assert (got.err_best, got.err_alt, got.ratio) == (h.err_best, h.err_alt, h.ratio)
+
+
+class TestPlanarPosesBatch:
+    def test_batch_equals_one_at_a_time_and_truth(self):
+        # cameras 0 (pinhole) and 1 (distorted) interleaved in one batch
+        rng = np.random.default_rng(89)
+        intrinsics = {0: INTR, 1: DISTORTED}
+        truth, dets = [], []
+        for k in range(60):
+            pose = _tilted_pose(rng)
+            cam = k % 2
+            truth.append(pose)
+            dets.append(Detection(0, cam, k, _detect(pose, intr=intrinsics[cam]).corners))
+        poses = _batch(dets, intrinsics)
+        assert poses.rotations.shape == (60, 2, 3, 3)
+        assert poses.translations.shape == (60, 2, 3)
+        assert poses.errors.shape == (60, 2)
+        assert (poses.status == POSE_OK).all()
+        for i, (d, pose) in enumerate(zip(dets, truth)):
+            _assert_row_is_own_call(poses, i, d, intrinsics[d.cam])
+            assert rotation_angle(poses.rotations[i, 0].T @ pose.rotation) < 1e-6
+            assert np.linalg.norm(poses.translations[i, 0] - pose.translation) < 1e-7
+
+    def test_one_bad_row_cannot_poison_the_batch(self):
+        rng = np.random.default_rng(97)
+        base = np.array([[100.0, 100.0], [200.0, 100.0], [200.0, 200.0], [100.0, 200.0]])
+        coincident = base.copy()
+        coincident[1] = coincident[0]
+        collinear = np.array([[0.0, 0.0], [100.0, 0.001], [200.0, 0.0], [300.0, 0.001]])
+        tiny = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+        # no solution of this quad puts all four corners in front of the camera
+        behind = np.array([[407.7, 172.7], [26.2, 10.6], [520.5, 584.2], [388.2, 466.9]])
+        not_finite = base.copy()
+        not_finite[2, 0] = np.nan
+        bad = [coincident, collinear, tiny, behind, not_finite]
+        corners = []
+        for k in range(12):
+            corners.append(_detect(_tilted_pose(rng)).corners)
+            if k < len(bad):
+                corners.append(bad[k])
+        dets = [Detection(0, 0, m, c) for m, c in enumerate(corners)]
+        poses = _batch(dets, {0: INTR})
+        assert np.bincount(poses.status, minlength=3).tolist() == [12, 4, 1]
+        for i, d in enumerate(dets):
+            _assert_row_is_own_call(poses, i, d, INTR)
+
+    def test_empty_batch(self):
+        poses = _batch([], {0: INTR})
+        assert poses.rotations.shape == (0, 2, 3, 3) and poses.status.shape == (0,)
 
 
 class TestAmbiguityRatio:
