@@ -65,7 +65,6 @@ def cmd_calibrate(args) -> int:
         tau_n=args.tau_n,
         ref_camera=args.ref_camera,
         ref_marker=args.ref_marker,
-        ambiguity_handling=not args.no_ambiguity,
         solver=_solver_options(args),
     )
     result, artifacts = calibrate(ds, config)
@@ -290,15 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-graph", default=None, metavar="PREFIX",
                    help="write PREFIX.cameras.dot / PREFIX.markers.dot")
     p.add_argument("--tau-ratio", type=float, default=2.0,
-                   help="pose ambiguity ratio threshold (default 2)")
+                   help="pose ambiguity ratio threshold (default 2; 1 keeps best poses only)")
     p.add_argument("--tau-n", type=float, default=10.0,
                    help="edge weight inflation for sparsely observed pairs")
     p.add_argument("--ref-camera", type=int, default=None,
                    help="gauge camera (default: lowest id seen)")
     p.add_argument("--ref-marker", type=int, default=None,
                    help="gauge marker (default: lowest id seen)")
-    p.add_argument("--no-ambiguity", action="store_true",
-                   help="ablation: keep only the best pose per detection")
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_calibrate)

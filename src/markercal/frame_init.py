@@ -2,11 +2,11 @@
 
 Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
-candidate marker poses T. A frame's proposals are formed as one PoseStack by
-object_poses, which the tracker's cold start uses too. The proposal that
-best agrees with the rest, by the same summed probe-point distance used for
-pairwise selection, becomes the frame's initial pose. That is the proposal
-whose probe-point images lie nearest their mean
+candidate marker poses T. object_poses forms them from the frame's rows of
+the candidate table as one PoseStack, for the tracker's cold start too. The
+proposal that best agrees with the rest, by the same summed probe-point
+distance used for pairwise selection, becomes the frame's initial pose:
+the proposal whose probe-point images lie nearest their mean
 (pairwise.argmin_summed_distance, O(n) per frame); ties go to the first
 minimum of the closed-form totals, so exact duplicates resolve to the lowest
 proposal index.
@@ -56,39 +56,27 @@ class Trajectory:
         return len(self.frames)
 
 
-def object_poses(cams: dict, markers: dict, views: list, poses: PoseStack) -> PoseStack:
-    """G = C_c * T * M_m^-1 for each (c, m) in `views` and row T of `poses`:
-    the object pose (reference marker to reference camera) implied by marker
-    m seen at pose T by camera c, given camera poses `cams` and marker poses
+def object_poses(cams: dict, markers: dict, table: CandidateSet) -> PoseStack:
+    """G = C_c * T * M_m^-1 for each pose T of the table, kept for a
+    detection of marker m by camera c: the object pose (reference marker to
+    reference camera) it implies, given camera poses `cams` and marker poses
     `markers`."""
+    views = np.repeat(table.keys[:, 1:], table.counts, axis=0).tolist()
     c = PoseStack.of([cams[c] for c, _ in views])
     m = PoseStack.of([markers[m] for _, m in views])
-    return compose_many(compose_many(c, poses), invert_many(m))
+    return compose_many(compose_many(c, table.poses), invert_many(m))
 
 
 def frame_candidates(
-    t: int,
-    candidate_sets: dict[tuple[int, int, int], CandidateSet],
-    cams: StructureEstimate,
-    markers: StructureEstimate,
+    t: int, table: CandidateSet, cams: StructureEstimate, markers: StructureEstimate
 ) -> FramePoseCandidates:
     """Object-pose proposals for frame t, one per candidate marker pose, in
     sorted (t, cam, marker) order."""
-    views, transforms = [], []
-    for (tt, c, m) in sorted(candidate_sets):
-        if tt != t:
-            continue
-        xi = candidate_sets[(tt, c, m)]
-        if len(xi) == 0:
-            continue
+    frame = table[slice(*np.searchsorted(table.keys[:, 0], [t, t + 1]))]
+    for _, c, m in frame.keys[frame.counts > 0].tolist():
         if c not in cams.poses or m not in markers.poses:
-            raise ValueError(
-                f"detection (t={tt}, cam={c}, marker={m}) outside the structure estimate"
-            )
-        views += [(c, m)] * len(xi)
-        transforms += xi.transforms
-    poses = PoseStack.of(transforms)
-    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, views, poses))
+            raise ValueError(f"detection (t={t}, cam={c}, marker={m}) outside the structure estimate")
+    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, frame))
 
 
 def select_frame_pose(c: FramePoseCandidates, probe: np.ndarray) -> RigidTransform:

@@ -37,6 +37,7 @@ from .geometry import (
 from .planar_pose import (
     POSE_OK,
     Detection,
+    candidate_set,
     corner_arrays,
     estimate_two_poses,  # noqa: F401  bound by name for perfbench/tracing.py
     planar_poses,
@@ -617,31 +618,27 @@ class FrameTracker:
         """Initial pose chosen by whole-frame cost.
 
         The planar poses of all detections come from one planar_poses call
-        over the frame's corners. Both solutions of every usable detection,
-        best before alt in sorted key order, are mapped into the gauge
-        (frame_init.object_poses) and scored in one reprojection of the
-        usable detections' corners under every proposal. The first proposal
-        of least finite cost wins; raises NoValidPose when there is none.
-        Scoring both solutions keeps an ambiguous first view from starting
-        the track in the flipped basin. `arrays` are the frame's
-        _frame_arrays, built here when not given.
+        over the frame's corners. Its candidate table (tau_e = inf) keeps
+        both solutions of every usable detection, best before alt in sorted
+        key order, which are mapped into the gauge (frame_init.object_poses)
+        and scored in one reprojection of the usable detections' corners
+        under every proposal. The first proposal of least finite cost wins;
+        raises NoValidPose when there is none. Scoring both solutions keeps
+        an ambiguous first view from starting the track in the flipped
+        basin. `arrays` are the frame's _frame_arrays, built here when not
+        given.
         """
         arrays = arrays if arrays is not None else self._frame_arrays(dets)
         poses = planar_poses(arrays[3], arrays[4], self.template)
-        usable = poses.status == POSE_OK
-        rows = [i for i in sorted(range(len(dets)), key=lambda i: dets[i].key) if usable[i]]
-        if not rows:
+        table = candidate_set(poses, [d.key for d in dets], math.inf)
+        if not len(table.poses):
             raise NoValidPose("no usable cold-start candidate in frame")
-        views = [(dets[i].cam, dets[i].marker) for i in rows for _ in range(2)]
-        proposals = object_poses(
-            self.cams, self.markers, views,
-            PoseStack(poses.rotations[rows], poses.translations[rows]),
-        )
+        proposals = object_poses(self.cams, self.markers, table)
         n = len(proposals)
         p_cam = self._camera_points(arrays, proposals.rotations, proposals.translations)
         obs, *cam = (np.concatenate([a] * n) for a in (arrays[3], *arrays[4]))
         r = _reproject(p_cam.reshape(-1, 4, 3), obs, tuple(cam), False)[0]
-        r = r.reshape(n, len(dets), 8)[:, usable].reshape(n, -1)
+        r = r.reshape(n, len(dets), 8)[:, poses.status == POSE_OK].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():

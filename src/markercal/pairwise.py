@@ -3,8 +3,8 @@
 Whenever two cameras see the same marker in the same frame, each pairing of
 their candidate poses yields one sample of the camera-to-camera transform
 (likewise for two markers seen by one camera). A collector forms all of its
-samples in one batched product over a stack of every candidate pose, and
-each pair keeps its samples as a PoseStack. Samples are never averaged: the
+samples in one batched product over the pose stack of the candidate table,
+and each pair keeps its samples as a PoseStack. Samples are never averaged: the
 one that best agrees with the rest, by summed squared distance over three
 probe points, is selected.
 
@@ -120,8 +120,8 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     return best, d_total
 
 
-def _collect_pairs(candidate_sets, member_slot: int) -> dict[PairKey, PairAccumulator]:
-    """Accumulate pair samples from candidate sets keyed by (t, cam, marker).
+def _collect_pairs(table: CandidateSet, member_slot: int) -> dict[PairKey, PairAccumulator]:
+    """Accumulate pair samples from the candidate table, keyed by (t, cam, marker).
 
     Slot `member_slot` of the key (1: camera, 2: marker) names the pair
     members; the frame and the other slot name the bridge they share. Every
@@ -129,18 +129,16 @@ def _collect_pairs(candidate_sets, member_slot: int) -> dict[PairKey, PairAccumu
     member-b-to-member-a transform per pairing of their candidate poses:
     T_a * T_b^-1 for cameras, with T_a's candidates outermost, and
     T_a^-1 * T_b for markers, with T_b's outermost. The pairings are listed
-    in (bridge, a < b, product) order as index pairs into one stack of all
-    candidate poses, composed in one batch, and split by pair in that order.
+    in (bridge, a < b, product) order as index pairs into the table's pose
+    stack, composed in one batch, and split by pair in that order.
     """
     kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
-    transforms: list[RigidTransform] = []
     by_bridge: dict[tuple[int, int], dict[int, range]] = {}
-    for key, xi in candidate_sets.items():
-        if len(xi) == 0:
-            continue
-        rows = range(len(transforms), len(transforms) + len(xi))
-        transforms.extend(xi.transforms)
-        by_bridge.setdefault((key[0], key[3 - member_slot]), {})[key[member_slot]] = rows
+    offsets = table.offsets.tolist()
+    for key, lo, hi in zip(table.keys.tolist(), offsets, offsets[1:]):
+        if hi > lo:
+            members = by_bridge.setdefault((key[0], key[3 - member_slot]), {})
+            members[key[member_slot]] = range(lo, hi)
 
     keys: dict[PairKey, int] = {}
     pairings, owner = [], []
@@ -151,7 +149,7 @@ def _collect_pairs(candidate_sets, member_slot: int) -> dict[PairKey, PairAccumu
             pairings += product(outer, inner)
             owner += [keys.setdefault(PairKey(a, b, kind), len(keys))] * (len(outer) * len(inner))
 
-    poses = PoseStack.of(transforms)
+    poses = table.poses
     outer, inner = np.array(pairings, dtype=np.int64).reshape(-1, 2).T
     if kind == CAMERA_PAIR:
         samples = compose_many(poses[outer], invert_many(poses[inner]))
@@ -165,26 +163,21 @@ def _collect_pairs(candidate_sets, member_slot: int) -> dict[PairKey, PairAccumu
     return accs
 
 
-def collect_camera_pairs(
-    candidate_sets: dict[tuple[int, int, int], CandidateSet],
-) -> dict[PairKey, PairAccumulator]:
-    """Accumulate camera-pair samples from per-detection candidate sets.
+def collect_camera_pairs(table: CandidateSet) -> dict[PairKey, PairAccumulator]:
+    """Accumulate camera-pair samples from the candidate table.
 
-    `candidate_sets` is keyed by (t, cam, marker). Every frame/marker bridge
-    seen by two cameras a < b contributes T_a * T_b^-1 (camera-b coordinates
-    to camera-a coordinates) for each pairing of the two candidate marker
-    poses: 1, 2 or 4 samples.
+    Every frame/marker bridge seen by two cameras a < b contributes
+    T_a * T_b^-1 (camera-b coordinates to camera-a coordinates) for each
+    pairing of the two candidate marker poses: 1, 2 or 4 samples.
     """
-    return _collect_pairs(candidate_sets, 1)
+    return _collect_pairs(table, 1)
 
 
-def collect_marker_pairs(
-    candidate_sets: dict[tuple[int, int, int], CandidateSet],
-) -> dict[PairKey, PairAccumulator]:
-    """Accumulate marker-pair samples from per-detection candidate sets.
+def collect_marker_pairs(table: CandidateSet) -> dict[PairKey, PairAccumulator]:
+    """Accumulate marker-pair samples from the candidate table.
 
     For the pair (a, b) with a < b every camera that sees both markers in a
     frame contributes T_a^-1 * T_b, which maps marker-b coordinates to
     marker-a coordinates, matching the graph edge convention.
     """
-    return _collect_pairs(candidate_sets, 2)
+    return _collect_pairs(table, 2)

@@ -60,18 +60,17 @@ class CalibrationConfig:
 
     tau_ratio gates the two-pose ambiguity test (a detection whose
     second-best reprojection error is less than tau_ratio times the best
-    keeps both poses). tau_n inflates graph edge weights for pairs seen
-    in fewer than tau_n samples. ref_camera and ref_marker fix the gauge;
-    they default to the lowest id present. ambiguity_handling=False is an
-    ablation switch: every detection then contributes only its best pose.
-    solver holds the LM iteration budget and stop threshold.
+    keeps both poses); ratios are at least 1, so tau_ratio=1 keeps only the
+    best pose of every detection. tau_n inflates graph edge weights for
+    pairs seen in fewer than tau_n samples. ref_camera and ref_marker fix
+    the gauge; they default to the lowest id present. solver holds the LM
+    iteration budget and stop threshold.
     """
 
     tau_ratio: float = 2.0
     tau_n: float = DEFAULT_TAU_N
     ref_camera: int | None = None
     ref_marker: int | None = None
-    ambiguity_handling: bool = True
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ class CalibrationConfig:
 class CalibrationArtifacts:
     """Intermediate products kept for diagnostics and graph export."""
 
-    candidate_sets: dict[tuple[int, int, int], CandidateSet]
+    candidates: CandidateSet
     camera_graph: PoseGraph
     marker_graph: PoseGraph
     camera_tree: list
@@ -95,18 +94,15 @@ class CalibrationArtifacts:
 
 def detection_candidates(
     dataset, config: CalibrationConfig = CalibrationConfig()
-) -> dict[tuple[int, int, int], CandidateSet]:
-    """Candidate marker-to-camera poses for every detection.
+) -> CandidateSet:
+    """The table of candidate marker-to-camera poses of every detection.
 
     Detections whose corners are degenerate or whose solutions all fall
-    behind the camera get an empty set and drop out of later stages.
+    behind the camera keep no pose and propose nothing to later stages.
     """
-    template = MarkerTemplate(dataset.marker_side)
-    # ratios are clamped to >= 1, so a threshold of 1 keeps only the best pose
-    tau = config.tau_ratio if config.ambiguity_handling else 1.0
     dets = dataset.detections
-    poses = planar_poses(*corner_arrays(dets, dataset.intrinsics), template)
-    return {d.key: candidate_set(poses.hypothesis(i), tau) for i, d in enumerate(dets)}
+    poses = planar_poses(*corner_arrays(dets, dataset.intrinsics), MarkerTemplate(dataset.marker_side))
+    return candidate_set(poses, [d.key for d in dets], config.tau_ratio)
 
 
 def _pick_reference(requested: int | None, vertices, kind: str) -> int:
@@ -136,7 +132,7 @@ def calibrate(
     """Full offline calibration from detections alone.
 
     Returns the refined result plus the intermediate artifacts (candidate
-    sets, co-observation graphs, spanning trees). Cameras and markers with
+    table, co-observation graphs, spanning trees). Cameras and markers with
     no usable detection (none at all, or only degenerate ones) are left out
     of the estimate. Raises NoValidPose when no detection is usable, and
     DisconnectedGraph when the remaining cameras (or markers) do not form
@@ -145,33 +141,25 @@ def calibrate(
     if not dataset.detections:
         raise ValidationError("dataset contains no detections")
 
-    candidate_sets = detection_candidates(dataset, config)
+    candidates = detection_candidates(dataset, config)
 
-    usable = [key for key, cset in candidate_sets.items() if len(cset)]
-    if not usable:
+    usable = candidates.keys[candidates.counts > 0]
+    if not len(usable):
         raise NoValidPose("no detection yields a usable pose")
-    cam_vertices = sorted({c for _, c, _ in usable})
-    marker_vertices = sorted({m for _, _, m in usable})
+    cam_vertices = sorted(set(usable[:, 1].tolist()))
+    marker_vertices = sorted(set(usable[:, 2].tolist()))
     ref_cam = _pick_reference(config.ref_camera, cam_vertices, "camera")
     ref_marker = _pick_reference(config.ref_marker, marker_vertices, "marker")
 
-    cam_pairs = collect_camera_pairs(candidate_sets)
-    marker_pairs = collect_marker_pairs(candidate_sets)
+    cam_pairs = collect_camera_pairs(candidates)
+    marker_pairs = collect_marker_pairs(candidates)
     cams, cam_graph, cam_tree = _structure_side(cam_pairs, config, cam_vertices, ref_cam)
     markers, marker_graph, marker_tree = _structure_side(
         marker_pairs, config, marker_vertices, ref_marker
     )
 
-    # Per-frame grouping first: frame_candidates scans the whole mapping it
-    # is handed, so feeding it one frame's slice keeps this stage linear.
-    per_frame: dict[int, dict] = {}
-    for key, cset in candidate_sets.items():
-        per_frame.setdefault(key[0], {})[key] = cset
     probe = probe_points(PROBE_SCALE)
-    frame_sets = [
-        frame_candidates(t, per_frame.get(t, {}), cams, markers)
-        for t in range(dataset.n_frames)
-    ]
+    frame_sets = [frame_candidates(t, candidates, cams, markers) for t in range(dataset.n_frames)]
     traj = build_trajectory(frame_sets, probe)
 
     init = CalibrationResult(
@@ -185,7 +173,7 @@ def calibrate(
         template=MarkerTemplate(dataset.marker_side),
     )
     artifacts = CalibrationArtifacts(
-        candidate_sets=candidate_sets,
+        candidates=candidates,
         camera_graph=cam_graph,
         marker_graph=marker_graph,
         camera_tree=cam_tree,

@@ -1,4 +1,5 @@
-"""Two-solution planar pose estimation for square markers, batched.
+"""Two-solution planar pose estimation for square markers, and the table of
+the pose candidates kept.
 
 A plane seen under perspective admits up to two physically plausible poses
 (the second is a reflection about the plane orthogonal to the viewing ray of
@@ -11,21 +12,25 @@ onto SO(3), the least-squares translations, and the RMS corner reprojection
 scores through `project_arrays`.
 
 Every row gets a status. POSE_OK rows carry both poses, best first.
-DEGENERATE_QUAD means coincident or collinear corners, an area of at most
-1 px^2 or a rank-deficient homography. NO_VALID_POSE means no solution lies
-in front of the camera, or the viewing geometry is degenerate. A row that
-fails a check gets a benign placeholder before the next LAPACK call, so one
-bad detection cannot poison its batch, and every row comes out exactly as
-its own one-row call would. `estimate_two_poses` is that one-row call; it
-raises DegenerateQuad or NoValidPose for the failing statuses.
+DEGENERATE_QUAD means a non-convex quad, coincident or collinear corners, an
+area of at most 1 px^2 or a rank-deficient homography. NO_VALID_POSE means
+no solution lies in front of the camera, or the viewing geometry is
+degenerate. A row that fails a check gets a benign placeholder before the
+next LAPACK call, so one bad detection cannot poison its batch, and every
+row comes out exactly as its own one-row call would. `estimate_two_poses` is
+that one-row call; it raises DegenerateQuad or NoValidPose for the failing
+statuses.
 
 The error ratio is the ambiguity measure: a ratio near 1 means the
-detection alone cannot tell the two poses apart.
+detection alone cannot tell the two poses apart. By it `candidate_set`
+keeps none, the best or both poses of each detection in one `CandidateSet`
+table, sorted by (t, cam, marker), from which pairwise voting, frame
+initialization and the tracker's cold start all read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .errors import DegenerateQuad, NoValidPose
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     project,  # noqa: F401  bound by name for perfbench/tracing.py
     project_arrays,
@@ -89,19 +95,43 @@ class PoseHypothesis:
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Zero, one or two marker-to-camera transforms kept for a detection."""
+    """The marker-to-camera poses kept for N detections, as one table.
 
-    transforms: tuple[RigidTransform, ...]
-    ratio: float | None = None
+    Row i is detection keys[i] = (t, cam, marker), keys sorted. Its counts[i]
+    poses (0, 1 or 2, best first) are poses[offsets[i]:offsets[i+1]].
+    """
+
+    keys: np.ndarray  # (N,3) int
+    counts: np.ndarray  # (N,) int
+    ratios: np.ndarray  # (N,) as PoseHypothesis.ratio, NaN without a pose
+    poses: PoseStack
+    offsets: np.ndarray = field(init=False, repr=False)  # (N+1,) into poses
 
     def __post_init__(self):
-        if len(self.transforms) > 2:
-            raise ValueError("at most two candidate transforms")
+        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 3)
+        counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
+        if (np.lexsort(keys.T[::-1]) != np.arange(len(keys))).any():
+            raise ValueError("candidate keys must be sorted")
+        if len(counts) != len(keys) or ((counts < 0) | (counts > 2)).any():
+            raise ValueError("every key needs a count of 0, 1 or 2")
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        if offsets[-1] != len(self.poses):
+            raise ValueError(f"counts sum to {offsets[-1]}, but {len(self.poses)} poses given")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=np.float64))
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
-        return len(self.transforms)
+        return len(self.keys)
+
+    def __getitem__(self, rows: slice) -> CandidateSet:
+        """The rows in a slice of step 1, as a table of their own."""
+        lo, hi, _ = rows.indices(len(self))
+        poses = self.poses[self.offsets[lo]:self.offsets[hi]]
+        return CandidateSet(self.keys[rows], self.counts[rows], self.ratios[rows], poses)
 
 
 @dataclass(frozen=True)
@@ -151,9 +181,9 @@ def _park(ok: np.ndarray, x: np.ndarray, benign) -> np.ndarray:
 
 
 def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
-    """(N,) rows with area <= 1 px^2, coincident or collinear corners.
-
-    Written so that non-finite corners count as degenerate too.
+    """(N,) rows with corner turns of mixed sign (non-convex, which no
+    square in front of a pinhole camera gives), area <= 1 px^2, coincident
+    or collinear corners. Non-finite corners count as degenerate too.
     """
     nxt = corners[:, _NEXT]
     u, w = nxt - corners, nxt[:, _NEXT] - corners
@@ -161,8 +191,9 @@ def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
     area = 0.5 * np.abs(np.sum(cross, axis=1))
     gap = corners[:, _PAIRS[0]] - corners[:, _PAIRS[1]]
     gap = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=1)
-    tri = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]).min(axis=1)
-    return ~((area > 1.0) & (gap >= 1e-9) & (tri >= 1e-9))
+    turn = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    convex = (turn >= 1e-9).all(axis=1) | (turn <= -1e-9).all(axis=1)
+    return ~((area > 1.0) & (gap >= 1e-9) & convex)
 
 
 def _normalization(pts: np.ndarray):
@@ -348,16 +379,19 @@ def estimate_two_poses(
     return poses.hypothesis(0)
 
 
-def candidate_set(h: PoseHypothesis | None, tau_e: float) -> CandidateSet:
-    """The transforms kept for downstream use: none, the best, or both.
+def candidate_set(poses: PlanarPoses, keys, tau_e: float) -> CandidateSet:
+    """The poses kept for downstream use, as one table sorted by key.
 
-    No detection gives the empty set; an unambiguous detection (ratio >=
-    tau_e) keeps only the best pose; an ambiguous one keeps both.
+    Row i of `poses` is detection keys[i] = (t, cam, marker). A row without
+    a pose keeps none, an unambiguous one (ratio >= tau_e) its best pose, an
+    ambiguous one both; tau_e = inf keeps both poses of every usable row.
     """
-    if tau_e < 1.0:
+    if not tau_e >= 1.0:
         raise ValueError(f"tau_e must be >= 1, got {tau_e}")
-    if h is None:
-        return CandidateSet(())
-    if h.ratio >= tau_e:
-        return CandidateSet((h.best,), h.ratio)
-    return CandidateSet((h.best, h.alt), h.ratio)
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort(keys.T[::-1])
+    ratios = poses.ratios[order]
+    counts = np.where(poses.status[order] == POSE_OK, np.where(ratios >= tau_e, 1, 2), 0)
+    rows, k = np.nonzero(np.arange(2) < counts[:, None])
+    stack = PoseStack(poses.rotations[order[rows], k], poses.translations[order[rows], k])
+    return CandidateSet(keys[order], counts, ratios, stack)

@@ -27,7 +27,13 @@ from markercal.geometry import (
     rotation_from_rvec,
 )
 from markercal.pairwise import PairKey, probe_points
-from markercal.planar_pose import CandidateSet, Detection, candidate_set, estimate_two_poses
+from markercal.planar_pose import (
+    CandidateSet,
+    Detection,
+    candidate_set,
+    corner_arrays,
+    planar_poses,
+)
 from markercal.structure_init import StructureEstimate
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
@@ -45,6 +51,13 @@ def _same(a: RigidTransform, b: RigidTransform) -> bool:
     )
 
 
+def _table(sets: dict) -> CandidateSet:
+    """The candidate table of {(t, cam, marker): (kept transforms, ...)}."""
+    keys = sorted(sets)
+    poses = PoseStack.of([p for key in keys for p in sets[key]])
+    return CandidateSet(keys, [len(sets[key]) for key in keys], np.full(len(keys), np.nan), poses)
+
+
 def _random_transform(rng, t_scale=0.5) -> RigidTransform:
     rvec = rng.normal(size=3)
     rvec *= rng.uniform(0.1, math.pi - 0.2) / np.linalg.norm(rvec)
@@ -55,7 +68,7 @@ class TestFrameCandidates:
     def test_reference_chain_collapses(self):
         rng = np.random.default_rng(163)
         t_pose = _random_transform(rng)
-        xi = {(0, 0, 0): CandidateSet((t_pose,), 5.0)}
+        xi = _table({(0, 0, 0): (t_pose,)})
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
         fc = frame_candidates(0, xi, cams, markers)
@@ -66,11 +79,11 @@ class TestFrameCandidates:
 
     def test_cardinality_three_cameras_two_markers(self):
         rng = np.random.default_rng(167)
-        xi = {
-            (0, c, m): CandidateSet((_random_transform(rng),), 5.0)
+        xi = _table({
+            (0, c, m): (_random_transform(rng),)
             for c in range(3)
             for m in range(2)
-        }
+        })
         cams = _structure({c: _random_transform(rng) for c in range(3)}, 0)
         markers = _structure({m: _random_transform(rng) for m in range(2)}, 0)
         fc = frame_candidates(0, xi, cams, markers)
@@ -78,7 +91,7 @@ class TestFrameCandidates:
 
     def test_ambiguous_detections_contribute_both(self):
         rng = np.random.default_rng(173)
-        xi = {(0, 0, 0): CandidateSet((_random_transform(rng), _random_transform(rng)), 1.2)}
+        xi = _table({(0, 0, 0): (_random_transform(rng), _random_transform(rng))})
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
         fc = frame_candidates(0, xi, cams, markers)
@@ -96,13 +109,14 @@ class TestFrameCandidates:
             1: RigidTransform(rotation_from_rvec([0.0, 0.9, 0.1]), [0.05, 0.0, 0.01]),
         }
         g_t = RigidTransform(rotation_from_rvec([0.3, -0.2, 0.1]), [0.02, 0.01, 0.9])
-        xi = {}
+        dets = []
         for c, cam_pose in cams.items():
             for m, marker_pose in markers.items():
                 t_mc = compose(compose(invert(cam_pose), g_t), marker_pose)
                 pix = project(t_mc.apply(TPL.corners), INTR)
-                h = estimate_two_poses(Detection(0, c, m, pix), INTR, TPL)
-                xi[(0, c, m)] = candidate_set(h, 2.0)
+                dets.append(Detection(0, c, m, pix))
+        poses = planar_poses(*corner_arrays(dets, {c: INTR for c in cams}), TPL)
+        xi = candidate_set(poses, [d.key for d in dets], 2.0)
         fc = frame_candidates(
             0, xi, _structure(cams, 0), _structure(markers, 0)
         )
@@ -118,15 +132,37 @@ class TestFrameCandidates:
         # detection's proposal is G, and an ambiguous one may carry the
         # mirror pose beside it
         row = 0
-        for key in sorted(xi):
-            n = len(xi[key])
+        for key, n in zip(xi.keys.tolist(), xi.counts.tolist()):
             hits = [reproduces_truth(fc.candidates[row + k]) for k in range(n)]
             assert all(hits) if n == 1 else any(hits), key
             row += n
         assert row == len(fc.candidates)
 
+    def test_takes_only_its_own_frame_from_the_table(self):
+        # frames 0 and 2 in one table, frame 1 absent: each frame's proposals
+        # equal those of a table holding that frame alone
+        rng = np.random.default_rng(181)
+        sets = {
+            (t, c, m): tuple(_random_transform(rng) for _ in range(1 + (c + m + t) % 2))
+            for t in (0, 2)
+            for c in range(2)
+            for m in range(2)
+        }
+        cams = _structure({c: _random_transform(rng) for c in range(2)}, 0)
+        markers = _structure({m: _random_transform(rng) for m in range(2)}, 0)
+        table = _table(sets)
+        assert len(frame_candidates(1, table, cams, markers).candidates) == 0
+        assert len(frame_candidates(3, table, cams, markers).candidates) == 0
+        for t in (0, 2):
+            own = _table({k: v for k, v in sets.items() if k[0] == t})
+            got = frame_candidates(t, table, cams, markers).candidates
+            expect = frame_candidates(t, own, cams, markers).candidates
+            assert len(got) == sum(len(v) for k, v in sets.items() if k[0] == t)
+            np.testing.assert_array_equal(got.rotations, expect.rotations)
+            np.testing.assert_array_equal(got.translations, expect.translations)
+
     def test_unknown_camera_rejected(self):
-        xi = {(0, 9, 0): CandidateSet((RigidTransform.identity(),), 5.0)}
+        xi = _table({(0, 9, 0): (RigidTransform.identity(),)})
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
         with pytest.raises(ValueError):

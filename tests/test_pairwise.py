@@ -33,7 +33,13 @@ from markercal.pairwise import (
     select_optimal,
     transform_distance,
 )
-from markercal.planar_pose import CandidateSet, Detection, candidate_set, estimate_two_poses
+from markercal.planar_pose import (
+    CandidateSet,
+    Detection,
+    candidate_set,
+    corner_arrays,
+    planar_poses,
+)
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 TPL = MarkerTemplate(side=0.04)
@@ -46,8 +52,11 @@ def _random_transform(rng, t_scale=1.0) -> RigidTransform:
     return RigidTransform(rotation_from_rvec(rvec), rng.uniform(-t_scale, t_scale, 3))
 
 
-def _xi(*transforms, ratio=None) -> CandidateSet:
-    return CandidateSet(tuple(transforms), ratio)
+def _table(sets: dict) -> CandidateSet:
+    """The candidate table of {(t, cam, marker): (kept transforms, ...)}."""
+    keys = sorted(sets)
+    poses = PoseStack.of([p for key in keys for p in sets[key]])
+    return CandidateSet(keys, [len(sets[key]) for key in keys], np.full(len(keys), np.nan), poses)
 
 
 def _detect_in_camera(world_from_marker, cam_from_world, t=0, cam=0, marker=0) -> Detection:
@@ -56,9 +65,11 @@ def _detect_in_camera(world_from_marker, cam_from_world, t=0, cam=0, marker=0) -
     return Detection(t=t, cam=cam, marker=marker, corners=pix)
 
 
-def _estimated_xi(world_from_marker, cam_from_world, tau=2.0, **kw) -> CandidateSet:
+def _estimated(world_from_marker, cam_from_world, tau=2.0, **kw) -> tuple[RigidTransform, ...]:
     det = _detect_in_camera(world_from_marker, cam_from_world, **kw)
-    return candidate_set(estimate_two_poses(det, INTR, TPL), tau)
+    poses = planar_poses(*corner_arrays([det], {det.cam: INTR}), TPL)
+    table = candidate_set(poses, [det.key], tau)
+    return tuple(table.poses[i] for i in range(len(table.poses)))
 
 
 class TestPairKey:
@@ -135,14 +146,14 @@ class TestCameraPairSamples:
         t1, t2, t3, t4 = (_random_transform(rng) for _ in range(4))
 
         def n_samples(xi_0, xi_1):
-            accs = collect_camera_pairs({(0, 0, 0): xi_0, (0, 1, 0): xi_1})
+            accs = collect_camera_pairs(_table({(0, 0, 0): xi_0, (0, 1, 0): xi_1}))
             return len(_only_samples(accs, PairKey(0, 1)))
 
-        assert n_samples(_xi(t1), _xi(t2)) == 1
-        assert n_samples(_xi(t1, t2), _xi(t3, t4)) == 4
-        assert n_samples(_xi(t1, t2), _xi(t3)) == 2
+        assert n_samples((t1,), (t2,)) == 1
+        assert n_samples((t1, t2), (t3, t4)) == 4
+        assert n_samples((t1, t2), (t3,)) == 2
         # an empty set bridges nothing
-        assert collect_camera_pairs({(0, 0, 0): _xi(), (0, 1, 0): _xi(t1)}) == {}
+        assert collect_camera_pairs(_table({(0, 0, 0): (), (0, 1, 0): (t1,)})) == {}
 
     def test_recovers_ground_truth_relative_pose(self):
         # two cameras a meter apart, a marker tilted enough for both views to
@@ -151,10 +162,10 @@ class TestCameraPairSamples:
         cam0 = RigidTransform(rotation_from_rvec([0.0, 0.25, 0.0]), [0.0, 0.0, 1.2])
         cam1 = RigidTransform(rotation_from_rvec([-0.1, -0.3, 0.05]), [-0.3, 0.05, 1.1])
         marker = RigidTransform(rotation_from_rvec([0.45, 0.2, 0.1]), [0.02, -0.03, 0.0])
-        xi0 = _estimated_xi(marker, cam0, cam=0)
-        xi1 = _estimated_xi(marker, cam1, cam=1)
+        xi0 = _estimated(marker, cam0, cam=0)
+        xi1 = _estimated(marker, cam1, cam=1)
         assert len(xi0) == 1 and len(xi1) == 1
-        accs = collect_camera_pairs({(0, 0, 0): xi0, (0, 1, 0): xi1})
+        accs = collect_camera_pairs(_table({(0, 0, 0): xi0, (0, 1, 0): xi1}))
         samples = _only_samples(accs, PairKey(0, 1))
         assert len(samples) == 1
         truth = compose(cam0, invert(cam1))  # camera-1 coords -> camera-0 coords
@@ -170,10 +181,10 @@ class TestMarkerPairSamples:
         cam = RigidTransform(rotation_from_rvec([0.0, 0.2, 0.0]), [0.0, 0.0, 1.0])
         m0 = RigidTransform(rotation_from_rvec([0.5, 0.1, 0.0]), [-0.05, 0.0, 0.0])
         m1 = RigidTransform(rotation_from_rvec([-0.4, 0.3, 0.1]), [0.06, 0.01, 0.02])
-        xi0 = _estimated_xi(m0, cam, marker=0)
-        xi1 = _estimated_xi(m1, cam, marker=1)
+        xi0 = _estimated(m0, cam, marker=0)
+        xi1 = _estimated(m1, cam, marker=1)
         assert len(xi0) == 1 and len(xi1) == 1
-        accs = collect_marker_pairs({(0, 0, 0): xi0, (0, 0, 1): xi1})
+        accs = collect_marker_pairs(_table({(0, 0, 0): xi0, (0, 0, 1): xi1}))
         samples = _only_samples(accs, self.KEY)
         assert len(samples) == 1
         truth = compose(invert(m0), m1)  # marker-1 coords -> marker-0 coords
@@ -187,10 +198,10 @@ class TestMarkerPairSamples:
         cam = RigidTransform(np.eye(3), [0.0, 0.0, 0.0])
         m0 = RigidTransform(np.eye(3), [-0.05, 0.0, 1.0])
         m1 = RigidTransform(np.eye(3), [0.06, 0.01, 1.0])
-        xi0 = _estimated_xi(m0, cam, marker=0, tau=1e14)
-        xi1 = _estimated_xi(m1, cam, marker=1, tau=1e14)
+        xi0 = _estimated(m0, cam, marker=0, tau=1e14)
+        xi1 = _estimated(m1, cam, marker=1, tau=1e14)
         assert len(xi0) == 2 and len(xi1) == 2
-        accs = collect_marker_pairs({(0, 0, 0): xi0, (0, 0, 1): xi1})
+        accs = collect_marker_pairs(_table({(0, 0, 0): xi0, (0, 0, 1): xi1}))
         samples = _only_samples(accs, self.KEY)
         assert len(samples) == 4
         truth = compose(invert(m0), m1)
@@ -350,12 +361,12 @@ class TestCollectors:
             for c, cam in cams.items():
                 for m, marker in markers.items():
                     world_from_marker = compose(wobble, marker)
-                    xi[(t, c, m)] = _estimated_xi(world_from_marker, cam, t=t, cam=c, marker=m)
+                    xi[(t, c, m)] = _estimated(world_from_marker, cam, t=t, cam=c, marker=m)
         return xi, cams, markers
 
     def test_camera_pairs_cover_all_pairs(self):
         xi, cams, markers = self._scene_candidate_sets()
-        accs = collect_camera_pairs(xi)
+        accs = collect_camera_pairs(_table(xi))
         assert set(accs) == {PairKey(0, 1), PairKey(0, 2), PairKey(1, 2)}
         for key, acc in accs.items():
             assert acc.key.kind == CAMERA_PAIR
@@ -368,7 +379,7 @@ class TestCollectors:
 
     def test_marker_pairs_store_b_to_a(self):
         xi, cams, markers = self._scene_candidate_sets()
-        accs = collect_marker_pairs(xi)
+        accs = collect_marker_pairs(_table(xi))
         assert set(accs) == {PairKey(0, 1, MARKER_PAIR)}
         acc = accs[PairKey(0, 1, MARKER_PAIR)]
         assert len(acc.samples) >= 9  # 3 frames x 3 cameras
@@ -383,14 +394,14 @@ class TestCollectors:
         rng = np.random.default_rng(149)
         for n, key in enumerate(sorted(xi)):
             if n % 3 == 0:
-                xi[key] = _xi(*xi[key].transforms, _random_transform(rng), ratio=1.5)
-        xi[(1, 2, 0)] = _xi()
+                xi[key] = (*xi[key], _random_transform(rng))
+        xi[(1, 2, 0)] = ()
         return xi
 
     @pytest.mark.parametrize("collect, slot", [(collect_camera_pairs, 1), (collect_marker_pairs, 2)])
     def test_batched_samples_match_per_pairing_reference(self, collect, slot):
         xi = self._with_ambiguous_sets()
-        accs = collect(xi)
+        accs = collect(_table(xi))
         ref = _reference_pairs(xi, slot)
         assert list(accs) == list(ref)
         for key, samples in ref.items():
@@ -413,7 +424,7 @@ def _reference_pairs(xi, member_slot) -> dict[PairKey, list[RigidTransform]]:
     for bridge in sorted(by_bridge):
         members = by_bridge[bridge]
         for a, b in combinations(sorted(members), 2):
-            xa, xb = members[a].transforms, members[b].transforms
+            xa, xb = members[a], members[b]
             if kind == CAMERA_PAIR:
                 samples = [compose(ta, invert(tb)) for ta, tb in product(xa, xb)]
             else:

@@ -29,12 +29,15 @@ def _dataset(**kwargs):
     return gt, Dataset(dets, intr, spec.marker_side, spec.n_frames)
 
 
+def _keys(table) -> set:
+    return {tuple(key) for key in table.keys.tolist()}
+
+
 class TestCalibrationConfig:
     def test_defaults(self):
         c = CalibrationConfig()
         assert c.tau_ratio == 2.0
         assert c.tau_n == 10.0
-        assert c.ambiguity_handling is True
         assert c.solver.max_iters == 10000
 
     @pytest.mark.parametrize(
@@ -55,29 +58,35 @@ class TestDetectionCandidates:
     def test_every_detection_gets_a_set(self):
         _, ds = _dataset(noise_sigma=0.2)
         sets = detection_candidates(ds)
-        assert set(sets) == {d.key for d in ds.detections}
-        assert all(len(s.transforms) >= 1 for s in sets.values())
+        assert _keys(sets) == {d.key for d in ds.detections}
+        assert (sets.counts >= 1).all()
 
     def test_ablation_keeps_single_pose(self):
+        # ratios are clamped to >= 1, so tau_ratio=1 keeps only the best pose
         _, ds = _dataset(noise_sigma=0.5)
-        sets = detection_candidates(ds, CalibrationConfig(ambiguity_handling=False))
-        assert all(len(s.transforms) == 1 for s in sets.values())
+        sets = detection_candidates(ds, CalibrationConfig(tau_ratio=1.0))
+        assert (sets.counts == 1).all()
         both = detection_candidates(ds, CalibrationConfig())
-        assert any(len(s.transforms) == 2 for s in both.values())
+        assert (both.counts == 2).any()
 
-    def test_ablation_equals_unit_threshold(self):
-        # ratios are clamped to >= 1, so tau_ratio=1 keeps exactly the best
-        # pose of every detection, which is what the ablation keeps
-        _, ds = _dataset(ambiguity_stress=True, noise_sigma=0.2)
-        assert any(len(s) == 2 for s in detection_candidates(ds).values())
-        off = detection_candidates(ds, CalibrationConfig(ambiguity_handling=False))
-        unit = detection_candidates(ds, CalibrationConfig(tau_ratio=1.0))
-        assert off.keys() == unit.keys()
-        for key, cset in off.items():
-            assert cset.ratio == unit[key].ratio
-            assert len(cset) == len(unit[key])
-            for a, b in zip(cset.transforms, unit[key].transforms):
-                np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
+    def test_input_order_does_not_matter(self, tmp_path):
+        _, ds = _dataset(ambiguity_stress=True, noise_sigma=0.3)
+        dets = list(ds.detections)
+        np.random.default_rng(5).shuffle(dets)
+        shuffled = Dataset(dets, ds.intrinsics, ds.marker_side, ds.n_frames)
+        assert [d.key for d in dets] != [d.key for d in ds.detections]
+        a, b = detection_candidates(ds), detection_candidates(shuffled)
+        assert (a.counts == 2).any()
+        for name in ("keys", "counts", "ratios", "offsets"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(a.poses.rotations, b.poses.rotations)
+        np.testing.assert_array_equal(a.poses.translations, b.poses.translations)
+        outputs = []
+        for side in (ds, shuffled):
+            path = tmp_path / "calibration.json"
+            save_calibration(calibrate(side)[0], path)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCalibrate:
@@ -107,7 +116,7 @@ class TestCalibrate:
     def test_artifacts_cover_all_detections(self):
         _, ds = _dataset()
         _, artifacts = calibrate(ds)
-        assert set(artifacts.candidate_sets) == {d.key for d in ds.detections}
+        assert _keys(artifacts.candidates) == {d.key for d in ds.detections}
         assert len(artifacts.camera_tree) == len(artifacts.camera_graph.vertices) - 1
         assert len(artifacts.marker_tree) == len(artifacts.marker_graph.vertices) - 1
 
@@ -208,7 +217,7 @@ class TestCalibrate:
 
     def test_ablation_still_runs(self):
         _, ds = _dataset(noise_sigma=0.3)
-        result, _ = calibrate(ds, CalibrationConfig(ambiguity_handling=False))
+        result, _ = calibrate(ds, CalibrationConfig(tau_ratio=1.0))
         assert np.isfinite(result.report.final_rms)
 
 

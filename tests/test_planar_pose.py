@@ -11,6 +11,7 @@ from markercal.errors import DegenerateQuad, NoValidPose
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     invert,
     compose,
@@ -24,6 +25,7 @@ from markercal.planar_pose import (
     POSE_OK,
     CandidateSet,
     Detection,
+    PlanarPoses,
     PoseHypothesis,
     SINGLE_SOLUTION_RATIO,
     ambiguity_ratio,
@@ -168,6 +170,19 @@ class TestEstimateTwoPoses:
         with pytest.raises(DegenerateQuad):
             estimate_two_poses(Detection(0, 0, 0, tiny), INTR, TPL)
 
+    def test_non_convex_quads_rejected(self):
+        # no square in front of a pinhole camera images to a non-convex quad;
+        # a homography still fits this one exactly, with poses whose RMS
+        # errors are about 185 px
+        dart = np.array([[100.0, 100.0], [200.0, 100.0], [130.0, 130.0], [100.0, 200.0]])
+        with pytest.raises(DegenerateQuad):
+            estimate_two_poses(Detection(0, 0, 0, dart), INTR, TPL)
+        # every rotation of the corner order, either winding
+        for quad in (dart, dart[::-1]):
+            for k in range(4):
+                poses = _batch([Detection(0, 0, 0, np.roll(quad, k, axis=0))], {0: INTR})
+                assert poses.status.tolist() == [DEGENERATE_QUAD]
+
 
 DISTORTED = CameraIntrinsics(
     fx=620.0, fy=615.0, cx=315.0, cy=245.0, dist=[-0.15, 0.03, 0.0012, -0.0009, 0.004],
@@ -226,11 +241,15 @@ class TestPlanarPosesBatch:
         coincident[1] = coincident[0]
         collinear = np.array([[0.0, 0.0], [100.0, 0.001], [200.0, 0.0], [300.0, 0.001]])
         tiny = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-        # no solution of this quad puts all four corners in front of the camera
+        # not convex, so degenerate
         behind = np.array([[407.7, 172.7], [26.2, 10.6], [520.5, 584.2], [388.2, 466.9]])
+        # convex, but no solution puts all four corners in front of the camera
+        convex_behind = np.array(
+            [[629.0, -519.4], [733.8, -445.6], [-198.6, 2095.3], [-955.1, 866.7]]
+        )
         not_finite = base.copy()
         not_finite[2, 0] = np.nan
-        bad = [coincident, collinear, tiny, behind, not_finite]
+        bad = [coincident, collinear, tiny, behind, not_finite, convex_behind]
         corners = []
         for k in range(12):
             corners.append(_detect(_tilted_pose(rng)).corners)
@@ -238,7 +257,7 @@ class TestPlanarPosesBatch:
                 corners.append(bad[k])
         dets = [Detection(0, 0, m, c) for m, c in enumerate(corners)]
         poses = _batch(dets, {0: INTR})
-        assert np.bincount(poses.status, minlength=3).tolist() == [12, 4, 1]
+        assert np.bincount(poses.status, minlength=3).tolist() == [12, 5, 1]
         for i, d in enumerate(dets):
             _assert_row_is_own_call(poses, i, d, INTR)
 
@@ -264,42 +283,98 @@ class TestAmbiguityRatio:
 class TestCandidateSet:
     def test_unambiguous_keeps_best_only(self):
         h = _hypothesis(ratio=2.5)
-        xi = candidate_set(h, tau_e=2.0)
-        assert len(xi) == 1
-        assert xi.transforms[0] is h.best
-        assert xi.ratio == 2.5
+        xi = _one_row(h, tau_e=2.0)
+        assert xi.counts.tolist() == [1] and len(xi.poses) == 1
+        assert _same(xi.poses[0], h.best)
+        assert xi.ratios[0] == 2.5
 
     def test_ambiguous_keeps_both(self):
         h = _hypothesis(ratio=1.3)
-        xi = candidate_set(h, tau_e=2.0)
-        assert len(xi) == 2
-        assert xi.transforms == (h.best, h.alt)
+        xi = _one_row(h, tau_e=2.0)
+        assert xi.counts.tolist() == [2] and len(xi.poses) == 2
+        assert _same(xi.poses[0], h.best) and _same(xi.poses[1], h.alt)
 
     def test_no_detection_gives_empty_set(self):
-        xi = candidate_set(None, tau_e=2.0)
-        assert len(xi) == 0
-        assert xi.ratio is None
+        xi = _one_row(None, tau_e=2.0)
+        assert xi.counts.tolist() == [0] and len(xi.poses) == 0
+        assert np.isnan(xi.ratios[0])
 
     def test_cardinality_rule_grid(self):
         for ratio in (1.0, 1.5, 1.999, 2.0, 2.5, 10.0, SINGLE_SOLUTION_RATIO):
             for tau in (1.0, 1.5, 2.0, 5.0):
-                n = len(candidate_set(_hypothesis(ratio=ratio), tau))
+                n = len(_one_row(_hypothesis(ratio=ratio), tau).poses)
                 assert n == (1 if ratio >= tau else 2)
+
+    def test_infinite_threshold_keeps_both_of_every_usable_row(self):
+        hs = [_hypothesis(2.5), None, _hypothesis(SINGLE_SOLUTION_RATIO)]
+        xi = candidate_set(_planar(hs), [(0, 0, m) for m in range(3)], math.inf)
+        assert xi.counts.tolist() == [2, 0, 2]
 
     def test_rejects_tau_below_one(self):
         with pytest.raises(ValueError):
-            candidate_set(None, tau_e=0.5)
+            _one_row(None, tau_e=0.5)
+
+    def test_rows_sorted_by_key_with_their_poses(self):
+        hs = [_hypothesis(r) for r in (1.2, 3.0, 1.5, 4.0)]
+        keys = [(1, 0, 0), (0, 2, 1), (0, 2, 0), (0, 0, 5)]
+        xi = candidate_set(_planar(hs), keys, 2.0)
+        assert xi.keys.tolist() == sorted(map(list, keys))
+        assert xi.counts.tolist() == [1, 2, 1, 2]
+        assert xi.ratios.tolist() == [4.0, 1.5, 3.0, 1.2]
+        kept = [hs[3].best, hs[2].best, hs[2].alt, hs[1].best, hs[0].best, hs[0].alt]
+        assert all(_same(xi.poses[i], t) for i, t in enumerate(kept))
+        tail = xi[1:3]
+        assert tail.keys.tolist() == [[0, 2, 0], [0, 2, 1]]
+        assert all(_same(tail.poses[i], t) for i, t in enumerate(kept[1:4]))
 
     def test_at_most_two_transforms(self):
-        t = RigidTransform.identity()
-        with pytest.raises(ValueError):
-            CandidateSet((t, t, t))
+        t = PoseStack.of([RigidTransform.identity()] * 3)
+        with pytest.raises(ValueError, match="count"):
+            CandidateSet([(0, 0, 0)], [3], [1.0], t)
+
+    def test_rejects_unsorted_keys(self):
+        t = PoseStack.of([RigidTransform.identity()] * 2)
+        with pytest.raises(ValueError, match="sorted"):
+            CandidateSet([(0, 1, 0), (0, 0, 5)], [1, 1], [3.0, 3.0], t)
+        with pytest.raises(ValueError, match="sorted"):
+            CandidateSet([(1, 0, 0), (0, 9, 9)], [1, 1], [3.0, 3.0], t)
+
+    def test_rejects_counts_not_matching_poses(self):
+        t = PoseStack.of([RigidTransform.identity()] * 2)
+        with pytest.raises(ValueError, match="sum"):
+            CandidateSet([(0, 0, 0), (0, 0, 1)], [1, 2], [3.0, 1.1], t)
+        with pytest.raises(ValueError, match="sum"):
+            CandidateSet([(0, 0, 0)], [1], [3.0], t)
+        with pytest.raises(ValueError, match="count"):
+            CandidateSet([(0, 0, 0)], [1, 1], [3.0], t)
 
 
 def _hypothesis(ratio: float) -> PoseHypothesis:
     best = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
     alt = RigidTransform(rotation_from_rvec([0.2, 0.0, 0.0]), [0.0, 0.0, 1.0])
     return PoseHypothesis(best, alt, 0.5, 0.5 * ratio, ratio)
+
+
+def _planar(hs: list) -> PlanarPoses:
+    """PlanarPoses rows holding the given hypotheses; None is a failed row."""
+    nan = np.full((2, 4, 4), np.nan)
+    mats = np.array([[h.best.as_matrix(), h.alt.as_matrix()] if h else nan for h in hs])
+    return PlanarPoses(
+        mats[:, :, :3, :3], mats[:, :, :3, 3],
+        np.array([[h.err_best, h.err_alt] if h else [np.nan] * 2 for h in hs]),
+        np.array([h.ratio if h else np.nan for h in hs]),
+        np.array([POSE_OK if h else DEGENERATE_QUAD for h in hs]),
+    )
+
+
+def _one_row(h: PoseHypothesis | None, tau_e: float) -> CandidateSet:
+    return candidate_set(_planar([h]), [(0, 0, 0)], tau_e)
+
+
+def _same(a: RigidTransform, b: RigidTransform) -> bool:
+    return np.array_equal(a.rotation, b.rotation) and np.array_equal(
+        a.translation, b.translation
+    )
 
 
 class TestDetection:
