@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoDetectionsInFrame
-from .geometry import PoseStack, RigidTransform, compose_many, invert_many
+from .geometry import IndexedPoses, PoseStack, RigidTransform, compose_many, invert_many
 from .pairwise import argmin_summed_distance
 from .planar_pose import CandidateSet
 from .structure_init import StructureEstimate
@@ -56,14 +56,14 @@ class Trajectory:
         return len(self.frames)
 
 
-def object_poses(cams: dict, markers: dict, table: CandidateSet) -> PoseStack:
+def object_poses(cams: IndexedPoses, markers: IndexedPoses, table: CandidateSet) -> PoseStack:
     """G = C_c * T * M_m^-1 for each pose T of the table, kept for a
     detection of marker m by camera c: the object pose (reference marker to
-    reference camera) it implies, given camera poses `cams` and marker poses
-    `markers`."""
-    views = np.repeat(table.keys[:, 1:], table.counts, axis=0).tolist()
-    c = PoseStack.of([cams[c] for c, _ in views])
-    m = PoseStack.of([markers[m] for _, m in views])
+    reference camera) it implies, given the stacked camera poses `cams` and
+    marker poses `markers`."""
+    views = np.repeat(table.keys[:, 1:], table.counts, axis=0)
+    c = cams.poses[cams.rows(views[:, 0])]
+    m = markers.poses[markers.rows(views[:, 1])]
     return compose_many(compose_many(c, table.poses), invert_many(m))
 
 
@@ -76,7 +76,7 @@ def frame_candidates(
     for _, c, m in frame.keys[frame.counts > 0].tolist():
         if c not in cams.poses or m not in markers.poses:
             raise ValueError(f"detection (t={t}, cam={c}, marker={m}) outside the structure estimate")
-    return FramePoseCandidates(t, object_poses(cams.poses, markers.poses, frame))
+    return FramePoseCandidates(t, object_poses(cams.stacked, markers.stacked, frame))
 
 
 def select_frame_pose(c: FramePoseCandidates, probe: np.ndarray) -> RigidTransform:

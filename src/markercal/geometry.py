@@ -142,6 +142,29 @@ class PoseStack:
         return PoseStack(self.rotations[idx], self.translations[idx])
 
 
+@dataclass(frozen=True)
+class IndexedPoses:
+    """Poses of sorted integer ids stacked once; `rows` finds ids by position."""
+
+    ids: np.ndarray  # (n,) sorted
+    poses: PoseStack
+
+    @staticmethod
+    def of(poses: dict[int, RigidTransform]) -> IndexedPoses:
+        ids = sorted(poses)
+        return IndexedPoses(np.array(ids, dtype=np.int64), PoseStack.of([poses[i] for i in ids]))
+
+    def rows(self, ids) -> np.ndarray:
+        """Positions of `ids` in the stack; KeyError for an id it does not hold."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, ids)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == ids[found]
+        if not found.all():
+            raise KeyError(f"ids {sorted(set(ids[~found].tolist()))} not held")
+        return pos
+
+
 def _compose(ra, ta, rb, tb):
     """Rotation and translation of (ra, ta) after (rb, tb), for one transform
     or a stack. Rotations that drift from orthonormal by more than
@@ -189,6 +212,19 @@ def rotation_from_rvec(rvec: np.ndarray) -> np.ndarray:
         return np.eye(3) + k + 0.5 * (k @ k)
     k /= theta
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+
+
+def rotations_from_rvecs(rvecs: np.ndarray) -> np.ndarray:
+    """(n,3,3) rotations of (n,3) rotation vectors: rotation_from_rvec batched."""
+    v = np.asarray(rvecs, dtype=np.float64)
+    theta = np.sqrt(np.einsum("ni,ni->n", v, v))
+    k = skew_many(v)
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    # I + sin(theta)/theta K + (1 - cos(theta))/theta^2 K^2; I + K + K^2/2 below 1e-8
+    a = np.where(small, 1.0, np.sin(theta) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(theta)) / safe**2)
+    return _EYE3 + a[:, None, None] * k + b[:, None, None] * np.matmul(k, k)
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
@@ -265,6 +301,17 @@ def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) ->
     if rot is None:
         rot = rotation_from_rvec(v)
     return (np.outer(v, v) + (rot.T - np.eye(3)) @ k) / theta_sq
+
+
+def rotation_jacobian_factors(rvecs: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """(n,3,3) rotation_jacobian_factor of (n,3) rvecs and their (n,3,3) rotations."""
+    v = np.asarray(rvecs, dtype=np.float64)
+    theta_sq = np.einsum("ni,ni->n", v, v)[:, None, None]
+    k = skew_many(v)
+    series = _EYE3 - 0.5 * k + np.matmul(k, k) / 6.0
+    closed = v[:, :, None] * v[:, None, :] + np.matmul(np.swapaxes(rots, -1, -2) - _EYE3, k)
+    small = theta_sq < 1e-6
+    return np.where(small, series, closed / np.where(small, 1.0, theta_sq))
 
 
 def _distort_normalized(a: np.ndarray, b: np.ndarray, dist: np.ndarray):

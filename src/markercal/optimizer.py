@@ -1,15 +1,20 @@
-"""Sparse Levenberg-Marquardt refinement and the per-frame tracking solver.
+"""Levenberg-Marquardt refinement by block elimination, and the per-frame
+tracking solver.
 
 The refinement minimizes the squared reprojection error of every observed
 corner over all camera poses, marker poses and frame poses at once. Each
 transform is parameterized by a 6-vector (Rodrigues rotation plus
 translation); the reference camera and reference marker are pinned to the
 identity so the problem has no free gauge directions. The Jacobian is
-analytic and sparse: a residual row only touches the parameter blocks of its
-own camera, marker and frame. Its CSR sparsity pattern is fixed by the
-detections and built once. Tracking runs the same LM loop over one frame's
-six parameters with a dense Jacobian; both evaluate residuals and Jacobians
-through one reprojection kernel (`_reproject`, `_pose_block`, `_frame_block`).
+analytic and kept as one (8,18) block per observation: a detection's eight
+residuals touch only its own camera, marker and frame. The normal equations
+are summed from these blocks, and since each frame pose couples only to its
+own 6x6 diagonal block, the frames are eliminated (Schur complement, Triggs
+et al., "Bundle Adjustment - A Modern Synthesis", 2000, sec. 6.1) and only
+the dense camera-and-marker system of size 6 (C + M - 2) is solved.
+Tracking runs the same LM loop over one frame's six parameters with a dense
+Jacobian; both evaluate residuals and Jacobians through one reprojection
+kernel (`_reproject`, `_frame_block`).
 """
 
 from __future__ import annotations
@@ -18,19 +23,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401  bound by name for perfbench/tracing.py
 
 from .errors import NoValidPose, NumericalFailure
 from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
 from .geometry import (
     CameraIntrinsics,
+    IndexedPoses,
     MarkerTemplate,
     PoseStack,
     RigidTransform,
     project_arrays,
     rotation_from_rvec,
     rotation_jacobian_factor,
+    rotation_jacobian_factors,
+    rotations_from_rvecs,
     rvec_from_rotation,
     skew_many,
 )
@@ -45,6 +52,7 @@ from .planar_pose import (
 from .structure_init import StructureEstimate
 
 BEHIND_RESIDUAL = 1e6  # px, replaces residuals of points behind the camera
+_EYE6 = np.eye(6)
 
 # below this mean absolute residual (px) the fit counts as numerically exact
 _ZERO_RESIDUAL_FLOOR = 1e-12
@@ -177,9 +185,115 @@ def unpack_params(x: np.ndarray, layout: ParamLayout):
 
 
 @dataclass(frozen=True)
+class _BlockPattern:
+    """Where the (8,18) camera|marker|frame block of each observation sits.
+
+    `cols` (N,18) is the parameter column of each block column, -1 for the
+    columns of a reference camera or marker, which own no parameters.
+    `h_index` (N,18,18) places each block's J^T J into one flat array by
+    np.bincount: the (S+1, S+1) camera/marker part A, then the (S+1, 6F)
+    camera/marker x frame part W, then the (F,6,6) frame blocks V, then one
+    slot for the frame x camera/marker half (W^T again). Row and column S
+    take the reference columns and are cut off; so is the gradient's slot P.
+    """
+
+    cols: np.ndarray
+    n_struct: int  # S, the camera and marker parameters, 6 (C + M - 2)
+    n_params: int  # P
+    h_index: np.ndarray
+    g_index: np.ndarray  # (N,18) into the (P+1,) gradient
+
+    @staticmethod
+    def build(cols: np.ndarray, n_struct: int, n_params: int) -> _BlockPattern:
+        s1, n_frame = n_struct + 1, n_params - n_struct
+        sc = np.where(cols[:, :12] < 0, n_struct, cols[:, :12])
+        fc = cols[:, 12:] - n_struct  # 6 * frame + coordinate
+        h_index = np.empty((len(cols), 18, 18), dtype=np.int64)
+        h_index[:, :12, :12] = sc[:, :, None] * s1 + sc[:, None, :]
+        h_index[:, :12, 12:] = s1 * s1 + sc[:, :, None] * n_frame + fc[:, None, :]
+        h_index[:, 12:, 12:] = s1 * (s1 + n_frame) + 6 * fc[:, :, None] + np.arange(6)
+        h_index[:, 12:, :12] = s1 * (s1 + n_frame) + 6 * n_frame
+        return _BlockPattern(
+            cols, n_struct, n_params, h_index, np.where(cols < 0, n_params, cols)
+        )
+
+
+@dataclass(frozen=True)
+class SchurNormal:
+    """Normal equations J^T J = [[A, W], [W^T, V]] and J^T r = [g_s, g_f] of
+    the refinement: A over the camera and marker parameters, V the
+    block-diagonal frame part as (F,6,6) blocks."""
+
+    a: np.ndarray  # (S,S)
+    w: np.ndarray  # (S,6F)
+    v: np.ndarray  # (F,6,6)
+    g_s: np.ndarray  # (S,)
+    g_f: np.ndarray  # (6F,)
+
+    def solve(self, lam: float) -> np.ndarray:
+        """Step d of (J^T J + lam I) d = -J^T r by the Schur complement.
+
+        The damped frame blocks are inverted as one batch, the reduced
+        (A + lam I - W V^-1 W^T) d_s = W V^-1 g_f - g_s is solved dense, and
+        d_f = -V^-1 (g_f + W^T d_s) is back-substituted per frame. Raises
+        LinAlgError when a block or the reduced system is singular.
+        """
+        n_s, n_f = self.w.shape[0], len(self.v)
+        v_inv = np.linalg.inv(self.v + lam * _EYE6)
+        w3 = self.w.reshape(n_s, n_f, 6).transpose(1, 0, 2)  # (F,S,6)
+        y = np.matmul(w3, v_inv).transpose(1, 0, 2).reshape(self.w.shape)  # W V^-1
+        reduced = self.a + lam * np.eye(n_s) - y @ self.w.T
+        d_s = np.linalg.solve(reduced, y @ self.g_f - self.g_s)
+        rhs = (self.g_f + d_s @ self.w).reshape(n_f, 6, 1)
+        return np.concatenate([d_s, -np.matmul(v_inv, rhs).reshape(-1)])
+
+
+class BlockJacobian:
+    """The refinement Jacobian as one (8,18) block per observation: the
+    derivatives of its 8 residuals by its camera, marker and frame twists.
+
+    `cols` (N,18) maps block columns to parameter columns (-1 for a
+    reference camera or marker). `normal(r)` sums the normal equations
+    blockwise and `toarray()` builds the dense (8N, P) matrix.
+    """
+
+    def __init__(self, blocks: np.ndarray, pattern: _BlockPattern):
+        self.blocks = blocks  # (N,8,18)
+        self._pattern = pattern
+        self.cols = pattern.cols
+        self.shape = (8 * len(blocks), pattern.n_params)
+
+    def toarray(self) -> np.ndarray:
+        n, n_params = len(self.blocks), self.shape[1]
+        dense = np.zeros((n, 8, n_params + 1))  # the last column takes reference columns
+        cols = np.where(self.cols < 0, n_params, self.cols)
+        dense[np.arange(n)[:, None, None], np.arange(8)[:, None], cols[:, None, :]] = self.blocks
+        return dense[..., :n_params].reshape(self.shape)
+
+    def normal(self, r: np.ndarray) -> SchurNormal:
+        """J^T J and J^T r summed from per-observation block products."""
+        p = self._pattern
+        n_s, s1 = p.n_struct, p.n_struct + 1
+        n_f = p.n_params - n_s
+        jt = np.swapaxes(self.blocks, 1, 2)
+        h = np.bincount(
+            p.h_index.ravel(), np.matmul(jt, self.blocks).ravel(), s1 * (s1 + n_f) + 6 * n_f + 1
+        )
+        g = np.bincount(p.g_index.ravel(), np.matmul(jt, r.reshape(-1, 8, 1)).ravel(), p.n_params + 1)
+        a_end, w_end = s1 * s1, s1 * (s1 + n_f)
+        return SchurNormal(
+            h[:a_end].reshape(s1, s1)[:n_s, :n_s],
+            h[a_end:w_end].reshape(s1, n_f)[:n_s],
+            h[w_end:-1].reshape(-1, 6, 6),
+            g[:n_s],
+            g[n_s:-1],
+        )
+
+
+@dataclass(frozen=True)
 class ResidualSystem:
     residuals: np.ndarray  # (8 * n_obs,) predicted - observed, px
-    jacobian: sparse.csr_matrix | np.ndarray  # sparse or dense; rows align with residuals
+    jacobian: BlockJacobian | np.ndarray  # refinement blocks or the tracker's dense (8K,6)
 
 
 def _reproject(p_cam: np.ndarray, obs: np.ndarray, cam: tuple, want_jacobian: bool):
@@ -199,22 +313,22 @@ def _reproject(p_cam: np.ndarray, obs: np.ndarray, cam: tuple, want_jacobian: bo
     return res.reshape(-1), np.where(front[:, None, None], pixjac, 0.0).reshape(-1, 4, 2, 3)
 
 
-def _pose_block(pj: np.ndarray, rot_part: np.ndarray, trans_part: np.ndarray) -> np.ndarray:
-    """(K,4,2,6) residual derivative of a pose twist from d p_cam / d (rvec, tvec)."""
+def _frame_block(pj, rct, rct_rg, sk_y, s_frame) -> np.ndarray:
+    """(K,4,2,6) residual derivative by the frame twist, from the pixel
+    Jacobian pj and d p_cam / d (rvec, tvec); s_frame is (K,3,3) or (1,3,3)."""
+    rot_part = -np.matmul(np.matmul(rct_rg[:, None], sk_y), s_frame[:, None])
+    trans_part = np.broadcast_to(rct[:, None], sk_y.shape)
     return np.concatenate([np.matmul(pj, rot_part), np.matmul(pj, trans_part)], axis=-1)
 
 
-def _frame_block(pj, rct, rct_rg, sk_y, s_frame) -> np.ndarray:
-    """(K,4,2,6) derivative for the frame pose; s_frame is (K,3,3) or (1,3,3)."""
-    rot_part = -np.matmul(np.matmul(rct_rg[:, None], sk_y), s_frame[:, None])
-    return _pose_block(pj, rot_part, np.broadcast_to(rct[:, None], sk_y.shape))
-
-
 class ResidualBuilder:
-    """Vectorized residual and sparse-Jacobian assembly over all detections.
+    """Vectorized residual and block-Jacobian assembly over all detections.
 
     Observation order is fixed to sorted (t, cam, marker); each observation
     contributes 8 consecutive residual scalars (x and y of 4 corners).
+    Poses are read from one table of rotations and translations: with a
+    layout, row 0 is the identity of the reference camera and marker and
+    row 1 + k holds the k-th 6-block of the parameter vector.
     """
 
     def __init__(
@@ -250,31 +364,24 @@ class ResidualBuilder:
                     raise ValueError(f"detection for marker {d.marker} outside the layout")
                 if d.t not in layout.frame_offsets:
                     raise ValueError(f"detection at frame {d.t} outside the layout")
-            # CSR pattern of the (N,4,2,18) camera|marker|frame blocks: each
-            # row keeps the columns of its non-reference entities and of its
-            # frame, in ascending (layout) order
+            # camera, marker and frame offset of each observation; -6 for a reference
             offsets = np.array(
                 [
-                    (layout.camera_offsets.get(d.cam, -1),
-                     layout.marker_offsets.get(d.marker, -1),
+                    (layout.camera_offsets.get(d.cam, -6),
+                     layout.marker_offsets.get(d.marker, -6),
                      layout.frame_offsets[d.t])
                     for d in dets
                 ],
                 dtype=np.int64,
             ).reshape(-1, 3)
-            shape = (self.n_obs, 4, 2, 18)
-            cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)  # (N,18)
-            keep = np.broadcast_to(np.repeat(offsets >= 0, 6, axis=1)[:, None, None], shape)
-            self._jac_keep = keep = keep.copy()
-            indices = np.broadcast_to(cols[:, None, None], shape)[keep]
-            indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=-1))))
-            # one construction up front lets scipy pick the index dtype once
-            pattern = sparse.csr_matrix(
-                (np.zeros(indices.size), indices, indptr), shape=(8 * self.n_obs, layout.total)
+            self._rows = offsets // 6 + 1
+            cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
+            n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
+            self._pattern = _BlockPattern.build(
+                np.where(cols < 0, -1, cols), n_struct, layout.total
             )
-            self._jac_indices, self._jac_indptr = pattern.indices, pattern.indptr
         self.obs_pix, self._cam4 = corner_arrays(dets, intrinsics)
-        self._sk_u = skew_many(template.corners)  # (4,3,3)
+        self._u8 = np.repeat(template.corners, 2, axis=0)  # each corner's x and y row
 
     def residuals_from_poses(
         self,
@@ -282,88 +389,80 @@ class ResidualBuilder:
         markers: dict[int, RigidTransform],
         frames: dict[int, RigidTransform],
     ) -> np.ndarray:
-        r, *_ = self._assemble_core(cams, markers, frames, want_jacobian=False)
-        return r
+        table = PoseStack.of(
+            [cams[c] for c in self.cam_ids]
+            + [markers[m] for m in self.marker_ids]
+            + [frames[t] for t in self.frame_ids]
+        )
+        n_c, n_m = len(self.cam_ids), len(self.marker_ids)
+        rows = np.stack([self.i_cam, n_c + self.i_marker, n_c + n_m + self.i_frame], axis=1)
+        return self._assemble_core(table.rotations, table.translations, rows, False)[0]
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        cams, markers, frames = unpack_params(x, self._require_layout())
-        return self.residuals_from_poses(cams, markers, frames)
+        _, rot, trans = self._pose_table(x)
+        return self._assemble_core(rot, trans, self._rows, want_jacobian=False)[0]
 
-    def _require_layout(self) -> ParamLayout:
+    def _pose_table(self, x: np.ndarray):
+        """x's (K,6) blocks, and rotations (K+1,3,3) and translations (K+1,3)
+        with the reference identity in row 0."""
         if self.layout is None:
             raise ValueError("builder constructed without a parameter layout")
-        return self.layout
+        blocks = x.reshape(-1, 6)
+        rot = np.concatenate([np.eye(3)[None], rotations_from_rvecs(blocks[:, :3])])
+        trans = np.concatenate([np.zeros((1, 3)), blocks[:, 3:]])
+        return blocks, rot, trans
 
     # -- assembly -----------------------------------------------------------
 
-    def _assemble_core(self, cams, markers, frames, want_jacobian: bool):
+    def _assemble_core(self, rot, trans, rows, want_jacobian: bool):
         # one row per observation
-        cam = PoseStack.of([cams[c] for c in self.cam_ids])[self.i_cam]
-        marker = PoseStack.of([markers[m] for m in self.marker_ids])[self.i_marker]
-        frame = PoseStack.of([frames[t] for t in self.frame_ids])[self.i_frame]
-        rc, tc = cam.rotations, cam.translations  # (N,3,3), (N,3)
-        rm, tm = marker.rotations, marker.translations
-        rg, tg = frame.rotations, frame.translations
+        rc, tc = rot[rows[:, 0]], trans[rows[:, 0]]  # (N,3,3), (N,3)
+        rm, tm = rot[rows[:, 1]], trans[rows[:, 1]]
+        rg, tg = rot[rows[:, 2]], trans[rows[:, 2]]
 
         u = self.template.corners  # (4,3)
-        y = np.einsum("nij,lj->nli", rm, u) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
-        w = np.einsum("nij,nlj->nli", rg, y) + tg[:, None, :]  # in ref-camera frame
+        y = np.matmul(u, rm.transpose(0, 2, 1)) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
+        w = np.matmul(y, rg.transpose(0, 2, 1)) + tg[:, None, :]  # in ref-camera frame
         a = w - tc[:, None, :]
-        p_cam = np.einsum("nji,nlj->nli", rc, a)  # R_c^T (w - t_c)
+        p_cam = np.matmul(a, rc)  # R_c^T (w - t_c)
 
         r, pj = _reproject(p_cam, self.obs_pix, self._cam4, want_jacobian)
         return r, (rc, rg, rm, y, a, pj)
 
     def system(self, x: np.ndarray) -> ResidualSystem:
-        layout = self._require_layout()
-        cams, markers, frames = unpack_params(x, layout)
-        r, (rc, rg, rm, y, a, pj) = self._assemble_core(
-            cams, markers, frames, want_jacobian=True
-        )
-        n = self.n_obs
+        blocks, rot, trans = self._pose_table(x)
+        r, (rc, rg, rm, y, a, pj) = self._assemble_core(rot, trans, self._rows, True)
 
-        # per-entity Rodrigues derivative factors, gathered per observation
-        s_cam = self._factor_table(x, layout.camera_offsets, self.cam_ids, self.i_cam, negate=True)
-        s_marker = self._factor_table(x, layout.marker_offsets, self.marker_ids, self.i_marker, negate=False)
-        s_frame = self._factor_table(x, layout.frame_offsets, self.frame_ids, self.i_frame, negate=False)
+        # Rodrigues factors of every block, a camera's taken at -rvec (whose
+        # rotation is R_c^T) since p_cam = R(-r_c) a; row 0 (references)
+        # only fills columns that the pattern drops
+        n_cam = len(self.layout.camera_ids)
+        rvecs, rots = blocks[:, :3].copy(), rot[1:].copy()
+        rvecs[:n_cam] *= -1.0
+        rots[:n_cam] = rots[:n_cam].transpose(0, 2, 1)
+        factors = np.concatenate([np.zeros((1, 3, 3)), rotation_jacobian_factors(rvecs, rots)])
+        s_cam, s_marker, s_frame = (factors[i] for i in self._rows.T)
 
-        rct = rc.transpose(0, 2, 1)
-        rct_rg = np.matmul(rct, rg)
-        rct_rg_rm = np.matmul(rct_rg, rm)
-        sk_a = skew_many(a)  # (N,4,3,3)
-
-        # d p_cam / d (rvec, tvec) per block, chained with the pixel jacobian;
-        # camera block: p_cam = R(-r_c) a, so the sign works out positive
-        cam_block = _pose_block(
-            pj,
-            np.matmul(np.matmul(rct[:, None], sk_a), s_cam[:, None]),
-            np.broadcast_to(-rct[:, None], sk_a.shape),
-        )
-        marker_block = _pose_block(
-            pj,
-            -np.matmul(np.matmul(rct_rg_rm[:, None], self._sk_u[None]), s_marker[:, None]),
-            np.broadcast_to(rct_rg[:, None], (n, 4, 3, 3)),
-        )
-        frame_block = _frame_block(pj, rct, rct_rg, skew_many(y), s_frame)
-        data = np.concatenate([cam_block, marker_block, frame_block], axis=-1)[self._jac_keep]
-        # shares the pattern arrays, so callers must not modify it in place
-        jac = sparse.csr_matrix(
-            (data, self._jac_indices, self._jac_indptr), shape=(8 * n, layout.total)
-        )
-        return ResidualSystem(r, jac)
-
-    def _factor_table(self, x, offsets, ids, idx, negate: bool):
-        """(N,3,3) gathered S factors; zero rows for reference entities.
-
-        Zero reference rows only ever multiply blocks that the keep mask
-        discards, so they never reach the Jacobian.
-        """
-        table = np.zeros((len(ids), 3, 3))
-        for k, i in enumerate(ids):
-            if i in offsets:
-                rvec = x[offsets[i] : offsets[i] + 3]
-                table[k] = rotation_jacobian_factor(-rvec if negate else rvec)
-        return table[idx]
+        # pixel derivatives by the corner in the reference-camera frame (dw),
+        # the reference-marker frame (dy) and the marker frame (du), one row
+        # per residual; a twist's rotation block is that row crossed with the
+        # point it rotates, times the Rodrigues factor (v^T [p]x = (v x p)^T);
+        # camera: p_cam = R(-r_c) a, so its sign works out positive
+        dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1))  # (N,8,3)
+        dy = np.matmul(dw, rg)
+        du = np.matmul(dy, rm)
+        jac = np.concatenate(
+            [
+                np.matmul(np.cross(dw, np.repeat(a, 2, axis=1)), s_cam),
+                -dw,
+                -np.matmul(np.cross(du, self._u8), s_marker),
+                dy,
+                -np.matmul(np.cross(dy, np.repeat(y, 2, axis=1)), s_frame),
+                dw,
+            ],
+            axis=-1,
+        )  # (N,8,18)
+        return ResidualSystem(r, BlockJacobian(jac, self._pattern))
 
     def per_frame_rms(self, residuals: np.ndarray) -> dict[int, float]:
         sq = (residuals.reshape(self.n_obs, 8) ** 2).sum(axis=1)
@@ -397,10 +496,9 @@ def global_cost(
 
 def _canonical_rotations(x: np.ndarray) -> np.ndarray:
     """Re-map, in place, every rotation block that drifted past pi to [0, pi]."""
-    for off in range(0, x.size, 6):
-        rvec = x[off : off + 3]
-        if float(rvec @ rvec) > math.pi ** 2:
-            x[off : off + 3] = rvec_from_rotation(rotation_from_rvec(rvec))
+    rvecs = x.reshape(-1, 6)[:, :3]
+    for i in np.flatnonzero(np.einsum("ij,ij->i", rvecs, rvecs) > math.pi ** 2):
+        rvecs[i] = rvec_from_rotation(rotation_from_rvec(rvecs[i]))
     return x
 
 
@@ -415,11 +513,14 @@ def lm_minimize(
 
     `initial` is a vector of 6-blocks (Rodrigues rotation, translation) and
     `builder` provides system(x) -> ResidualSystem and residuals(x). The
-    damped solve follows the Jacobian's type: spsolve for a scipy sparse
-    matrix, np.linalg.solve for a dense ndarray. A step is accepted only if
-    the cost strictly decreases; lambda shrinks on accept and grows on
-    reject, and every accepted x has its rotations re-mapped to angles in
-    [0, pi]. Terminates on the iteration budget, on mean absolute
+    damped solve follows the Jacobian's type: a BlockJacobian's normal
+    equations are solved by the Schur complement over its frame blocks
+    (SchurNormal.solve), a dense ndarray's by np.linalg.solve. The normal
+    equations are formed once per Jacobian; a rejected step redoes only the
+    damped solve. A step is accepted only if the cost strictly decreases;
+    lambda shrinks on accept and grows on reject (and on a singular or
+    non-finite solve), and every accepted x has its rotations re-mapped to
+    angles in [0, pi]. Terminates on the iteration budget, on mean absolute
     improvement below opts.min_improve, on lambda passing MAX_LAMBDA, or on
     a numerically zero residual.
     """
@@ -443,16 +544,13 @@ def lm_minimize(
     if mean_abs < _ZERO_RESIDUAL_FLOOR:
         reason = REASON_ZERO_RESIDUAL
     else:
-        dense = isinstance(jac, np.ndarray)
-        eye = np.eye(x.size) if dense else sparse.identity(x.size, format="csc")
         done = False
         while not done and iters < opts.max_iters:
-            jtj = jac.T @ jac if dense else (jac.T @ jac).tocsc()
-            jtr = jac.T @ r
+            normal = jac.normal(r) if isinstance(jac, BlockJacobian) else _DenseNormal(jac, r)
             stepped = False
             while iters < opts.max_iters:
                 iters += 1
-                step = _solve_damped(jtj, eye, jtr, lam)
+                step = _solve_damped(normal, lam)
                 if step is None:
                     if lam >= MAX_LAMBDA:
                         raise NumericalFailure(
@@ -498,11 +596,22 @@ def lm_minimize(
     return x, report
 
 
-def _solve_damped(jtj, eye, jtr, lam):
-    solve = np.linalg.solve if isinstance(jtj, np.ndarray) else spsolve
+class _DenseNormal:
+    """J^T J and J^T r of a dense Jacobian, solved whole."""
+
+    def __init__(self, jac: np.ndarray, r: np.ndarray):
+        self.jtj, self.jtr = jac.T @ jac, jac.T @ r
+        self._eye = np.eye(len(self.jtr))
+
+    def solve(self, lam: float) -> np.ndarray:
+        return np.linalg.solve(self.jtj + lam * self._eye, -self.jtr)
+
+
+def _solve_damped(normal, lam):
+    """The damped step, or None when the solve is singular or not finite."""
     try:
-        step = solve(jtj + lam * eye, -jtr)
-    except (RuntimeError, np.linalg.LinAlgError):
+        step = normal.solve(lam)
+    except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(step)):
         return None
@@ -521,7 +630,7 @@ def refine_all(
     Reference camera and reference marker stay exactly identity. Untracked
     frames pass through unchanged. Detections of untracked frames, cameras or
     markers outside the estimate stay out of the cost, and the report counts
-    them; in calibrate() those are detections with no usable pose candidate.
+    them; calibrate() hands in only detections with a pose candidate.
     """
     tpl = template if template is not None else MarkerTemplate(init.marker_side)
     tracked = {t: pose for t, pose in init.traj.tracked_items()}
@@ -584,19 +693,21 @@ class FrameTracker:
         self.markers = markers
         self.intrinsics = intrinsics
         self.template = template
-        # per camera: R_c^T and R_c^T t_c; per marker: template corners in the
-        # reference-marker frame
-        self._rct = {c: p.rotation.T.copy() for c, p in cams.items()}
-        self._rct_tc = {c: self._rct[c] @ p.translation for c, p in cams.items()}
-        self._y = {m: p.apply(template.corners) for m, p in markers.items()}
+        self._cam_stack = IndexedPoses.of(cams)
+        self._marker_stack = IndexedPoses.of(markers)
+        # by camera position: R_c^T and R_c^T t_c; by marker position:
+        # template corners in the reference-marker frame
+        cam_ids = self._cam_stack.ids.tolist()
+        self._rct = self._cam_stack.poses.rotations.transpose(0, 2, 1).copy()
+        self._rct_tc = np.stack([r @ cams[c].translation for r, c in zip(self._rct, cam_ids)])
+        self._y = np.stack([markers[m].apply(template.corners) for m in self._marker_stack.ids.tolist()])
         self.last_iterations = 0
 
     def _frame_arrays(self, dets: list[Detection]):
-        rct = np.stack([self._rct[d.cam] for d in dets])  # (K,3,3)
-        rct_tc = np.stack([self._rct_tc[d.cam] for d in dets])  # (K,3)
-        ypts = np.stack([self._y[d.marker] for d in dets])  # (K,4,3)
+        ci = self._cam_stack.rows([d.cam for d in dets])
+        ypts = self._y[self._marker_stack.rows([d.marker for d in dets])]  # (K,4,3)
         obs, cam = corner_arrays(dets, self.intrinsics)
-        return rct, rct_tc, ypts, obs, cam, skew_many(ypts)
+        return self._rct[ci], self._rct_tc[ci], ypts, obs, cam, skew_many(ypts)
 
     @staticmethod
     def _camera_points(arrays, rot, tv):
@@ -633,7 +744,7 @@ class FrameTracker:
         table = candidate_set(poses, [d.key for d in dets], math.inf)
         if not len(table.poses):
             raise NoValidPose("no usable cold-start candidate in frame")
-        proposals = object_poses(self.cams, self.markers, table)
+        proposals = object_poses(self._cam_stack, self._marker_stack, table)
         n = len(proposals)
         p_cam = self._camera_points(arrays, proposals.rotations, proposals.translations)
         obs, *cam = (np.concatenate([a] * n) for a in (arrays[3], *arrays[4]))

@@ -3,14 +3,15 @@
 calibrate() runs the full offline chain on a validated dataset: per-detection
 pose candidates, pairwise relative-pose voting, spanning-tree initialization
 of both camera and marker structures, per-frame object poses, and the joint
-sparse refinement. track_sequence() replays a detection stream against a
-finished calibration with warm starts between consecutive frames.
+refinement (Levenberg-Marquardt with the frame poses eliminated blockwise).
+track_sequence() replays a detection stream against a finished calibration
+with warm starts between consecutive frames.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NoValidPose, ValidationError
 from .frame_init import (
@@ -134,9 +135,10 @@ def calibrate(
     Returns the refined result plus the intermediate artifacts (candidate
     table, co-observation graphs, spanning trees). Cameras and markers with
     no usable detection (none at all, or only degenerate ones) are left out
-    of the estimate. Raises NoValidPose when no detection is usable, and
-    DisconnectedGraph when the remaining cameras (or markers) do not form
-    one connected component.
+    of the estimate; detections without a pose candidate are left out of the
+    refinement and counted in its report's left_out. Raises NoValidPose when
+    no detection is usable, and DisconnectedGraph when the remaining cameras
+    (or markers) do not form one connected component.
     """
     if not dataset.detections:
         raise ValidationError("dataset contains no detections")
@@ -165,13 +167,17 @@ def calibrate(
     init = CalibrationResult(
         cams=cams, markers=markers, traj=traj, marker_side=dataset.marker_side
     )
+    posed_keys = set(map(tuple, usable.tolist()))
+    posed = [d for d in dataset.detections if d.key in posed_keys]
     result = refine_all(
         init,
-        dataset.detections,
+        posed,
         dataset.intrinsics,
         opts=config.solver,
         template=MarkerTemplate(dataset.marker_side),
     )
+    left_out = result.report.left_out + len(dataset.detections) - len(posed)
+    result = replace(result, report=replace(result.report, left_out=left_out))
     artifacts = CalibrationArtifacts(
         candidates=candidates,
         camera_graph=cam_graph,

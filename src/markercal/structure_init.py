@@ -10,9 +10,10 @@ reference marker).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DisconnectedGraph
-from .geometry import RigidTransform, compose, invert
+from .geometry import IndexedPoses, RigidTransform, compose, invert
 from .pairwise import PairAccumulator, PairKey
 
 DEFAULT_TAU_N = 10.0
@@ -46,6 +47,11 @@ class StructureEstimate:
     reference: int
     poses: dict[int, RigidTransform]
     tree_edges: tuple[PairKey, ...]
+
+    @cached_property
+    def stacked(self) -> IndexedPoses:
+        """The poses stacked once, in sorted id order."""
+        return IndexedPoses.of(self.poses)
 
 
 def edge_weight(d_mean: float, s: int, tau_n: float) -> float:

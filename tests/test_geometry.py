@@ -10,6 +10,7 @@ import pytest
 from markercal.errors import PointBehindCamera
 from markercal.geometry import (
     CameraIntrinsics,
+    IndexedPoses,
     MarkerTemplate,
     PoseStack,
     RigidTransform,
@@ -22,7 +23,9 @@ from markercal.geometry import (
     rotation_angle,
     rotation_from_rvec,
     rotation_jacobian_factor,
+    rotation_jacobian_factors,
     rotation_to_quaternion,
+    rotations_from_rvecs,
     rvec_from_rotation,
     undistort_arrays,
 )
@@ -419,6 +422,32 @@ class TestRotationJacobianFactor:
                     rotation_from_rvec(rvec + d) @ p - rotation_from_rvec(rvec - d) @ p
                 ) / (2 * h)
             np.testing.assert_allclose(analytic, fd, rtol=2e-4, atol=1e-6)
+
+
+class TestBatchedRotations:
+    def test_match_one_vector_forms(self):
+        # both branches: angles from 1e-9 (series) up to past pi
+        rng = np.random.default_rng(59)
+        axes = rng.normal(size=(9, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        rvecs = axes * np.array([0.0, 1e-9, 1e-5, 5e-4, 2e-3, 0.3, 1.5, math.pi - 1e-3, 4.0])[:, None]
+        rots = rotations_from_rvecs(rvecs)
+        factors = rotation_jacobian_factors(rvecs, rots)
+        for v, rot, s in zip(rvecs, rots, factors):
+            np.testing.assert_allclose(rot, rotation_from_rvec(v), atol=1e-14)
+            np.testing.assert_allclose(s, rotation_jacobian_factor(v), atol=1e-12)
+
+
+class TestIndexedPoses:
+    def test_rows_by_id_and_unknown_id(self):
+        poses = {7: _random_transform(np.random.default_rng(61)), 2: RigidTransform.identity()}
+        stacked = IndexedPoses.of(poses)
+        rows = stacked.rows([7, 2, 7])
+        for i, row in zip([7, 2, 7], rows):
+            np.testing.assert_array_equal(stacked.poses[int(row)].as_matrix(), poses[i].as_matrix())
+        assert len(stacked.rows([])) == 0
+        with pytest.raises(KeyError):
+            stacked.rows([2, 5])
 
 
 class TestProjectMarkerCorner:

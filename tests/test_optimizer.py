@@ -20,13 +20,18 @@ from markercal.geometry import (
 )
 from markercal.optimizer import (
     BEHIND_RESIDUAL,
+    LAMBDA_INIT,
+    LAMBDA_UP,
     REASON_MAX_ITERS,
     REASON_MIN_IMPROVE,
     REASON_ZERO_RESIDUAL,
     CalibrationResult,
     FrameTracker,
+    BlockJacobian,
     ParamLayout,
     ResidualBuilder,
+    ResidualSystem,
+    SchurNormal,
     SolverOptions,
     global_cost,
     lm_minimize,
@@ -35,6 +40,7 @@ from markercal.optimizer import (
     track_frame,
     unpack_params,
     _FrameSystem,
+    _solve_damped,
 )
 from markercal.planar_pose import Detection, estimate_two_poses
 from markercal.structure_init import StructureEstimate
@@ -277,12 +283,15 @@ class TestResidualSystem:
     def test_row_sparsity_bound(self):
         builder, _, x, _ = self._small_problem(0)
         jac = builder.system(x).jacobian
-        per_row = np.diff(jac.indptr)
+        # an observation's 8 rows share its block's parameter columns
+        per_row = np.repeat((jac.cols >= 0).sum(axis=1), 8)
+        assert per_row.size == jac.shape[0]
         assert per_row.max() <= 18
 
     def test_reference_rows_touch_only_frame_block(self):
         builder, layout, x, _ = self._small_problem(1)
         jac = builder.system(x).jacobian
+        dense = jac.toarray()
         for n in range(builder.n_obs):
             cam = builder.cam_ids[builder.i_cam[n]]
             marker = builder.marker_ids[builder.i_marker[n]]
@@ -294,11 +303,11 @@ class TestResidualSystem:
             if marker != layout.ref_marker:
                 off = layout.marker_offsets[marker]
                 allowed |= set(range(off, off + 6))
+            cols = set(jac.cols[n][jac.cols[n] >= 0].tolist())
+            assert cols <= allowed
             for row in range(8 * n, 8 * n + 8):
-                cols = set(jac.indices[jac.indptr[row] : jac.indptr[row + 1]])
-                assert cols <= allowed
+                assert set(np.flatnonzero(dense[row]).tolist()) <= cols
             if cam == layout.ref_camera and marker == layout.ref_marker:
-                cols = set(jac.indices[jac.indptr[8 * n] : jac.indptr[8 * n + 1]])
                 assert len(cols) == 6
 
     def test_rows_follow_sorted_detection_order(self):
@@ -478,6 +487,94 @@ class TestLmMinimize:
         frames_g = {t: compose(gauge, p) for t, p in frames.items()}
         sse_b, _ = global_cost(cams_g, markers, frames_g, dets, intr, template)
         assert abs(sse_a - sse_b) / sse_a < 1e-9
+
+
+def _dense_step(system, lam):
+    jac, r = system.jacobian.toarray(), system.residuals
+    return np.linalg.solve(jac.T @ jac + lam * np.eye(jac.shape[1]), -jac.T @ r)
+
+
+class TestBlockSolve:
+    """The Schur-complement step against the dense damped normal equations."""
+
+    def _system(self, seed, n_cams=2, n_markers=3, n_frames=5, dist=None, keep=None):
+        rng = np.random.default_rng(seed)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=n_cams, n_markers=n_markers, n_frames=n_frames, noise=0.3, dist=dist
+        )
+        if keep is not None:
+            dets = [d for d in dets if keep(d)]
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        x = pack_params(cams, markers, frames, layout)
+        return builder.system(x + rng.normal(scale=1e-3, size=x.size)), layout
+
+    def _check(self, system, lams=(1e-3, 1.0, 1e10)):
+        normal = system.jacobian.normal(system.residuals)
+        for lam in lams:
+            step, expect = normal.solve(lam), _dense_step(system, lam)
+            assert np.abs(step - expect).max() <= 1e-10 * np.abs(expect).max(), lam
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_step_matches_dense_solve(self, dist):
+        for seed in range(3):
+            self._check(self._system(seed, n_cams=3, dist=dist)[0])
+
+    def test_empty_reduced_system(self):
+        # one camera and one marker: both are references, so only frames move
+        system, layout = self._system(4, n_cams=1, n_markers=1)
+        assert layout.frame_offsets[0] == 0
+        self._check(system)
+
+    def test_frame_seen_by_one_detection(self):
+        # frame 2 keeps only camera 1's view of marker 1
+        system, _ = self._system(5, dist=DIST, keep=lambda d: d.t != 2 or (d.cam, d.marker) == (1, 1))
+        self._check(system)
+
+    def test_singular_or_non_finite_solve_gives_none(self):
+        system, _ = self._system(7)
+        normal = system.jacobian.normal(system.residuals)
+        zero = SchurNormal(np.zeros_like(normal.a), normal.w, np.zeros_like(normal.v),
+                           normal.g_s, normal.g_f)
+        assert _solve_damped(zero, 0.0) is None
+        nan = SchurNormal(np.full_like(normal.a, np.nan), normal.w, normal.v,
+                          normal.g_s, normal.g_f)
+        assert _solve_damped(nan, 1e-3) is None
+        assert _solve_damped(normal, 1e-3) is not None
+
+    def test_failed_solve_raises_damping(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cams, markers, frames, dets, intr, template = _make_scene(rng, noise=0.3)
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        x0 = pack_params(*_perturb_all(cams, markers, frames, rng), layout)
+        lams = []
+        solve = SchurNormal.solve
+
+        def failing_first(self, lam):
+            lams.append(lam)
+            if len(lams) == 1:
+                raise np.linalg.LinAlgError("singular")
+            return solve(self, lam)
+
+        monkeypatch.setattr(SchurNormal, "solve", failing_first)
+        _, report = lm_minimize(x0, builder)
+        assert lams[:2] == [LAMBDA_INIT, LAMBDA_INIT * LAMBDA_UP]
+        assert report.accepted_steps >= 1
+
+    def test_damping_limit_on_non_finite_jacobian(self):
+        system, _ = self._system(9)
+
+        class NanBuilder:
+            def system(self, x):
+                jac = system.jacobian
+                return ResidualSystem(system.residuals, BlockJacobian(np.full_like(jac.blocks, np.nan), jac._pattern))
+
+            def residuals(self, x):
+                return system.residuals
+
+        with pytest.raises(NumericalFailure, match="singular normal equations at maximum damping"):
+            lm_minimize(np.zeros(system.jacobian.shape[1]), NanBuilder())
 
 
 class TestRefineAll:

@@ -208,6 +208,22 @@ class TestCalibrate:
             for k in expect:
                 assert np.array_equal(got[k].as_matrix(), expect[k].as_matrix())
 
+    def test_detection_without_pose_left_out_of_the_cost(self):
+        # corner 2 of one detection pulled to the mean of corners 0, 1 and 3
+        # makes the quad non-convex: it has no pose candidate, though its
+        # frame, camera and marker are estimated from other detections
+        spec = SceneSpec(n_cameras=3, object="cube", n_frames=16, trajectory="orbit",
+                         noise_sigma=0.0, seed=2)
+        _, dets, intr = generate(spec)
+        corners = dets[5].corners.copy()
+        corners[2] = corners[[0, 1, 3]].mean(axis=0)
+        dets[5] = Detection(dets[5].t, dets[5].cam, dets[5].marker, corners)
+        result, _ = calibrate(Dataset(dets, intr, spec.marker_side, spec.n_frames))
+        assert result.traj.frames[dets[5].t].pose is not None
+        assert dets[5].cam in result.cams.poses and dets[5].marker in result.markers.poses
+        assert result.report.left_out == 1
+        assert result.report.final_rms < 1e-6
+
     def test_no_usable_detection_raises(self):
         _, ds = _dataset()
         line = np.array([[100.0, 100.0], [110.0, 110.0], [120.0, 120.0], [130.0, 130.0]])
