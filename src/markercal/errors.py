@@ -23,10 +23,6 @@ class EmptyCandidateSet(MarkerCalError):
     """Optimal-transform selection was asked to pick from zero samples."""
 
 
-class NoDetectionsInFrame(MarkerCalError):
-    """A frame pose was requested for a frame without any detection."""
-
-
 class DisconnectedGraph(MarkerCalError):
     """The camera or marker co-observation graph does not span all vertices.
 

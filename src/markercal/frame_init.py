@@ -2,14 +2,16 @@
 
 Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
-candidate marker poses T. object_poses forms them from the frame's rows of
-the candidate table as one PoseStack, for the tracker's cold start too. The
-proposal that best agrees with the rest, by the same summed probe-point
-distance used for pairwise selection, becomes the frame's initial pose:
-the proposal whose probe-point images lie nearest their mean
-(pairwise.argmin_summed_distance, O(n) per frame); ties go to the first
-minimum of the closed-form totals, so exact duplicates resolve to the lowest
-proposal index.
+candidate marker poses T. object_poses forms them from rows of the candidate
+table as one PoseStack: the whole table at once in calibration, one frame's
+rows in the tracker's cold start. Within each frame, the proposal that best
+agrees with the rest, by the same summed probe-point distance used for
+pairwise selection, becomes the frame's initial pose: the proposal whose
+probe-point images lie nearest their frame's mean. All frames are selected
+in one batch, by one segmented pairwise.argmin_summed_distance call with one
+segment per frame (O(n) overall); ties go to the first minimum of the
+closed-form totals, so exact duplicates resolve to the lowest proposal
+index.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoDetectionsInFrame
 from .geometry import IndexedPoses, PoseStack, RigidTransform, compose_many, invert_many
 from .pairwise import argmin_summed_distance
 from .planar_pose import CandidateSet
@@ -31,8 +32,10 @@ SOURCE_TRACKED = "tracked"
 
 @dataclass(frozen=True)
 class FramePoseCandidates:
-    t: int
-    candidates: PoseStack  # reference marker -> reference camera
+    """Object-pose proposals of many frames, grouped by frame."""
+
+    t: np.ndarray  # (P,) frame of each proposal, non-decreasing
+    candidates: PoseStack  # (P,) reference marker -> reference camera
 
 
 @dataclass(frozen=True)
@@ -68,33 +71,27 @@ def object_poses(cams: IndexedPoses, markers: IndexedPoses, table: CandidateSet)
 
 
 def frame_candidates(
-    t: int, table: CandidateSet, cams: StructureEstimate, markers: StructureEstimate
+    table: CandidateSet, cams: StructureEstimate, markers: StructureEstimate
 ) -> FramePoseCandidates:
-    """Object-pose proposals for frame t, one per candidate marker pose, in
-    sorted (t, cam, marker) order."""
-    frame = table[slice(*np.searchsorted(table.keys[:, 0], [t, t + 1]))]
-    for _, c, m in frame.keys[frame.counts > 0].tolist():
-        if c not in cams.poses or m not in markers.poses:
-            raise ValueError(f"detection (t={t}, cam={c}, marker={m}) outside the structure estimate")
-    return FramePoseCandidates(t, object_poses(cams.stacked, markers.stacked, frame))
+    """Object-pose proposals of every frame, one per candidate marker pose,
+    in sorted (t, cam, marker) order, with the frame of each."""
+    posed = table.keys[table.counts > 0]
+    known = np.isin(posed[:, 1], cams.stacked.ids) & np.isin(posed[:, 2], markers.stacked.ids)
+    if not known.all():
+        t, c, m = posed[np.argmin(known)].tolist()
+        raise ValueError(f"detection (t={t}, cam={c}, marker={m}) outside the structure estimate")
+    frames = np.repeat(table.keys[:, 0], table.counts)
+    return FramePoseCandidates(frames, object_poses(cams.stacked, markers.stacked, table))
 
 
-def select_frame_pose(c: FramePoseCandidates, probe: np.ndarray) -> RigidTransform:
-    """The proposal minimizing summed probe distance to all proposals."""
-    if not c.candidates:
-        raise NoDetectionsInFrame(f"frame {c.t} has no detections")
-    idx, _ = argmin_summed_distance(c.candidates, probe)
-    return c.candidates[idx]
-
-
-def build_trajectory(
-    all_frames: list[FramePoseCandidates], probe: np.ndarray
-) -> Trajectory:
-    """Select one pose per frame; frames without detections come out untracked."""
-    traj = Trajectory()
-    for fc in all_frames:
-        if fc.candidates:
-            traj.frames[fc.t] = FrameState(select_frame_pose(fc, probe), SOURCE_INIT)
-        else:
-            traj.frames[fc.t] = FrameState(None, SOURCE_INIT)
+def build_trajectory(proposals: FramePoseCandidates, probe: np.ndarray, n_frames: int) -> Trajectory:
+    """One pose for each of frames 0 to n_frames - 1, every frame's picked in
+    one segmented argmin_summed_distance call (one segment per frame);
+    frames without proposals come out untracked."""
+    traj = Trajectory({t: FrameState(None, SOURCE_INIT) for t in range(n_frames)})
+    if len(proposals.candidates):
+        frames, starts = np.unique(proposals.t, return_index=True)
+        best, _ = argmin_summed_distance(proposals.candidates, starts, probe)
+        for t, row in zip(frames.tolist(), best.tolist()):
+            traj.frames[t] = FrameState(proposals.candidates[row], SOURCE_INIT)
     return traj

@@ -31,7 +31,6 @@ from .geometry import (
     CameraIntrinsics,
     IndexedPoses,
     MarkerTemplate,
-    PoseStack,
     RigidTransform,
     project_arrays,
     rotation_from_rvec,
@@ -146,6 +145,27 @@ class ParamLayout:
             cam_off, marker_off, frame_off, total,
         )
 
+    def block_offsets(self, keys: np.ndarray) -> np.ndarray:
+        """(N,3) offsets of the camera, marker and frame blocks of (N,3)
+        (t, cam, marker) keys, -6 for a reference camera or marker, found by
+        searchsorted over the sorted ids. Raises ValueError for a key outside
+        the layout."""
+        out, base = [], 0
+        for slot, ids, ref, kind in (
+            (1, self.camera_ids, self.ref_camera, "camera"),
+            (2, self.marker_ids, self.ref_marker, "marker"),
+            (0, self.frame_ids, None, "frame"),
+        ):
+            known, wanted = np.array(ids, dtype=np.int64), keys[:, slot]
+            pos = np.searchsorted(known, wanted)
+            found = (pos < len(known)) & (np.append(known, 0)[pos] == wanted)
+            outside = ~found & (wanted != ref)
+            if outside.any():
+                raise ValueError(f"detection for {kind} {wanted[outside][0]} outside the layout")
+            out.append(np.where(found, base + 6 * pos, -6))
+            base += 6 * len(known)
+        return np.stack(out, axis=1)
+
 
 def _put_twist(x: np.ndarray, offset: int, pose: RigidTransform) -> None:
     x[offset : offset + 3] = rvec_from_rotation(pose.rotation)
@@ -190,17 +210,22 @@ class _BlockPattern:
 
     `cols` (N,18) is the parameter column of each block column, -1 for the
     columns of a reference camera or marker, which own no parameters.
-    `h_index` (N,18,18) places each block's J^T J into one flat array by
-    np.bincount: the (S+1, S+1) camera/marker part A, then the (S+1, 6F)
-    camera/marker x frame part W, then the (F,6,6) frame blocks V, then one
-    slot for the frame x camera/marker half (W^T again). Row and column S
-    take the reference columns and are cut off; so is the gradient's slot P.
+    np.bincount places the blocks' J^T J, stored by (row, observation,
+    column), by two indices in that order: `aw_index` (12,N,18) the
+    camera/marker rows into one flat array, the (S+1, S+1) camera/marker
+    part A and then the (S+1, 6F) camera/marker x frame part W, and
+    `v_index` (6,N,6) the frame blocks into the (F,6,6) blocks V. The frame
+    x camera/marker rows (W^T again) are not summed. Row and column S take
+    the reference columns and are cut off; so is the gradient's slot P.
+    Every parameter sits in the same block row in every observation, so
+    each slot still adds its terms in observation order.
     """
 
     cols: np.ndarray
     n_struct: int  # S, the camera and marker parameters, 6 (C + M - 2)
     n_params: int  # P
-    h_index: np.ndarray
+    aw_index: np.ndarray
+    v_index: np.ndarray
     g_index: np.ndarray  # (N,18) into the (P+1,) gradient
 
     @staticmethod
@@ -208,13 +233,12 @@ class _BlockPattern:
         s1, n_frame = n_struct + 1, n_params - n_struct
         sc = np.where(cols[:, :12] < 0, n_struct, cols[:, :12])
         fc = cols[:, 12:] - n_struct  # 6 * frame + coordinate
-        h_index = np.empty((len(cols), 18, 18), dtype=np.int64)
-        h_index[:, :12, :12] = sc[:, :, None] * s1 + sc[:, None, :]
-        h_index[:, :12, 12:] = s1 * s1 + sc[:, :, None] * n_frame + fc[:, None, :]
-        h_index[:, 12:, 12:] = s1 * (s1 + n_frame) + 6 * fc[:, :, None] + np.arange(6)
-        h_index[:, 12:, :12] = s1 * (s1 + n_frame) + 6 * n_frame
+        # C-ordered (row, observation, column), so that ravel() is a view
+        rows = np.ascontiguousarray(sc.T)[:, :, None]
+        aw_index = np.concatenate([rows * s1 + sc, s1 * s1 + rows * n_frame + fc], axis=2)
+        v_index = 6 * np.ascontiguousarray(fc.T)[:, :, None] + np.arange(6)
         return _BlockPattern(
-            cols, n_struct, n_params, h_index, np.where(cols < 0, n_params, cols)
+            cols, n_struct, n_params, aw_index, v_index, np.where(cols < 0, n_params, cols)
         )
 
 
@@ -271,20 +295,23 @@ class BlockJacobian:
         return dense[..., :n_params].reshape(self.shape)
 
     def normal(self, r: np.ndarray) -> SchurNormal:
-        """J^T J and J^T r summed from per-observation block products."""
+        """J^T J and J^T r summed from per-observation block products, each
+        slot's terms added in observation order."""
         p = self._pattern
         n_s, s1 = p.n_struct, p.n_struct + 1
         n_f = p.n_params - n_s
         jt = np.swapaxes(self.blocks, 1, 2)
-        h = np.bincount(
-            p.h_index.ravel(), np.matmul(jt, self.blocks).ravel(), s1 * (s1 + n_f) + 6 * n_f + 1
-        )
+        # whole blocks, as numpy's symmetric product, written row by row so
+        # that the camera/marker rows of all observations are contiguous
+        jtj = np.empty((18, len(jt), 18))
+        np.matmul(jt, self.blocks, out=jtj.transpose(1, 0, 2))
+        aw = np.bincount(p.aw_index.ravel(), jtj[:12].ravel(), s1 * (s1 + n_f))
+        v = np.bincount(p.v_index.ravel(), jtj[12:, :, 12:].ravel(), 6 * n_f)
         g = np.bincount(p.g_index.ravel(), np.matmul(jt, r.reshape(-1, 8, 1)).ravel(), p.n_params + 1)
-        a_end, w_end = s1 * s1, s1 * (s1 + n_f)
         return SchurNormal(
-            h[:a_end].reshape(s1, s1)[:n_s, :n_s],
-            h[a_end:w_end].reshape(s1, n_f)[:n_s],
-            h[w_end:-1].reshape(-1, 6, 6),
+            aw[: s1 * s1].reshape(s1, s1)[:n_s, :n_s],
+            aw[s1 * s1 :].reshape(s1, n_f)[:n_s],
+            v.reshape(-1, 6, 6),
             g[:n_s],
             g[n_s:-1],
         )
@@ -324,11 +351,12 @@ def _frame_block(pj, rct, rct_rg, sk_y, s_frame) -> np.ndarray:
 class ResidualBuilder:
     """Vectorized residual and block-Jacobian assembly over all detections.
 
-    Observation order is fixed to sorted (t, cam, marker); each observation
-    contributes 8 consecutive residual scalars (x and y of 4 corners).
-    Poses are read from one table of rotations and translations: with a
-    layout, row 0 is the identity of the reference camera and marker and
-    row 1 + k holds the k-th 6-block of the parameter vector.
+    Observation order is fixed to sorted (t, cam, marker), the rows of
+    `keys`; each observation contributes 8 consecutive residual scalars (x
+    and y of 4 corners).
+    Poses are read from one table of rotations and translations: row 0 is
+    the identity of the reference camera and marker and row 1 + k holds the
+    k-th 6-block of the layout's parameter vector.
     """
 
     def __init__(
@@ -336,77 +364,29 @@ class ResidualBuilder:
         detections: list[Detection],
         intrinsics: dict[int, CameraIntrinsics],
         template: MarkerTemplate,
-        layout: ParamLayout | None = None,
+        layout: ParamLayout,
     ):
         dets = sorted(detections, key=lambda d: d.key)
         self.layout = layout
         self.template = template
-        self.cam_ids = sorted({d.cam for d in dets})
-        self.marker_ids = sorted({d.marker for d in dets})
-        self.frame_ids = sorted({d.t for d in dets})
-        cam_pos = {c: i for i, c in enumerate(self.cam_ids)}
-        marker_pos = {m: i for i, m in enumerate(self.marker_ids)}
-        frame_pos = {t: i for i, t in enumerate(self.frame_ids)}
-
+        self.keys = np.array([d.key for d in dets], dtype=np.int64).reshape(-1, 3)
         self.n_obs = len(dets)
-        self.obs_t = np.array([d.t for d in dets], dtype=np.int64)
-        self.i_cam = np.array([cam_pos[d.cam] for d in dets], dtype=np.int64)
-        self.i_marker = np.array([marker_pos[d.marker] for d in dets], dtype=np.int64)
-        self.i_frame = np.array([frame_pos[d.t] for d in dets], dtype=np.int64)
-
-        if layout is not None:
-            known_cams = {layout.ref_camera, *layout.camera_ids}
-            known_markers = {layout.ref_marker, *layout.marker_ids}
-            for d in dets:
-                if d.cam not in known_cams:
-                    raise ValueError(f"detection for camera {d.cam} outside the layout")
-                if d.marker not in known_markers:
-                    raise ValueError(f"detection for marker {d.marker} outside the layout")
-                if d.t not in layout.frame_offsets:
-                    raise ValueError(f"detection at frame {d.t} outside the layout")
-            # camera, marker and frame offset of each observation; -6 for a reference
-            offsets = np.array(
-                [
-                    (layout.camera_offsets.get(d.cam, -6),
-                     layout.marker_offsets.get(d.marker, -6),
-                     layout.frame_offsets[d.t])
-                    for d in dets
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 3)
-            self._rows = offsets // 6 + 1
-            cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
-            n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
-            self._pattern = _BlockPattern.build(
-                np.where(cols < 0, -1, cols), n_struct, layout.total
-            )
+        # camera, marker and frame offset of each observation; -6 for a reference
+        offsets = layout.block_offsets(self.keys)
+        self._rows = offsets // 6 + 1
+        cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
+        n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
+        self._pattern = _BlockPattern.build(np.where(cols < 0, -1, cols), n_struct, layout.total)
         self.obs_pix, self._cam4 = corner_arrays(dets, intrinsics)
         self._u8 = np.repeat(template.corners, 2, axis=0)  # each corner's x and y row
 
-    def residuals_from_poses(
-        self,
-        cams: dict[int, RigidTransform],
-        markers: dict[int, RigidTransform],
-        frames: dict[int, RigidTransform],
-    ) -> np.ndarray:
-        table = PoseStack.of(
-            [cams[c] for c in self.cam_ids]
-            + [markers[m] for m in self.marker_ids]
-            + [frames[t] for t in self.frame_ids]
-        )
-        n_c, n_m = len(self.cam_ids), len(self.marker_ids)
-        rows = np.stack([self.i_cam, n_c + self.i_marker, n_c + n_m + self.i_frame], axis=1)
-        return self._assemble_core(table.rotations, table.translations, rows, False)[0]
-
     def residuals(self, x: np.ndarray) -> np.ndarray:
         _, rot, trans = self._pose_table(x)
-        return self._assemble_core(rot, trans, self._rows, want_jacobian=False)[0]
+        return self._assemble_core(rot, trans, want_jacobian=False)[0]
 
     def _pose_table(self, x: np.ndarray):
         """x's (K,6) blocks, and rotations (K+1,3,3) and translations (K+1,3)
         with the reference identity in row 0."""
-        if self.layout is None:
-            raise ValueError("builder constructed without a parameter layout")
         blocks = x.reshape(-1, 6)
         rot = np.concatenate([np.eye(3)[None], rotations_from_rvecs(blocks[:, :3])])
         trans = np.concatenate([np.zeros((1, 3)), blocks[:, 3:]])
@@ -414,8 +394,9 @@ class ResidualBuilder:
 
     # -- assembly -----------------------------------------------------------
 
-    def _assemble_core(self, rot, trans, rows, want_jacobian: bool):
+    def _assemble_core(self, rot, trans, want_jacobian: bool):
         # one row per observation
+        rows = self._rows
         rc, tc = rot[rows[:, 0]], trans[rows[:, 0]]  # (N,3,3), (N,3)
         rm, tm = rot[rows[:, 1]], trans[rows[:, 1]]
         rg, tg = rot[rows[:, 2]], trans[rows[:, 2]]
@@ -431,7 +412,7 @@ class ResidualBuilder:
 
     def system(self, x: np.ndarray) -> ResidualSystem:
         blocks, rot, trans = self._pose_table(x)
-        r, (rc, rg, rm, y, a, pj) = self._assemble_core(rot, trans, self._rows, True)
+        r, (rc, rg, rm, y, a, pj) = self._assemble_core(rot, trans, True)
 
         # Rodrigues factors of every block, a camera's taken at -rvec (whose
         # rotation is R_c^T) since p_cam = R(-r_c) a; row 0 (references)
@@ -465,33 +446,14 @@ class ResidualBuilder:
         return ResidualSystem(r, BlockJacobian(jac, self._pattern))
 
     def per_frame_rms(self, residuals: np.ndarray) -> dict[int, float]:
+        """Per-corner rms of each frame, over its contiguous run of rows."""
         sq = (residuals.reshape(self.n_obs, 8) ** 2).sum(axis=1)
-        out: dict[int, float] = {}
-        for t in self.frame_ids:
-            mask = self.obs_t == t
-            count = int(mask.sum())
-            if count:
-                out[t] = float(np.sqrt(sq[mask].sum() / (4 * count)))
-        return out
-
-
-def global_cost(
-    cams: dict[int, RigidTransform],
-    markers: dict[int, RigidTransform],
-    traj: Trajectory | dict[int, RigidTransform],
-    detections: list[Detection],
-    intrinsics: dict[int, CameraIntrinsics],
-    template: MarkerTemplate,
-) -> tuple[float, float]:
-    """(sse px^2, per-corner rms px) of the reprojection error over all detections."""
-    if isinstance(traj, Trajectory):
-        frames = {t: pose for t, pose in traj.tracked_items()}
-    else:
-        frames = dict(traj)
-    builder = ResidualBuilder(detections, intrinsics, template)
-    r = builder.residuals_from_poses(cams, markers, frames)
-    sse = float(r @ r)
-    return sse, math.sqrt(sse / (4 * builder.n_obs))
+        frames, starts = np.unique(self.keys[:, 0], return_index=True)
+        bounds = [*starts.tolist(), self.n_obs]
+        return {
+            t: float(np.sqrt(sq[lo:hi].sum() / (4 * (hi - lo))))
+            for t, lo, hi in zip(frames.tolist(), bounds, bounds[1:])
+        }
 
 
 def _canonical_rotations(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ probe points, is selected.
 With a_i the 9-vector of probe-point images of sample i and a-bar their mean,
 sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 + sum_k |a_k - a-bar|^2, so the
 selected sample is the one whose probe images lie nearest the mean, found in
-O(n). Ties go to the first minimum of these closed-form totals.
+O(n). Ties go to the first minimum of these closed-form totals. The kernel
+(argmin_summed_distance) is segmented: a pair selects over one segment, and
+frame initialization selects every frame's pose in one call with one segment
+per frame.
 """
 
 from __future__ import annotations
@@ -84,25 +87,36 @@ def transform_distance(a: RigidTransform, b: RigidTransform, probe: np.ndarray) 
     return float(np.sum(diff * diff, axis=1).sum())
 
 
-def argmin_summed_distance(poses: PoseStack, probe: np.ndarray) -> tuple[int, float]:
-    """Index minimizing the summed probe-point distance to all transforms.
+def argmin_summed_distance(
+    poses: PoseStack, starts, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the row minimizing the summed probe-point distance to the
+    other rows of its segment, and that total.
 
-    Uses the identity sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 +
+    Segment k holds rows starts[k] to starts[k+1] (the last runs to the end
+    of the stack); starts must begin at 0, rise strictly and stay below
+    len(poses). Uses the identity sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 +
     sum_k |a_k - a-bar|^2 over the stacked probe images a, so the cost is
-    O(n). Returns the first minimum of these totals: exact duplicates break
-    toward the lowest index, while near-ties within float rounding may
-    resolve differently from an O(n^2) double loop.
+    O(n); np.bincount sums each segment in row order. Returns the stack row
+    of each segment's first minimum of these totals (or of its first NaN):
+    exact duplicates break toward the lowest row, while near-ties within
+    float rounding may resolve differently from an O(n^2) double loop.
     """
     p = _check_probe(probe)
     n = len(poses)
-    if n == 0:
-        raise EmptyCandidateSet("no transforms to select from")
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    if not len(starts) or starts[0] != 0 or starts[-1] >= n or (np.diff(starts) <= 0).any():
+        raise ValueError(f"segment starts must rise strictly from 0 to below {n}, got {starts}")
+    sizes = np.diff(starts, append=n)
+    seg = np.repeat(np.arange(len(starts)), sizes)
     images = (p @ poses.rotations.transpose(0, 2, 1) + poses.translations[:, None, :]).reshape(n, 9)
-    centred = images - images.mean(axis=0)
+    sums = np.bincount((9 * seg[:, None] + np.arange(9)).ravel(), images.ravel(), 9 * len(starts))
+    centred = images - (sums.reshape(-1, 9) / sizes[:, None])[seg]
     spread = np.sum(centred * centred, axis=1)
-    totals = n * spread + spread.sum()
-    best_idx = int(np.argmin(totals))
-    return best_idx, float(totals[best_idx])
+    totals = sizes[seg] * spread + np.bincount(seg, spread)[seg]
+    first = (totals == np.minimum.reduceat(totals, starts)[seg]) | np.isnan(totals)
+    best = np.minimum.reduceat(np.where(first, np.arange(n), n), starts)
+    return best, totals[best]
 
 
 def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransform, float]:
@@ -114,7 +128,8 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     """
     if not acc.samples:
         raise EmptyCandidateSet(f"no samples for pair {acc.key}")
-    best_idx, d_total = argmin_summed_distance(acc.samples, probe)
+    rows, totals = argmin_summed_distance(acc.samples, [0], probe)
+    best_idx, d_total = int(rows[0]), float(totals[0])
     best = acc.samples[best_idx]
     acc.selected = SelectedTransform(best, d_total, d_total / len(acc.samples), best_idx)
     return best, d_total

@@ -2,8 +2,10 @@
 
 calibrate() runs the full offline chain on a validated dataset: per-detection
 pose candidates, pairwise relative-pose voting, spanning-tree initialization
-of both camera and marker structures, per-frame object poses, and the joint
-refinement (Levenberg-Marquardt with the frame poses eliminated blockwise).
+of both camera and marker structures, the object poses of all frames (one
+batched selection over every frame's proposals, not a loop per frame), and
+the joint refinement (Levenberg-Marquardt with the frame poses eliminated
+blockwise).
 track_sequence() replays a detection stream against a finished calibration
 with warm starts between consecutive frames.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 from .errors import NoValidPose, ValidationError
 from .frame_init import (
@@ -160,15 +163,14 @@ def calibrate(
         marker_pairs, config, marker_vertices, ref_marker
     )
 
-    probe = probe_points(PROBE_SCALE)
-    frame_sets = [frame_candidates(t, candidates, cams, markers) for t in range(dataset.n_frames)]
-    traj = build_trajectory(frame_sets, probe)
+    proposals = frame_candidates(candidates, cams, markers)
+    traj = build_trajectory(proposals, probe_points(PROBE_SCALE), dataset.n_frames)
 
     init = CalibrationResult(
         cams=cams, markers=markers, traj=traj, marker_side=dataset.marker_side
     )
-    posed_keys = set(map(tuple, usable.tolist()))
-    posed = [d for d in dataset.detections if d.key in posed_keys]
+    # the table's rows are the detections in sorted key order
+    posed = list(compress(sorted(dataset.detections, key=lambda d: d.key), candidates.counts))
     result = refine_all(
         init,
         posed,

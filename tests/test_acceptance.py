@@ -21,7 +21,7 @@ from markercal.frame_init import (
     FrameState,
     SOURCE_INIT,
     Trajectory,
-    select_frame_pose,
+    build_trajectory,
 )
 from markercal.geometry import (
     CameraIntrinsics,
@@ -249,8 +249,8 @@ def test_criterion_4_selection_matches_brute_force():
             select_optimal(acc, probe)
             assert acc.selected.index == expect
         else:
-            cands = FramePoseCandidates(t=case, candidates=PoseStack.of(transforms))
-            chosen = select_frame_pose(cands, probe)
+            cands = FramePoseCandidates(t=np.full(n, case), candidates=PoseStack.of(transforms))
+            chosen = build_trajectory(cands, probe, case + 1).frames[case].pose
             assert np.array_equal(chosen.rotation, transforms[expect].rotation)
             assert np.array_equal(chosen.translation, transforms[expect].translation)
     print("\nselection oracle: 100/100 candidate sets matched exactly")

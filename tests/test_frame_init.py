@@ -7,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from markercal.errors import NoDetectionsInFrame
 from markercal.frame_init import (
     FramePoseCandidates,
     SOURCE_INIT,
     build_trajectory,
     frame_candidates,
-    select_frame_pose,
 )
 from markercal.geometry import (
     CameraIntrinsics,
@@ -58,6 +56,12 @@ def _table(sets: dict) -> CandidateSet:
     return CandidateSet(keys, [len(sets[key]) for key in keys], np.full(len(keys), np.nan), poses)
 
 
+def _frame_pose(stack: PoseStack) -> RigidTransform:
+    """The pose build_trajectory selects from one frame's proposals."""
+    proposals = FramePoseCandidates(np.zeros(len(stack), dtype=np.int64), stack)
+    return build_trajectory(proposals, PROBE, 1).frames[0].pose
+
+
 def _random_transform(rng, t_scale=0.5) -> RigidTransform:
     rvec = rng.normal(size=3)
     rvec *= rng.uniform(0.1, math.pi - 0.2) / np.linalg.norm(rvec)
@@ -71,7 +75,7 @@ class TestFrameCandidates:
         xi = _table({(0, 0, 0): (t_pose,)})
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
-        fc = frame_candidates(0, xi, cams, markers)
+        fc = frame_candidates(xi, cams, markers)
         assert len(fc.candidates) == 1
         np.testing.assert_allclose(
             fc.candidates[0].as_matrix(), t_pose.as_matrix(), atol=1e-15
@@ -86,7 +90,7 @@ class TestFrameCandidates:
         })
         cams = _structure({c: _random_transform(rng) for c in range(3)}, 0)
         markers = _structure({m: _random_transform(rng) for m in range(2)}, 0)
-        fc = frame_candidates(0, xi, cams, markers)
+        fc = frame_candidates(xi, cams, markers)
         assert len(fc.candidates) == 6
 
     def test_ambiguous_detections_contribute_both(self):
@@ -94,7 +98,7 @@ class TestFrameCandidates:
         xi = _table({(0, 0, 0): (_random_transform(rng), _random_transform(rng))})
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
-        fc = frame_candidates(0, xi, cams, markers)
+        fc = frame_candidates(xi, cams, markers)
         assert len(fc.candidates) == 2
 
     def test_zero_noise_candidates_match_ground_truth(self):
@@ -117,9 +121,7 @@ class TestFrameCandidates:
                 dets.append(Detection(0, c, m, pix))
         poses = planar_poses(*corner_arrays(dets, {c: INTR for c in cams}), TPL)
         xi = candidate_set(poses, [d.key for d in dets], 2.0)
-        fc = frame_candidates(
-            0, xi, _structure(cams, 0), _structure(markers, 0)
-        )
+        fc = frame_candidates(xi, _structure(cams, 0), _structure(markers, 0))
         assert len(fc.candidates) >= 4
 
         def reproduces_truth(g):
@@ -140,7 +142,7 @@ class TestFrameCandidates:
 
     def test_takes_only_its_own_frame_from_the_table(self):
         # frames 0 and 2 in one table, frame 1 absent: each frame's proposals
-        # equal those of a table holding that frame alone
+        # equal those of a table holding that frame alone, and carry its frame
         rng = np.random.default_rng(181)
         sets = {
             (t, c, m): tuple(_random_transform(rng) for _ in range(1 + (c + m + t) % 2))
@@ -150,13 +152,13 @@ class TestFrameCandidates:
         }
         cams = _structure({c: _random_transform(rng) for c in range(2)}, 0)
         markers = _structure({m: _random_transform(rng) for m in range(2)}, 0)
-        table = _table(sets)
-        assert len(frame_candidates(1, table, cams, markers).candidates) == 0
-        assert len(frame_candidates(3, table, cams, markers).candidates) == 0
+        fc = frame_candidates(_table(sets), cams, markers)
+        assert set(fc.t.tolist()) == {0, 2}
+        assert np.all(np.diff(fc.t) >= 0)
         for t in (0, 2):
             own = _table({k: v for k, v in sets.items() if k[0] == t})
-            got = frame_candidates(t, table, cams, markers).candidates
-            expect = frame_candidates(t, own, cams, markers).candidates
+            got = fc.candidates[fc.t == t]
+            expect = frame_candidates(own, cams, markers).candidates
             assert len(got) == sum(len(v) for k, v in sets.items() if k[0] == t)
             np.testing.assert_array_equal(got.rotations, expect.rotations)
             np.testing.assert_array_equal(got.translations, expect.translations)
@@ -166,66 +168,97 @@ class TestFrameCandidates:
         cams = _structure({0: RigidTransform.identity()}, 0)
         markers = _structure({0: RigidTransform.identity()}, 0)
         with pytest.raises(ValueError):
-            frame_candidates(0, xi, cams, markers)
+            frame_candidates(xi, cams, markers)
 
 
 class TestSelectFramePose:
     def test_single_candidate(self):
         rng = np.random.default_rng(179)
         g = _random_transform(rng)
-        fc = FramePoseCandidates(0, PoseStack.of([g]))
-        assert _same(select_frame_pose(fc, PROBE), g)
+        assert _same(_frame_pose(PoseStack.of([g])), g)
 
     def test_majority_wins(self):
         g = RigidTransform(rotation_from_rvec([0.1, 0.0, 0.0]), [0.0, 0.0, 1.0])
         outlier = RigidTransform(rotation_from_rvec([0.0, 0.0, 2.5]), [0.4, 0.0, 1.0])
-        fc = FramePoseCandidates(0, PoseStack.of([g, g, outlier]))
-        assert _same(select_frame_pose(fc, PROBE), g)
+        assert _same(_frame_pose(PoseStack.of([g, g, outlier])), g)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(181)
         for _ in range(5):
             cands = [_random_transform(rng) for _ in range(20)]
-            got = select_frame_pose(FramePoseCandidates(0, PoseStack.of(cands)), PROBE)
-            totals = []
-            for k in range(len(cands)):
-                total = 0.0
-                for other in cands:
-                    diff = cands[k].apply(PROBE) - other.apply(PROBE)
-                    total += float((diff ** 2).sum())
-                totals.append(total)
-            expect = cands[min(range(len(totals)), key=lambda i: (totals[i], i))]
-            assert _same(got, expect)
+            got = _frame_pose(PoseStack.of(cands))
+            assert _same(got, cands[_brute_force_index(cands)])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(191)
         cands = [_random_transform(rng) for _ in range(9)]
-        chosen = select_frame_pose(FramePoseCandidates(0, PoseStack.of(cands)), PROBE)
+        chosen = _frame_pose(PoseStack.of(cands))
         perm = [cands[i] for i in rng.permutation(9)]
-        got = select_frame_pose(FramePoseCandidates(0, PoseStack.of(perm)), PROBE)
+        got = _frame_pose(PoseStack.of(perm))
         assert _same(got, chosen)
 
-    def test_empty_raises(self):
-        with pytest.raises(NoDetectionsInFrame):
-            select_frame_pose(FramePoseCandidates(3, PoseStack.of(())), PROBE)
+
+def _brute_force_index(cands) -> int:
+    """First minimum of the summed probe distance, as an explicit double loop."""
+    totals = []
+    for k in range(len(cands)):
+        total = 0.0
+        for other in cands:
+            diff = cands[k].apply(PROBE) - other.apply(PROBE)
+            total += float((diff ** 2).sum())
+        totals.append(total)
+    return min(range(len(totals)), key=lambda i: (totals[i], i))
 
 
 class TestBuildTrajectory:
     def test_empty_sequence(self):
-        traj = build_trajectory([], PROBE)
+        traj = build_trajectory(FramePoseCandidates(np.zeros(0, dtype=np.int64), PoseStack.of(())), PROBE, 0)
         assert len(traj) == 0
         assert traj.tracked_items() == []
 
     def test_empty_frame_is_untracked(self):
         rng = np.random.default_rng(193)
         g = _random_transform(rng)
-        frames = [
-            FramePoseCandidates(0, PoseStack.of([g])),
-            FramePoseCandidates(1, PoseStack.of(())),
-            FramePoseCandidates(2, PoseStack.of([g])),
-        ]
-        traj = build_trajectory(frames, PROBE)
+        proposals = FramePoseCandidates(np.array([0, 2]), PoseStack.of([g, g]))
+        traj = build_trajectory(proposals, PROBE, 3)
         assert len(traj) == 3
         assert traj.frames[1].pose is None
         assert traj.frames[1].source == SOURCE_INIT
         assert [t for t, _ in traj.tracked_items()] == [0, 2]
+
+    def test_batched_frames_match_per_frame_pick(self):
+        # frames 0, 1, 3 and 4 seen, frame 2 a gap, frames 5 and 6 trailing
+        # without detections: one batched call picks, in every seen frame,
+        # the pose a brute-force search over that frame alone picks
+        rng = np.random.default_rng(197)
+        cams = _structure({c: _random_transform(rng) for c in range(3)}, 0)
+        markers = _structure({m: _random_transform(rng) for m in range(3)}, 0)
+        sets = {
+            (t, c, m): tuple(_random_transform(rng, 0.05) for _ in range(1 + (t + c * m) % 2))
+            for t in (0, 1, 3, 4)
+            for c in range(3)
+            for m in range(3)
+            if (t + c + m) % 4
+        }
+        table = _table(sets)
+        traj = build_trajectory(frame_candidates(table, cams, markers), PROBE, 7)
+        assert sorted(traj.frames) == list(range(7))
+        assert [t for t, _ in traj.tracked_items()] == [0, 1, 3, 4]
+        for t in (2, 5, 6):
+            assert traj.frames[t].pose is None
+        for t in (0, 1, 3, 4):
+            own = frame_candidates(_table({k: v for k, v in sets.items() if k[0] == t}), cams, markers)
+            cands = [own.candidates[i] for i in range(len(own.candidates))]
+            assert _same(traj.frames[t].pose, cands[_brute_force_index(cands)]), t
+
+    def test_detection_outside_structure_rejected(self):
+        rng = np.random.default_rng(199)
+        cams = _structure({0: RigidTransform.identity(), 1: _random_transform(rng)}, 0)
+        markers = _structure({0: RigidTransform.identity()}, 0)
+        table = _table({
+            (0, 0, 0): (_random_transform(rng),),
+            (2, 1, 0): (_random_transform(rng),),
+            (2, 1, 5): (_random_transform(rng),),
+        })
+        with pytest.raises(ValueError, match="t=2, cam=1, marker=5"):
+            frame_candidates(table, cams, markers)

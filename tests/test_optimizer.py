@@ -33,7 +33,6 @@ from markercal.optimizer import (
     ResidualSystem,
     SchurNormal,
     SolverOptions,
-    global_cost,
     lm_minimize,
     pack_params,
     refine_all,
@@ -199,11 +198,23 @@ class TestPackUnpack:
         np.testing.assert_array_equal(markers[0].rotation, np.eye(3))
 
 
+def _cost(cams, markers, frames, dets, intr, template):
+    """(sse px^2, per-corner rms px) of the refinement's residuals with every
+    given pose a parameter: the layout's references are spare ids, pinned to
+    the identity, that no detection uses."""
+    spare = {-1: RigidTransform.identity()}
+    layout = ParamLayout.build({**cams, **spare}, {**markers, **spare}, frames, -1, -1)
+    builder = ResidualBuilder(dets, intr, template, layout)
+    r = builder.residuals(pack_params({**cams, **spare}, {**markers, **spare}, frames, layout))
+    sse = float(r @ r)
+    return sse, math.sqrt(sse / (4 * builder.n_obs))
+
+
 class TestGlobalCost:
     def test_exact_parameters_zero_error(self):
         rng = np.random.default_rng(5)
         cams, markers, frames, dets, intr, template = _make_scene(rng)
-        sse, rms = global_cost(cams, markers, frames, dets, intr, template)
+        sse, rms = _cost(cams, markers, frames, dets, intr, template)
         assert sse < 1e-16
         assert rms < 1e-10
 
@@ -218,7 +229,7 @@ class TestGlobalCost:
         pix = project(truth.apply(template.corners), intr[0])
         dets = [Detection(0, 0, 0, pix)]
         shifted = RigidTransform(np.eye(3), np.array([0.001, 0.0, 1.0]))
-        sse, rms = global_cost(cams, markers, {0: shifted}, dets, intr, template)
+        sse, rms = _cost(cams, markers, {0: shifted}, dets, intr, template)
         assert math.isclose(sse, 4 * 0.36, rel_tol=1e-9)
         assert math.isclose(rms, 0.6, rel_tol=1e-9)
 
@@ -230,18 +241,8 @@ class TestGlobalCost:
             rng, n_frames=30, noise=sigma
         )
         assert 4 * len(dets) >= 1000
-        _, rms = global_cost(cams, markers, frames, dets, intr, template)
+        _, rms = _cost(cams, markers, frames, dets, intr, template)
         assert abs(rms / (sigma * math.sqrt(2.0)) - 1.0) < 0.15
-
-    def test_accepts_trajectory_with_untracked_frames(self):
-        rng = np.random.default_rng(7)
-        cams, markers, frames, dets, intr, template = _make_scene(rng, n_frames=4)
-        traj = Trajectory()
-        for t, pose in frames.items():
-            traj.frames[t] = FrameState(pose)
-        traj.frames[99] = FrameState(None)
-        sse, _ = global_cost(cams, markers, traj, dets, intr, template)
-        assert sse < 1e-16
 
 
 def _numeric_jacobian(builder, x, h=1e-6):
@@ -292,10 +293,7 @@ class TestResidualSystem:
         builder, layout, x, _ = self._small_problem(1)
         jac = builder.system(x).jacobian
         dense = jac.toarray()
-        for n in range(builder.n_obs):
-            cam = builder.cam_ids[builder.i_cam[n]]
-            marker = builder.marker_ids[builder.i_marker[n]]
-            t = builder.frame_ids[builder.i_frame[n]]
+        for n, (t, cam, marker) in enumerate(builder.keys.tolist()):
             allowed = set(range(layout.frame_offsets[t], layout.frame_offsets[t] + 6))
             if cam != layout.ref_camera:
                 off = layout.camera_offsets[cam]
@@ -482,10 +480,10 @@ class TestLmMinimize:
         gauge = RigidTransform(
             rotation_from_rvec(np.array([0.3, -0.2, 0.5])), np.array([0.4, -0.1, 0.2])
         )
-        sse_a, _ = global_cost(cams, markers, frames, dets, intr, template)
+        sse_a, _ = _cost(cams, markers, frames, dets, intr, template)
         cams_g = {c: compose(gauge, p) for c, p in cams.items()}
         frames_g = {t: compose(gauge, p) for t, p in frames.items()}
-        sse_b, _ = global_cost(cams_g, markers, frames_g, dets, intr, template)
+        sse_b, _ = _cost(cams_g, markers, frames_g, dets, intr, template)
         assert abs(sse_a - sse_b) / sse_a < 1e-9
 
 
@@ -519,6 +517,30 @@ class TestBlockSolve:
     def test_step_matches_dense_solve(self, dist):
         for seed in range(3):
             self._check(self._system(seed, n_cams=3, dist=dist)[0])
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_normal_sums_whole_block_products_in_observation_order(self, dist):
+        # oracle: each observation's whole J^T J and J^T r added into dense
+        # arrays one observation after another; every slot of A, W, V and g
+        # must come out bit for bit the same
+        system, layout = self._system(9, n_cams=3, dist=dist)
+        jac, r = system.jacobian, system.residuals
+        n_params, n_s = layout.total, 6 * (len(layout.camera_ids) + len(layout.marker_ids))
+        jt = np.swapaxes(jac.blocks, 1, 2)
+        jtj, jtr = np.matmul(jt, jac.blocks), np.matmul(jt, r.reshape(-1, 8, 1))[..., 0]
+        cols = np.where(jac.cols < 0, n_params, jac.cols)
+        h, g = np.zeros((n_params + 1, n_params + 1)), np.zeros(n_params + 1)
+        for n in range(len(cols)):
+            h[np.ix_(cols[n], cols[n])] += jtj[n]
+            g[cols[n]] += jtr[n]
+        normal = jac.normal(r)
+        n_f = (n_params - n_s) // 6
+        frames = h[n_s:n_params, n_s:n_params].reshape(n_f, 6, n_f, 6)
+        np.testing.assert_array_equal(normal.a, h[:n_s, :n_s])
+        np.testing.assert_array_equal(normal.w, h[:n_s, n_s:n_params])
+        np.testing.assert_array_equal(normal.v, frames[np.arange(n_f), :, np.arange(n_f)])
+        np.testing.assert_array_equal(normal.g_s, g[:n_s])
+        np.testing.assert_array_equal(normal.g_f, g[n_s:n_params])
 
     def test_empty_reduced_system(self):
         # one camera and one marker: both are references, so only frames move
@@ -718,14 +740,17 @@ class TestTracking:
             by_frame.setdefault(d.t, []).append(d)
         ambiguous = 0
         for t, frame_dets in sorted(by_frame.items()):
-            builder = ResidualBuilder(frame_dets, intr, template)
+            layout = ParamLayout.build(
+                cams, markers, [t], gt.cams_gt.reference, gt.markers_gt.reference
+            )
+            builder = ResidualBuilder(frame_dets, intr, template, layout)
             best_cost, best = math.inf, None
             for d in sorted(frame_dets, key=lambda d: d.key):
                 h = estimate_two_poses(d, intr[d.cam], template)
                 ambiguous += h.ratio < 2.0
                 for t_mc in (h.best, h.alt):
                     g = compose(compose(cams[d.cam], t_mc), invert(markers[d.marker]))
-                    r = builder.residuals_from_poses(cams, markers, {t: g})
+                    r = builder.residuals(pack_params(cams, markers, {t: g}, layout))
                     if float(r @ r) < best_cost:
                         best_cost, best = float(r @ r), g
             got = tracker.cold_start(frame_dets)

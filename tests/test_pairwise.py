@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from markercal.errors import EmptyCandidateSet
-from markercal.frame_init import FramePoseCandidates, select_frame_pose
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
@@ -317,9 +316,9 @@ class TestSelectOptimal:
         assert acc.selected.index == pos
         assert _same(best, copy)
 
-        # frame selection runs the same argmin over its proposal stack
-        assert argmin_summed_distance(stack, PROBE)[0] == pos
-        assert _same(select_frame_pose(FramePoseCandidates(0, stack), PROBE), copy)
+        # frame selection runs the same kernel, one segment per frame
+        rows, _ = argmin_summed_distance(stack, [0], PROBE)
+        assert rows.tolist() == [pos]
 
 
 def _brute_force_totals(transforms, probe) -> np.ndarray:
@@ -341,6 +340,52 @@ def _brute_force_argmin(samples, probe):
         totals.append(total)
     best = min(range(len(totals)), key=lambda i: (totals[i], i))
     return best, totals[best]
+
+
+def _first_min(totals) -> int:
+    best = 0
+    for k in range(1, len(totals)):
+        if totals[k] < totals[best]:
+            best = k
+    return best
+
+
+class TestSegmentedArgmin:
+    def test_one_call_matches_brute_force_per_segment(self):
+        rng = np.random.default_rng(211)
+        segments = []
+        for k in range(200):
+            n = 1 if k % 10 == 0 else int(rng.integers(1, 51))
+            seg = [_random_transform(rng) for _ in range(n)]
+            if k % 3 == 0 and n >= 2:
+                # a copy of the winner, at or before it, ties with it exactly
+                win = _first_min(_brute_force_totals(seg, PROBE))
+                twin = seg[win]
+                seg.insert(int(rng.integers(0, win + 1)),
+                           RigidTransform(twin.rotation.copy(), twin.translation.copy()))
+            if k % 4 == 1:
+                # the previous segment's last row opens this one: exact
+                # duplicates on both sides of a segment boundary
+                seg.insert(0, segments[-1][-1])
+            segments.append(seg)
+        sizes = [len(seg) for seg in segments]
+        assert min(sizes) == 1 and max(sizes) >= 50
+        starts = np.cumsum([0] + sizes[:-1])
+        stack = PoseStack.of([t for seg in segments for t in seg])
+        rows, totals = argmin_summed_distance(stack, starts, PROBE)
+        assert rows.shape == totals.shape == (200,)
+        for k, seg in enumerate(segments):
+            oracle = _brute_force_totals(seg, PROBE)
+            expect = _first_min(oracle)
+            assert rows[k] == starts[k] + expect, k
+            assert totals[k] == pytest.approx(oracle[expect], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("starts", [[], [1, 3], [0, 3, 2], [0, 2, 2], [0, 5], [-1, 2]])
+    def test_bad_starts_raise(self, starts):
+        rng = np.random.default_rng(223)
+        stack = PoseStack.of([_random_transform(rng) for _ in range(5)])
+        with pytest.raises(ValueError):
+            argmin_summed_distance(stack, starts, PROBE)
 
 
 class TestCollectors:
