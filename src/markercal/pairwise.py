@@ -20,7 +20,6 @@ per frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
@@ -143,39 +142,64 @@ def _collect_pairs(table: CandidateSet, member_slot: int) -> dict[PairKey, PairA
     bridge seen by two members a < b contributes one sample of the
     member-b-to-member-a transform per pairing of their candidate poses:
     T_a * T_b^-1 for cameras, with T_a's candidates outermost, and
-    T_a^-1 * T_b for markers, with T_b's outermost. The pairings are listed
-    in (bridge, a < b, product) order as index pairs into the table's pose
-    stack, composed in one batch, and split by pair in that order.
+    T_a^-1 * T_b for markers, with T_b's outermost.
+
+    The listing is array-built: the rows with a pose, sorted by (frame,
+    bridge, member), give each row's later bridge mates by `repeat` and
+    `cumsum` (the (bridge, a < b) pairings); each pairing expands into its
+    1, 2 or 4 products the same way. Pairs are numbered by first appearance,
+    pairings are stably sorted by pair, and one batched product forms every
+    sample, so each pair's samples are one slice, in (bridge, product) order.
     """
     kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
-    by_bridge: dict[tuple[int, int], dict[int, range]] = {}
-    offsets = table.offsets.tolist()
-    for key, lo, hi in zip(table.keys.tolist(), offsets, offsets[1:]):
-        if hi > lo:
-            members = by_bridge.setdefault((key[0], key[3 - member_slot]), {})
-            members[key[member_slot]] = range(lo, hi)
+    rows = np.flatnonzero(table.counts > 0)
+    if not len(rows):
+        return {}
+    keys = table.keys[rows][:, (0, 3 - member_slot, member_slot)]
+    order = np.lexsort(keys.T[::-1])
+    rows, keys = rows[order], keys[order]
+    last = np.append((keys[1:] != keys[:-1]).any(axis=1), True)  # a key given twice keeps its last row
+    rows, keys, ids = rows[last], keys[last], keys[last, 2]
 
-    keys: dict[PairKey, int] = {}
-    pairings, owner = [], []
-    for bridge in sorted(by_bridge):
-        members = by_bridge[bridge]
-        for a, b in combinations(sorted(members), 2):
-            outer, inner = (members[a], members[b]) if kind == CAMERA_PAIR else (members[b], members[a])
-            pairings += product(outer, inner)
-            owner += [keys.setdefault(PairKey(a, b, kind), len(keys))] * (len(outer) * len(inner))
+    # each row pairs with every later row of its bridge: the (bridge, a < b) pairings
+    bridge_start = np.append(True, (keys[1:, :2] != keys[:-1, :2]).any(axis=1))
+    bridge_end = np.append(np.flatnonzero(bridge_start)[1:], len(rows))
+    mates = bridge_end[np.cumsum(bridge_start) - 1] - np.arange(len(rows)) - 1
+    first = np.repeat(np.arange(len(rows)), mates)
+    second = first + 1 + _ranks_within(mates)
+
+    # pairs numbered by first appearance; pairings stably sorted by pair
+    dense = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    _, seen, pair_of = np.unique(dense[first] * len(ids) + dense[second], return_index=True, return_inverse=True)
+    pair_of = np.argsort(np.argsort(seen))[pair_of]
+    by_pair = np.argsort(pair_of, kind="stable")
+    a_rows, b_rows = rows[first[by_pair]], rows[second[by_pair]]
+
+    # each pairing's 1, 2 or 4 products, outer candidate slowest
+    outer, inner = (a_rows, b_rows) if kind == CAMERA_PAIR else (b_rows, a_rows)
+    n_inner = table.counts[inner]
+    per = table.counts[outer] * n_inner
+    pairing = np.repeat(np.arange(len(per)), per)
+    k = _ranks_within(per)
+    outer = table.offsets[outer][pairing] + k // n_inner[pairing]
+    inner = table.offsets[inner][pairing] + k % n_inner[pairing]
 
     poses = table.poses
-    outer, inner = np.array(pairings, dtype=np.int64).reshape(-1, 2).T
     if kind == CAMERA_PAIR:
         samples = compose_many(poses[outer], invert_many(poses[inner]))
     else:
         samples = compose_many(invert_many(poses[inner]), poses[outer])
-    accs = {key: PairAccumulator(key) for key in keys}
-    order = np.argsort(owner, kind="stable")
-    bounds = np.cumsum(np.bincount(owner))[:-1]
-    for acc, rows in zip(accs.values(), np.split(order, bounds)):
-        acc.samples = samples[rows]
+    ends = np.cumsum(per)[np.searchsorted(pair_of[by_pair], np.arange(len(seen)), side="right") - 1]
+    accs = {}
+    for j, lo, hi in zip(np.sort(seen).tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
+        key = PairKey(int(ids[first[j]]), int(ids[second[j]]), kind)
+        accs[key] = PairAccumulator(key, samples[lo:hi])
     return accs
+
+
+def _ranks_within(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., sizes[i] - 1 for each i in turn, as one array."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
 def collect_camera_pairs(table: CandidateSet) -> dict[PairKey, PairAccumulator]:

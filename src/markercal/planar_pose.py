@@ -6,20 +6,21 @@ A plane seen under perspective admits up to two physically plausible poses
 the marker center). `planar_poses` recovers both for every detection of a
 batch at once, in the manner of IPPE (Collins & Bartoli, "Infinitesimal
 Plane-based Pose Estimation", IJCV 2014). Each step is one array operation
-over all rows: the quad checks, undistortion, the normalized DLT homography
-(one SVD over (N,8,9)), the split into two rotations and their projection
-onto SO(3), the least-squares translations, and the RMS corner reprojection
-scores through `project_arrays`.
+over all rows, and none calls LAPACK: the quad checks, undistortion, the
+exact homography in Heckbert's closed form for a square, the split into two
+rotations (a 2x2 solve by Cramer's rule, then one polar Newton step that
+removes their rounding drift from SO(3)), the least-squares translations,
+and the RMS corner reprojection scores through `project_arrays`.
 
 Every row gets a status. POSE_OK rows carry both poses, best first.
 DEGENERATE_QUAD means a non-convex quad, coincident or collinear corners, an
-area of at most 1 px^2 or a rank-deficient homography. NO_VALID_POSE means
-no solution lies in front of the camera, or the viewing geometry is
-degenerate. A row that fails a check gets a benign placeholder before the
-next LAPACK call, so one bad detection cannot poison its batch, and every
-row comes out exactly as its own one-row call would. `estimate_two_poses` is
-that one-row call; it raises DegenerateQuad or NoValidPose for the failing
-statuses.
+area of at most 1 px^2 or a degenerate homography. NO_VALID_POSE means no
+solution lies in front of the camera, or the viewing geometry is
+degenerate. A row that fails a check gets a benign placeholder (or a
+divisor of 1) before the next step that could divide by zero, so one bad
+detection cannot poison its batch, and every row comes out exactly as its
+own one-row call would. `estimate_two_poses` is that one-row call; it
+raises DegenerateQuad or NoValidPose for the failing statuses.
 
 The error ratio is the ambiguity measure: a ratio near 1 means the
 detection alone cannot tell the two poses apart. By it `candidate_set`
@@ -50,7 +51,7 @@ from .geometry import (
 SINGLE_SOLUTION_RATIO = 1e12
 
 _ERR_FLOOR = 1e-12  # px; denominator clamp for the ratio
-_EPS = 1e-12  # rank, determinant and scale floor of the decomposition
+_EPS = 1e-12  # determinant and scale floor of the decomposition
 
 POSE_OK = 0
 DEGENERATE_QUAD = 1
@@ -196,43 +197,49 @@ def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
     return ~((area > 1.0) & (gap >= 1e-9) & convex)
 
 
-def _normalization(pts: np.ndarray):
-    """Similarity matrices (...,3,3) moving the centroid of (...,4,2) points
-    to the origin at mean radius sqrt(2), and the moved points."""
-    centroid = pts.mean(axis=-2)
-    mean_dist = np.linalg.norm(pts - centroid[..., None, :], axis=-1).mean(axis=-1)
-    scale = np.sqrt(2.0) / np.where(mean_dist > 0, mean_dist, np.sqrt(2.0))
-    t = np.zeros(scale.shape + (3, 3))
-    t[..., 0, 0] = t[..., 1, 1] = scale
-    t[..., :2, 2] = -scale[..., None] * centroid
-    t[..., 2, 2] = 1.0
-    return t, scale[..., None, None] * pts + t[..., None, :2, 2]
+def _unit_square_map(src: np.ndarray) -> np.ndarray:
+    """The affine map (3,3) taking (4,2) square corners 0, 1, 3 to the unit
+    square's (0,0), (1,0), (0,1), inverted by Cramer's rule."""
+    e = np.stack([src[1] - src[0], src[3] - src[0]], axis=1)
+    det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    m = np.eye(3)
+    m[:2, :2] = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
+    m[:2, 2] = -m[:2, :2] @ src[0]
+    return m
 
 
-def _homographies(src: np.ndarray, dst: np.ndarray):
-    """Exact template-to-image homographies (N,3,3) from the normalized DLT,
-    and the (N,) rows whose system is rank-deficient. src is (4,2), dst (N,4,2)."""
-    t_src, s = _normalization(src)
-    t_dst, d = _normalization(dst)
-    n = len(dst)
-    a = np.zeros((n, 4, 2, 9))
-    a[:, :, 0, 0:2] = -s
-    a[:, :, 0, 2] = -1.0
-    a[:, :, 1, 3:5] = -s
-    a[:, :, 1, 5] = -1.0
-    a[..., 6:8] = d[..., None] * s[:, None, :]
-    a[..., 8] = d
-    _, sv, vt = np.linalg.svd(a.reshape(n, 8, 9))
-    h = np.linalg.inv(t_dst) @ vt[:, -1].reshape(n, 3, 3) @ t_src
-    return h, sv[:, -2] < _EPS
+def _homographies(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Exact template-to-image homographies (N,3,3), up to scale, of square
+    template corners src (4,2) onto quads dst (N,4,2).
+
+    Heckbert's closed form ("Fundamentals of Texture Mapping and Image
+    Warping", 1989, sec. 2.2.3) maps the unit square onto each quad; the
+    fixed affine map from the template to the unit square precedes it. It is
+    written here multiplied through by its denominator, the cross product of
+    the quad's edges at corner 2, so it divides by nothing and needs no rank
+    test: the quad checks have already ruled out collinear corners.
+    """
+    p0, p1, p2, p3 = (dst[:, i] for i in range(4))
+    s, d1, d3 = p0 - p1 + p2 - p3, p1 - p2, p3 - p2
+    den = d1[:, 0] * d3[:, 1] - d3[:, 0] * d1[:, 1]
+    g = s[:, 0] * d3[:, 1] - d3[:, 0] * s[:, 1]
+    k = d1[:, 0] * s[:, 1] - s[:, 0] * d1[:, 1]
+    h = np.empty((len(dst), 3, 3))
+    h[:, :2, 0] = den[:, None] * (p1 - p0) + g[:, None] * p1
+    h[:, :2, 1] = den[:, None] * (p3 - p0) + k[:, None] * p3
+    h[:, :2, 2] = den[:, None] * p0
+    h[:, 2] = np.stack([g, k, den], axis=1)
+    return np.matmul(h, _unit_square_map(src))
 
 
-def _so3(m: np.ndarray) -> np.ndarray:
-    """Nearest rotations to a (...,3,3) stack, reflections excluded."""
-    u, _, vt = np.linalg.svd(m)
-    flip = np.linalg.det(np.matmul(u, vt)) < 0
-    u[..., 2] *= np.where(flip, -1.0, 1.0)[..., None]
-    return np.matmul(u, vt)
+def _polar_step(m: np.ndarray) -> np.ndarray:
+    """One Newton step (m + m^-T) / 2 of the polar decomposition on a (...,3,3)
+    stack, m^-T from the cross products of the columns. From a matrix within
+    e of SO(3) it lands within about e^2 of the nearest rotation."""
+    c = [m[..., i] for i in range(3)]
+    cof = np.stack([np.cross(c[1], c[2]), np.cross(c[2], c[0]), np.cross(c[0], c[1])], axis=-1)
+    det = np.sum(c[0] * cof[..., 0], axis=-1)
+    return 0.5 * (m + cof / det[..., None, None])
 
 
 def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
@@ -262,7 +269,8 @@ def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
     b_mat = rv[:, :2, :2] - v[:, :, None] * rv[:, None, 2, :2]
     det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
     ok = _fail(status, ~(np.abs(det) >= _EPS), NO_VALID_POSE)
-    a_mat = np.linalg.solve(_park(ok, b_mat, eye2), _park(ok, jac, eye2))
+    adj = b_mat[:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    a_mat = np.matmul(adj, jac) / np.where(ok, det, 1.0)[:, None, None]  # Cramer's rule
 
     aat = np.matmul(a_mat, a_mat.transpose(0, 2, 1))
     disc = np.sqrt((aat[:, 0, 0] - aat[:, 1, 1]) ** 2 + 4.0 * aat[:, 0, 1] ** 2)
@@ -278,10 +286,8 @@ def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
     for i, sign in enumerate((1.0, -1.0)):
         cols[:, i, 2, 0] = sign * b0
         cols[:, i, 2, 1] = sign * b1
-    c0, c1 = cols[..., 0], cols[..., 1]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        cols[..., i, 2] = c0[..., j] * c1[..., k] - c0[..., k] * c1[..., j]
-    return _so3(_park(ok, np.matmul(rv[:, None], cols), eye3))
+    cols[..., 2] = np.cross(cols[..., 0], cols[..., 1])
+    return _polar_step(_park(ok, np.matmul(rv[:, None], cols), eye3))
 
 
 def _translations(rot: np.ndarray, template_xy: np.ndarray, norm_xy: np.ndarray):
@@ -312,11 +318,11 @@ def planar_poses(corners: np.ndarray, cam: tuple, template: MarkerTemplate) -> P
 
     `corners` are the (N,4,2) or (4N,2) pixel corners and `cam` their
     per-corner intrinsics (fx, fy, cx, cy, dist), as corner_arrays builds
-    them. Pipeline: undistort corners to normalized coordinates, fit the
-    exact template-to-image homography, split it into the two plane-pose
-    rotations, recover each translation by least squares, then score both
-    solutions by RMS corner reprojection error (through the full distortion
-    model, against the raw pixel corners).
+    them. Pipeline: undistort corners to normalized coordinates, form the
+    exact template-to-image homography in closed form (no SVD), split it
+    into the two plane-pose rotations, recover each translation by least
+    squares, then score both solutions by RMS corner reprojection error
+    (through the full distortion model, against the raw pixel corners).
     """
     corners = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     n = len(corners)
@@ -330,10 +336,9 @@ def planar_poses(corners: np.ndarray, cam: tuple, template: MarkerTemplate) -> P
     ok = _fail(status, ~np.isfinite(norm_xy).all(axis=(1, 2)), NO_VALID_POSE)
     norm_xy = _park(ok, norm_xy, template_xy)
 
-    h, rank_deficient = _homographies(template_xy, norm_xy)
-    ok = _fail(status, rank_deficient, DEGENERATE_QUAD)
-    h22 = h[:, 2, 2]
-    ok = _fail(status, ~(np.abs(h22) >= _EPS), NO_VALID_POSE)
+    h = _homographies(template_xy, norm_xy)
+    h22 = h[:, 2, 2]  # the weight at the template origin, against h's scale
+    ok = _fail(status, ~(np.abs(h22) >= _EPS * np.abs(h).max(axis=(1, 2))), NO_VALID_POSE)
     h = h / np.where(ok, h22, 1.0)[:, None, None]
 
     rot = _two_rotations(h, status)

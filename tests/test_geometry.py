@@ -189,17 +189,19 @@ class TestPoseStack:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_drifted_rotations_projected_to_so3(self, sign):
-        # a rotation scaled off the group, and one scaled off a reflection:
-        # both compose to a proper rotation
+        # a rotation scaled off the group, and one scaled off a reflection,
+        # far above and just above the 1e-9 guard: both compose to a proper
+        # rotation, and the undrifted row stays the plain product
         rng = np.random.default_rng(37)
         good = _random_transform(rng)
-        off = RigidTransform(good.rotation @ np.diag([1.0, 1.0, sign]) * (1.0 + 1e-6), [0.0, 0.0, 1.0])
-        out = compose_many(PoseStack.of([off, good]), PoseStack.of([good, good]))
-        for r in out.rotations:
-            np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
-            assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(out.rotations[1], good.rotation @ good.rotation)
-        np.testing.assert_array_equal(compose(off, good).rotation, out.rotations[0])
+        for scale in (1e-6, 1e-8):
+            off = RigidTransform(good.rotation @ np.diag([1.0, 1.0, sign]) * (1.0 + scale), [0.0, 0.0, 1.0])
+            out = compose_many(PoseStack.of([off, good]), PoseStack.of([good, good]))
+            for r in out.rotations:
+                np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
+                assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(out.rotations[1], good.rotation @ good.rotation)
+            np.testing.assert_array_equal(compose(off, good).rotation, out.rotations[0])
 
 
 class TestTwist:

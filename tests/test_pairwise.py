@@ -15,10 +15,13 @@ from markercal.geometry import (
     PoseStack,
     RigidTransform,
     compose,
+    compose_many,
     invert,
+    invert_many,
     project,
     rotation_angle,
     rotation_from_rvec,
+    rotations_from_rvecs,
 )
 from markercal.pairwise import (
     CAMERA_PAIR,
@@ -455,6 +458,76 @@ class TestCollectors:
             for i, expect in enumerate(samples):
                 assert _same(got[i], expect), (key, i)
         assert any(len(s) > 6 for s in ref.values())  # ambiguous products present
+
+    @pytest.mark.parametrize("collect, slot", [(collect_camera_pairs, 1), (collect_marker_pairs, 2)])
+    def test_array_listing_matches_per_bridge_loop(self, collect, slot):
+        # random tables: counts 0, 1 and 2, bridges of 1 to 5 members, gaps
+        # in the frame and id sequences, and a few keys given twice
+        sizes = set()
+        for seed in range(12):
+            table = _random_table(np.random.default_rng(300 + seed))
+            ref = _listing_oracle(table, slot)
+            accs = collect(table)
+            assert list(accs) == list(ref)
+            for key, samples in ref.items():
+                assert accs[key].key == key
+                np.testing.assert_array_equal(accs[key].samples.rotations, samples.rotations)
+                np.testing.assert_array_equal(accs[key].samples.translations, samples.translations)
+            posed = table.keys[table.counts > 0]
+            _, per_bridge = np.unique(posed[:, [0, 3 - slot]], axis=0, return_counts=True)
+            sizes.update(per_bridge.tolist())
+        assert {1, 2, 3, 4, 5} <= sizes
+
+    def test_empty_table_has_no_pairs(self):
+        table = _random_table(np.random.default_rng(5))[0:0]
+        assert collect_camera_pairs(table) == {} and collect_marker_pairs(table) == {}
+
+
+def _random_table(rng) -> CandidateSet:
+    """A candidate table over sparse frames, cameras and markers, with random
+    poses and counts of 0, 1 or 2, and some keys repeated."""
+    keys = [
+        (t, c, m)
+        for t in sorted(rng.choice(40, 6, replace=False).tolist())
+        for c in (0, 2, 3, 5, 9)
+        for m in (1, 4, 6, 7, 11)
+        if rng.random() < 0.6
+    ]
+    keys += [keys[i] for i in rng.choice(len(keys), 3, replace=False)]
+    keys.sort()
+    counts = rng.integers(0, 3, len(keys))
+    n = int(counts.sum())
+    poses = PoseStack(rotations_from_rvecs(rng.normal(size=(n, 3))), rng.uniform(-1, 1, (n, 3)))
+    return CandidateSet(keys, counts, np.full(len(keys), np.nan), poses)
+
+
+def _listing_oracle(table: CandidateSet, member_slot: int) -> dict[PairKey, PoseStack]:
+    """Pair samples listed by a loop over bridges: the index pairs of every
+    (bridge, a < b, product) pairing, composed in one batch and split by pair
+    in first-appearance order. A key given twice keeps its last row."""
+    kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
+    by_bridge: dict[tuple[int, int], dict[int, range]] = {}
+    offsets = table.offsets.tolist()
+    for key, lo, hi in zip(table.keys.tolist(), offsets, offsets[1:]):
+        if hi > lo:
+            members = by_bridge.setdefault((key[0], key[3 - member_slot]), {})
+            members[key[member_slot]] = range(lo, hi)
+    keys: dict[PairKey, int] = {}
+    pairings, owner = [], []
+    for bridge in sorted(by_bridge):
+        members = by_bridge[bridge]
+        for a, b in combinations(sorted(members), 2):
+            outer, inner = (members[a], members[b]) if kind == CAMERA_PAIR else (members[b], members[a])
+            pairings += product(outer, inner)
+            owner += [keys.setdefault(PairKey(a, b, kind), len(keys))] * (len(outer) * len(inner))
+    outer, inner = np.array(pairings, dtype=np.int64).reshape(-1, 2).T
+    poses = table.poses
+    if kind == CAMERA_PAIR:
+        samples = compose_many(poses[outer], invert_many(poses[inner]))
+    else:
+        samples = compose_many(invert_many(poses[inner]), poses[outer])
+    owner = np.array(owner, dtype=np.int64)
+    return {key: samples[np.flatnonzero(owner == j)] for key, j in keys.items()}
 
 
 def _reference_pairs(xi, member_slot) -> dict[PairKey, list[RigidTransform]]:

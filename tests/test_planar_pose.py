@@ -16,9 +16,13 @@ from markercal.geometry import (
     invert,
     compose,
     project,
+    project_arrays,
     rotation_angle,
     rotation_from_rvec,
+    rotations_from_rvecs,
+    undistort_arrays,
 )
+from markercal import planar_pose
 from markercal.planar_pose import (
     DEGENERATE_QUAD,
     NO_VALID_POSE,
@@ -264,6 +268,102 @@ class TestPlanarPosesBatch:
     def test_empty_batch(self):
         poses = _batch([], {0: INTR})
         assert poses.rotations.shape == (0, 2, 3, 3) and poses.status.shape == (0,)
+
+
+def _status_quads(n: int, seed: int = 2027):
+    """3n seeded quads, cameras alternating pinhole and distorted, and their
+    per-corner intrinsics: n near-squares (the template at random poses up to
+    grazing tilt, plus up to 2 px noise), n random quads over and beyond the
+    image at sizes from 0.3 to 500 px, and n near-squares with one corner
+    moved onto a neighbour or onto the line through its two neighbours,
+    exactly or within 1e-13 to 1e-7 px."""
+    rng = np.random.default_rng(seed)
+    cams = (INTR, DISTORTED)
+    which = np.arange(3 * n) % 2
+    fx, fy, cx, cy = (np.array([getattr(c, a) for c in cams])[which] for a in ("fx", "fy", "cx", "cy"))
+    dist = np.array([c.dist for c in cams])[which]
+
+    axis = rng.normal(size=(n, 3))
+    axis[:, 2] = 0.0
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    spin = np.zeros((n, 3))
+    spin[:, 2] = rng.uniform(-math.pi, math.pi, n)
+    rot = rotations_from_rvecs(axis * rng.uniform(0.0, 1.55, (n, 1))) @ rotations_from_rvecs(spin)
+    z = rng.uniform(0.08, 4.0, n)
+    tvec = np.stack([rng.uniform(-0.6, 0.6, n) * z, rng.uniform(-0.45, 0.45, n) * z, z], 1)
+    pts = np.einsum("nij,kj->nki", rot, TPL.corners) + tvec[:, None]
+    pix, _, _ = project_arrays(
+        pts.reshape(-1, 3), *(np.repeat(a[:n], 4) for a in (fx, fy, cx, cy)),
+        np.repeat(dist[:n], 4, axis=0), want_jacobian=False,
+    )
+    squares = pix.reshape(n, 4, 2) + rng.normal(size=(n, 4, 2)) * rng.uniform(0.0, 2.0, (n, 1, 1))
+
+    centre = rng.uniform([-300, -250], [940, 730], (n, 1, 2))
+    random = centre + rng.normal(size=(n, 4, 2)) * 10.0 ** rng.uniform(-0.5, 2.7, (n, 1, 1))
+
+    base = squares[rng.permutation(n)]
+    bad = base.copy()
+    rows, i = np.arange(n), rng.integers(0, 4, n)
+    scale = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-13, -7, n))
+    jitter = rng.normal(size=(n, 2)) * scale[:, None]
+    p, q = base[rows, (i + 1) % 4], base[rows, (i + 3) % 4]
+    onto_line = p + rng.uniform(-0.5, 1.5, (n, 1)) * (q - p)
+    bad[rows, i] = np.where((rows < n // 2)[:, None], p, onto_line) + jitter
+
+    corners = np.concatenate([squares, random, bad])
+    cam = tuple(np.repeat(a, 4) for a in (fx, fy, cx, cy)) + (np.repeat(dist, 4, axis=0),)
+    return corners, cam
+
+
+class TestPinnedStatuses:
+    N = 6000  # per kind, 18,000 quads in all
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        corners, cam = _status_quads(self.N)
+        return corners, cam, planar_poses(corners, cam, TPL)
+
+    def test_status_counts_per_kind(self, batch):
+        # the counts of a normalized-DLT homography with an SVD projection
+        # onto SO(3), row for row the same statuses; rows: near-squares,
+        # random quads, coincident or collinear corners; columns: POSE_OK,
+        # DEGENERATE_QUAD, NO_VALID_POSE
+        _, _, poses = batch
+        counts = [np.bincount(s, minlength=3).tolist() for s in poses.status.reshape(3, self.N)]
+        assert counts == [[5630, 370, 0], [1153, 4839, 8], [388, 5612, 0]]
+
+    def test_rotations_are_orthonormal(self, batch):
+        _, _, poses = batch
+        r = poses.rotations[poses.status == POSE_OK].reshape(-1, 3, 3)
+        assert len(r) > 10000
+        assert np.abs(np.matmul(r.transpose(0, 2, 1), r) - np.eye(3)).max() <= 1e-12
+        assert np.abs(np.linalg.det(r) - 1.0).max() <= 1e-12
+
+    def test_homography_maps_template_onto_the_quad(self, batch):
+        # relative to the largest normalized coordinate; the near-collinear
+        # third kind leaves the mapping ill-conditioned (the normalized DLT
+        # missed those corners by up to 9e-4 relative too)
+        corners, cam, poses = batch
+        n = 2 * self.N
+        fx, fy, cx, cy = (np.reshape(a[:4 * n], (n, 4)) for a in cam[:4])
+        quad = undistort_arrays(corners[:n], fx, fy, cx, cy, np.reshape(cam[4][:4 * n], (n, 4, 5)))
+        quad = quad[poses.status[:n] == POSE_OK]
+        h = planar_pose._homographies(TPL.corners[:, :2], quad)
+        mapped = np.einsum("nij,kj->nki", h, np.c_[TPL.corners[:, :2], np.ones(4)])
+        mapped = mapped[..., :2] / mapped[..., 2:]
+        err = np.abs(mapped - quad).max(axis=(1, 2))
+        assert (err <= 1e-12 * np.abs(quad).max(axis=(1, 2))).all()
+
+    def test_no_lapack_call(self, batch, monkeypatch):
+        corners, cam, poses = batch
+
+        class NoLinalg:
+            def __getattr__(self, name):
+                raise AssertionError(f"planar_poses called np.linalg.{name}")
+
+        monkeypatch.setattr(np, "linalg", NoLinalg())
+        again = planar_poses(corners[:200], tuple(a[:800] for a in cam), TPL)
+        np.testing.assert_array_equal(again.status, poses.status[:200])
 
 
 class TestAmbiguityRatio:
