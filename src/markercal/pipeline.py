@@ -194,9 +194,10 @@ class TrackSession:
     """Stateful frame-by-frame tracking against a fixed calibration.
 
     Feeds each frame's detections to the pose solver, warm-starting from
-    the previous successful frame. Frames with no detections produce None
-    and clear nothing: the next frame still warm-starts from the last
-    success.
+    the previous successful frame. Frames with no detections, and frames
+    before the first pose whose detections are all unusable (no cold-start
+    candidate), produce None and clear nothing: the next frame still
+    warm-starts from the last success.
     """
 
     def __init__(
@@ -216,7 +217,10 @@ class TrackSession:
         self.last_rms: float | None = None
 
     def feed(self, dets: list[Detection]) -> RigidTransform | None:
-        pose, rms = self.tracker.solve(dets, warm=self.warm, opts=self.opts)
+        try:
+            pose, rms = self.tracker.solve(dets, warm=self.warm, opts=self.opts)
+        except NoValidPose:
+            pose, rms = None, None
         if pose is not None:
             self.warm = pose
         self.last_rms = rms

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from markercal import optimizer
 from markercal.errors import NoValidPose, NumericalFailure
 from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
@@ -16,6 +17,8 @@ from markercal.geometry import (
     project,
     rotation_angle,
     rotation_from_rvec,
+    rotation_jacobian_factors,
+    rotations_from_rvecs,
     rvec_from_rotation,
 )
 from markercal.optimizer import (
@@ -151,25 +154,25 @@ class TestParamLayout:
         assert layout.camera_ids == (1, 2)
         assert layout.marker_ids == (1,)
         assert layout.frame_ids == (0, 1, 2, 3)
-        assert layout.camera_offsets == {1: 0, 2: 6}
-        assert layout.marker_offsets == {1: 12}
-        assert layout.frame_offsets == {0: 18, 1: 24, 2: 30, 3: 36}
+        # (t, cam, marker) keys -> camera, marker and frame block offsets
+        keys = np.array([[0, 1, 1], [1, 2, 1], [2, 1, 0], [3, 0, 1]])
+        np.testing.assert_array_equal(
+            layout.block_offsets(keys), [[0, 12, 18], [6, 12, 24], [0, -6, 30], [-6, 12, 36]]
+        )
         assert layout.total == 42
 
     def test_references_own_no_parameters(self):
         layout = ParamLayout.build([4, 7], [2, 9], [0], 7, 2)
-        assert 7 not in layout.camera_offsets
-        assert 2 not in layout.marker_offsets
+        keys = np.array([[0, 7, 2], [0, 4, 9]])
+        np.testing.assert_array_equal(layout.block_offsets(keys), [[-6, -6, 12], [0, 6, 12]])
         assert layout.total == 18
 
     def test_blocks_disjoint_and_cover(self):
         layout = ParamLayout.build(range(4), range(3), range(5), 0, 0)
-        offsets = sorted(
-            list(layout.camera_offsets.values())
-            + list(layout.marker_offsets.values())
-            + list(layout.frame_offsets.values())
-        )
-        assert offsets == list(range(0, layout.total, 6))
+        keys = np.array([(t, c, m) for t in range(5) for c in range(4) for m in range(3)])
+        blocks = [set(col[col >= 0].tolist()) for col in layout.block_offsets(keys).T]
+        assert sum(len(b) for b in blocks) == layout.total // 6
+        assert sorted(set().union(*blocks)) == list(range(0, layout.total, 6))
 
     def test_unknown_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -293,14 +296,12 @@ class TestResidualSystem:
         builder, layout, x, _ = self._small_problem(1)
         jac = builder.system(x).jacobian
         dense = jac.toarray()
+        offsets = layout.block_offsets(builder.keys)
         for n, (t, cam, marker) in enumerate(builder.keys.tolist()):
-            allowed = set(range(layout.frame_offsets[t], layout.frame_offsets[t] + 6))
-            if cam != layout.ref_camera:
-                off = layout.camera_offsets[cam]
-                allowed |= set(range(off, off + 6))
-            if marker != layout.ref_marker:
-                off = layout.marker_offsets[marker]
-                allowed |= set(range(off, off + 6))
+            allowed = {off + i for off in offsets[n].tolist() if off >= 0 for i in range(6)}
+            assert offsets[n, 2] >= 0
+            assert (offsets[n, 0] < 0) == (cam == layout.ref_camera)
+            assert (offsets[n, 1] < 0) == (marker == layout.ref_marker)
             cols = set(jac.cols[n][jac.cols[n] >= 0].tolist())
             assert cols <= allowed
             for row in range(8 * n, 8 * n + 8):
@@ -382,8 +383,63 @@ class TestBehindCamera:
         cams, markers, frames, dets, intr, template = self._scene()
         tracker = FrameTracker(cams, markers, intr, template)
         x = np.concatenate([rvec_from_rotation(frames[0].rotation), frames[0].translation])
-        system = _FrameSystem(tracker, tracker._frame_arrays(dets)).system(x)
+        system = _FrameSystem(tracker._frame_arrays(dets)).system(x)
         self._check(system.residuals, system.jacobian, len(dets))
+
+
+class TestFrameSystem:
+    """The tracker's residuals and Jacobian are the refinement's, frozen."""
+
+    def _scene(self, seed, dist=None):
+        rng = np.random.default_rng(seed)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=3, n_markers=3, n_frames=1, noise=0.3, dist=dist
+        )
+        return cams, markers, frames, dets, intr, template, rng
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_jacobian_is_the_refinements_frame_block(self, dist, monkeypatch):
+        cams, markers, frames, dets, intr, template, rng = self._scene(61, dist)
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        x = pack_params(cams, markers, frames, layout)
+        x = x + rng.normal(scale=1e-3, size=x.size)
+        system = builder.system(x)
+        # the tracker gets the builder's own camera and marker poses, and its
+        # one-rvec Rodrigues routines are swapped for the batched ones that
+        # the builder uses, so both solvers see the same bits of every input
+        _, rot, trans = builder._pose_table(x)
+        n_cam, n_marker = len(layout.camera_ids), len(layout.marker_ids)
+
+        def poses(ref, ids, first):
+            rows = {ref: 0, **{k: first + i for i, k in enumerate(ids)}}
+            return {k: RigidTransform(rot[row], trans[row]) for k, row in rows.items()}
+
+        tracker = FrameTracker(
+            poses(0, layout.camera_ids, 1), poses(0, layout.marker_ids, 1 + n_cam), intr, template
+        )
+        monkeypatch.setattr(optimizer, "rotation_from_rvec", lambda v: rotations_from_rvecs(v[None])[0])
+        monkeypatch.setattr(
+            optimizer, "rotation_jacobian_factor",
+            lambda v, r: rotation_jacobian_factors(v[None], r[None])[0],
+        )
+        frame_x = x[6 * (n_cam + n_marker):]
+        tracked = _FrameSystem(tracker._frame_arrays(dets)).system(frame_x)
+        np.testing.assert_array_equal(tracked.residuals, system.residuals)
+        np.testing.assert_array_equal(tracked.jacobian, system.jacobian.blocks[:, :, 12:].reshape(-1, 6))
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_jacobian_matches_finite_differences(self, dist):
+        cams, markers, frames, dets, intr, template, rng = self._scene(62, dist)
+        tracker = FrameTracker(cams, markers, intr, template)
+        frame = _FrameSystem(tracker._frame_arrays(dets))
+        x = np.concatenate([rvec_from_rotation(frames[0].rotation), frames[0].translation])
+        x = x + rng.normal(scale=1e-3, size=6)
+        analytic = frame.system(x).jacobian
+        numeric = _numeric_jacobian(frame, x)
+        assert analytic.shape == (8 * len(dets), 6)
+        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)
+        assert rel.max() < 1e-4
 
 
 class TestLmMinimize:
@@ -545,7 +601,7 @@ class TestBlockSolve:
     def test_empty_reduced_system(self):
         # one camera and one marker: both are references, so only frames move
         system, layout = self._system(4, n_cams=1, n_markers=1)
-        assert layout.frame_offsets[0] == 0
+        assert layout.block_offsets(np.array([[0, 0, 0]])).tolist() == [[-6, -6, 0]]
         self._check(system)
 
     def test_frame_seen_by_one_detection(self):

@@ -258,6 +258,20 @@ class TestTrackSequence:
         assert 3 not in rms
         assert traj.frames[4].pose is not None
 
+    def test_frame_with_only_unusable_detections_untracked(self):
+        # frame 0 holds only a zero-corner quad, which has no cold-start
+        # candidate: it stays untracked and frames 1-4 are tracked
+        _, ds = _dataset()
+        result, _ = calibrate(ds)
+        dets = [Detection(0, 0, 0, np.zeros((4, 2)))]
+        dets += [d for d in ds.detections if 1 <= d.t <= 4]
+        traj, rms, _ = track_sequence(result, dets, ds.intrinsics, 5)
+        assert traj.frames[0].pose is None
+        assert 0 not in rms
+        for t in range(1, 5):
+            expect = result.traj.frames[t].pose.as_matrix()
+            assert np.abs(traj.frames[t].pose.as_matrix() - expect).max() < 1e-6
+
     def test_infers_frame_count(self):
         _, ds = _dataset()
         result, _ = calibrate(ds)
