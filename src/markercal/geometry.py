@@ -287,8 +287,9 @@ def rotation_angle(r: np.ndarray) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(q[1:])), min(float(q[0]), 1.0))
 
 
-def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) -> np.ndarray:
-    """Factor S(v) such that d(R(v) @ p)/dv = -R(v) @ skew(p) @ S(v).
+def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Factor S(v) such that d(R(v) @ p)/dv = -R(v) @ skew(p) @ S(v), given
+    rot = R(v).
 
     Closed form for theta >= 1e-3, third-order series below (both accurate
     to well under 1e-8 relative at the crossover).
@@ -298,8 +299,6 @@ def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray | None = None) ->
     k = skew_many(v)
     if theta_sq < 1e-6:
         return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    if rot is None:
-        rot = rotation_from_rvec(v)
     return (np.outer(v, v) + (rot.T - np.eye(3)) @ k) / theta_sq
 
 
@@ -317,10 +316,11 @@ def rotation_jacobian_factors(rvecs: np.ndarray, rots: np.ndarray) -> np.ndarray
 def _distort_normalized(a: np.ndarray, b: np.ndarray, dist: np.ndarray):
     """Brown-Conrady distortion of normalized coordinates.
 
-    `dist` is (5,) or (N,5). Returns (xd, yd, r2, radial); r2 and radial
-    feed the projection Jacobian.
+    `dist` holds k1, k2, p1, p2, k3 along its first axis: (5,) or (5, ...)
+    broadcasting against a and b. Returns (xd, yd, r2, radial); r2 and
+    radial feed the projection Jacobian.
     """
-    k1, k2, p1, p2, k3 = (dist[..., i] for i in range(5))
+    k1, k2, p1, p2, k3 = dist
     r2 = a * a + b * b
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = a * radial + 2.0 * p1 * a * b + p2 * (r2 + 2.0 * a * a)
@@ -347,11 +347,12 @@ def project(points_in_camera: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     return pix[0] if single else pix
 
 
-def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
-    """Projection with per-point intrinsics arrays; never raises.
+def project_arrays(points, k, want_jacobian: bool = True):
+    """Projection with per-point intrinsics; never raises.
 
-    `points` is (N,3); fx, fy, cx, cy broadcast against N and dist is (N,5)
-    or (5,). Returns (pix (N,2), jac (N,2,3) or None, front (N,) bool); pixel
+    `points` is (N,3) and `k` the intrinsics, one row per parameter (fx, fy,
+    cx, cy, k1, k2, p1, p2, k3): (9,N), one column per point, or (9,) for
+    all. Returns (pix (N,2), jac (N,2,3) or None, front (N,) bool); pixel
     and Jacobian values at non-front points are unspecified.
     """
     p = np.asarray(points, dtype=np.float64)
@@ -360,13 +361,13 @@ def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
     inv_z = 1.0 / np.where(front, z, 1.0)
     a = p[:, 0] * inv_z
     b = p[:, 1] * inv_z
-    d = np.asarray(dist, dtype=np.float64)
-    xd, yd, r2, radial = _distort_normalized(a, b, d)
+    fx, fy, cx, cy = k[:4]
+    xd, yd, r2, radial = _distort_normalized(a, b, k[4:])
     pix = np.stack([fx * xd + cx, fy * yd + cy], axis=-1)
     if not want_jacobian:
         return pix, None, front
 
-    k1, k2, p1, p2, k3 = (d[..., i] for i in range(5))
+    k1, k2, p1, p2, k3 = k[4:]
     dradial_dr2 = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
     # d(xd,yd)/d(a,b)
     dxd_da = radial + a * dradial_dr2 * 2.0 * a + 2.0 * p1 * b + 6.0 * p2 * a
@@ -385,28 +386,30 @@ def project_arrays(points, fx, fy, cx, cy, dist, want_jacobian: bool = True):
     return pix, jac, front
 
 
-def undistort_arrays(pixels, fx, fy, cx, cy, dist) -> np.ndarray:
+def undistort_arrays(pixels, k) -> np.ndarray:
     """Map (G,K,2) pixels to normalized camera coordinates, removing distortion.
 
-    fx, fy, cx and cy broadcast against (G,K) and dist against (G,K,5).
-    Fixed-point iteration, at most 30 rounds, run per group of K points: a
-    group stops once its largest update falls below 1e-14, and a group
-    without distortion takes no round. Exact inverse of the projection model
-    to ~1e-12 for moderate distortion.
+    `k` holds the intrinsics as project_arrays takes them, one row per
+    parameter, and broadcasts against (9,G,K). Fixed-point iteration, at
+    most 30 rounds, run per group of K points: a group stops once its
+    largest update falls below 1e-14, and a group without distortion takes
+    no round. Exact inverse of the projection model to ~1e-12 for moderate
+    distortion.
     """
     pix = np.asarray(pixels, dtype=np.float64)
+    fx, fy, cx, cy = k[:4]
     xd = (pix[..., 0] - cx) / fx
     yd = (pix[..., 1] - cy) / fy
     a, b = xd.copy(), yd.copy()
-    dist = np.broadcast_to(dist, a.shape + (5,))
-    active = np.flatnonzero(np.any(dist != 0.0, axis=(1, 2)))
+    dist = np.broadcast_to(k[4:], (5,) + a.shape)
+    active = np.flatnonzero(np.any(dist != 0.0, axis=(0, 2)))
     for _ in range(30):
         if not active.size:
             break
         # xd - xm = xd - a * radial - tangential, so this is the fixed point
         # a = (xd - tangential) / radial
         a_old, b_old = a[active], b[active]
-        xm, ym, _, radial = _distort_normalized(a_old, b_old, dist[active])
+        xm, ym, _, radial = _distort_normalized(a_old, b_old, dist[:, active])
         a[active] = a_old + (xd[active] - xm) / radial
         b[active] = b_old + (yd[active] - ym) / radial
         step = np.maximum(np.abs(a[active] - a_old), np.abs(b[active] - b_old)).max(axis=1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import spsolve  # noqa: F401  bound by name for perfbench/tracing.py
 
-from .errors import NoValidPose, NumericalFailure
+from .errors import NoValidPose, NumericalFailure, ValidationError
 from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
 from .geometry import (
     CameraIntrinsics,
@@ -309,10 +309,12 @@ class ResidualSystem:
     jacobian: BlockJacobian | np.ndarray  # refinement blocks or the tracker's dense (8K,6)
 
 
-def _corner_residuals(y, rg, tg, rc, tc, obs, cam: tuple, want_jacobian: bool):
+def _corner_residuals(y, rg, tg, rc, tc, obs, k, want_jacobian: bool):
     """The model's only projection: the residuals of marker corners y (N,4,3),
     given in the reference-marker frame, under object poses (rg, tg) and
-    camera poses (rc, tc), each (N,...) or (1,...).
+    camera poses (rc, tc), each (N,...) or (1,...), against the observed
+    corners obs (4N,2) of cameras with intrinsics k (9,4N), as corner_arrays
+    builds them.
 
     Returns (r, pj, a): the (8N,) residuals, their (N,4,2,3) pixel Jacobian
     by the camera-frame corner R_c^T a when asked for (else None), and
@@ -321,7 +323,7 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, cam: tuple, want_jacobian: bool):
     """
     a = np.matmul(y, rg.transpose(0, 2, 1)) + tg[:, None, :] - tc[:, None, :]
     pix, pixjac, front = project_arrays(
-        np.matmul(a, rc).reshape(-1, 3), *cam, want_jacobian=want_jacobian
+        np.matmul(a, rc).reshape(-1, 3), k, want_jacobian=want_jacobian
     )
     res = pix - obs
     res[~front] = BEHIND_RESIDUAL
@@ -384,7 +386,7 @@ class ResidualBuilder:
         cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
         n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
         self._pattern = _BlockPattern.build(np.where(cols < 0, -1, cols), n_struct, layout.total)
-        self.obs_pix, self._cam4 = corner_arrays(dets, intrinsics)
+        self.obs_pix, self._k = corner_arrays(dets, intrinsics)
         self._u8 = np.repeat(template.corners, 2, axis=0)  # each corner's x and y row
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
@@ -410,7 +412,7 @@ class ResidualBuilder:
 
         u = self.template.corners  # (4,3)
         y = np.matmul(u, rm.transpose(0, 2, 1)) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
-        r, pj, a = _corner_residuals(y, rg, tg, rc, tc, self.obs_pix, self._cam4, want_jacobian)
+        r, pj, a = _corner_residuals(y, rg, tg, rc, tc, self.obs_pix, self._k, want_jacobian)
         return r, (rc, rg, rm, y, a, pj)
 
     def system(self, x: np.ndarray) -> ResidualSystem:
@@ -574,7 +576,6 @@ def refine_all(
     detections: list[Detection],
     intrinsics: dict[int, CameraIntrinsics],
     opts: SolverOptions = SolverOptions(),
-    template: MarkerTemplate | None = None,
 ) -> CalibrationResult:
     """Jointly refine cameras, markers and all tracked frame poses.
 
@@ -583,7 +584,6 @@ def refine_all(
     markers outside the estimate stay out of the cost, and the report counts
     them; calibrate() hands in only detections with a pose candidate.
     """
-    tpl = template if template is not None else MarkerTemplate(init.marker_side)
     tracked = {t: pose for t, pose in init.traj.tracked_items()}
     layout = ParamLayout.build(
         init.cams.poses, init.markers.poses, tracked,
@@ -593,7 +593,7 @@ def refine_all(
         d for d in detections
         if d.t in tracked and d.cam in init.cams.poses and d.marker in init.markers.poses
     ]
-    builder = ResidualBuilder(kept, intrinsics, tpl, layout)
+    builder = ResidualBuilder(kept, intrinsics, MarkerTemplate(init.marker_side), layout)
     x0 = pack_params(init.cams.poses, init.markers.poses, tracked, layout)
     x_opt, lm = lm_minimize(x0, builder, opts)
     cams, markers, frames = unpack_params(x_opt, layout)
@@ -626,6 +626,14 @@ def refine_all(
 # ---------------------------------------------------------------------------
 
 
+def _calibrated_rows(stack: IndexedPoses, ids: list[int], kind: str) -> np.ndarray:
+    """stack.rows(ids); ValidationError naming the ids the calibration lacks."""
+    try:
+        return stack.rows(ids)
+    except KeyError as e:
+        raise ValidationError(f"{kind} {e.args[0]} by the calibration") from None
+
+
 class FrameTracker:
     """Six-parameter pose solver over a fixed calibration.
 
@@ -640,8 +648,6 @@ class FrameTracker:
         intrinsics: dict[int, CameraIntrinsics],
         template: MarkerTemplate,
     ):
-        self.cams = cams
-        self.markers = markers
         self.intrinsics = intrinsics
         self.template = template
         self._cam_stack = IndexedPoses.of(cams)
@@ -653,14 +659,16 @@ class FrameTracker:
         self.last_iterations = 0
 
     def _frame_arrays(self, dets: list[Detection]):
-        """(y, R_c, t_c, obs, cam) of a frame's detections: the corners in the
+        """(y, R_c, t_c, obs, k) of a frame's detections: the corners in the
         reference-marker frame (K,4,3), the camera poses (K,3,3) and (K,3),
-        and corner_arrays' observed corners and per-corner intrinsics."""
-        ci = self._cam_stack.rows([d.cam for d in dets])
+        and corner_arrays' observed corners (4K,2) and intrinsics (9,4K).
+        Raises ValidationError naming the cameras or markers outside the
+        calibration, and MissingIntrinsics for a camera without intrinsics."""
+        ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
+        mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
         stack = self._cam_stack.poses
-        obs, cam = corner_arrays(dets, self.intrinsics)
-        y = self._y[self._marker_stack.rows([d.marker for d in dets])]
-        return y, stack.rotations[ci], stack.translations[ci], obs, cam
+        obs, k = corner_arrays(dets, self.intrinsics)
+        return self._y[mi], stack.rotations[ci], stack.translations[ci], obs, k
 
     def cold_start(self, dets: list[Detection], arrays=None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
@@ -676,18 +684,18 @@ class FrameTracker:
         basin. `arrays` are the frame's _frame_arrays, built here when not
         given.
         """
-        y, rc, tc, obs, cam = arrays if arrays is not None else self._frame_arrays(dets)
-        poses = planar_poses(obs, cam, self.template)
+        y, rc, tc, obs, k = arrays if arrays is not None else self._frame_arrays(dets)
+        poses = planar_poses(obs, k, self.template)
         table = candidate_set(poses, [d.key for d in dets], math.inf)
         if not len(table.poses):
             raise NoValidPose("no usable cold-start candidate in frame")
         proposals = object_poses(self._cam_stack, self._marker_stack, table)
-        n, k = len(proposals), len(dets)
+        n, m = len(proposals), len(dets)
         # every proposal against every detection: proposal-major rows
-        rg, tg = (np.repeat(a, k, axis=0) for a in (proposals.rotations, proposals.translations))
-        y, rc, tc, obs, *cam = (np.concatenate([a] * n) for a in (y, rc, tc, obs, *cam))
-        r = _corner_residuals(y, rg, tg, rc, tc, obs, cam, False)[0]
-        r = r.reshape(n, k, 8)[:, poses.status == POSE_OK].reshape(n, -1)
+        rg, tg = (np.repeat(a, m, axis=0) for a in (proposals.rotations, proposals.translations))
+        y, rc, tc, obs = (np.concatenate([a] * n) for a in (y, rc, tc, obs))
+        r = _corner_residuals(y, rg, tg, rc, tc, obs, np.tile(k, n), False)[0]
+        r = r.reshape(n, m, 8)[:, poses.status == POSE_OK].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():
@@ -702,15 +710,11 @@ class FrameTracker:
     ) -> tuple[RigidTransform | None, float | None]:
         """(pose, per-corner rms) for one frame; (None, None) when empty.
 
-        Runs lm_minimize over the frame's six pose parameters.
+        Runs lm_minimize over the frame's six pose parameters; raises as
+        _frame_arrays does for a detection it cannot resolve.
         """
         if not dets:
             return None, None
-        for d in dets:
-            if d.cam not in self.cams or d.marker not in self.markers:
-                raise ValueError(
-                    f"detection (cam={d.cam}, marker={d.marker}) outside calibration"
-                )
         arrays = self._frame_arrays(dets)
         pose = warm if warm is not None else self.cold_start(dets, arrays)
         x, report = lm_minimize(_twist(pose), _FrameSystem(arrays), opts)
@@ -726,18 +730,18 @@ class _FrameSystem:
     arrays: tuple  # FrameTracker._frame_arrays
 
     def system(self, x: np.ndarray) -> ResidualSystem:
-        y, rc, tc, obs, cam = self.arrays
+        y, rc, tc, obs, k = self.arrays
         rot = rotation_from_rvec(x[:3])
-        r, pj, _ = _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, cam, True)
+        r, pj, _ = _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k, True)
         # the one-rvec factor: rotation_jacobian_factors on a batch of one
         # takes 42 us against 20 us, and made warm frames 5-6% slower
         s_g = rotation_jacobian_factor(x[:3], rot)
         return ResidualSystem(r, _frame_columns(pj, rc, rot[None], y, s_g[None])[2].reshape(-1, 6))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        y, rc, tc, obs, cam = self.arrays
+        y, rc, tc, obs, k = self.arrays
         rot = rotation_from_rvec(x[:3])
-        return _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, cam, False)[0]
+        return _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k, False)[0]
 
 
 def track_frame(

@@ -171,13 +171,7 @@ def calibrate(
     )
     # the table's rows are the detections in sorted key order
     posed = list(compress(sorted(dataset.detections, key=lambda d: d.key), candidates.counts))
-    result = refine_all(
-        init,
-        posed,
-        dataset.intrinsics,
-        opts=config.solver,
-        template=MarkerTemplate(dataset.marker_side),
-    )
+    result = refine_all(init, posed, dataset.intrinsics, opts=config.solver)
     left_out = result.report.left_out + len(dataset.detections) - len(posed)
     result = replace(result, report=replace(result.report, left_out=left_out))
     artifacts = CalibrationArtifacts(

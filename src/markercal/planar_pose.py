@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuad, NoValidPose
+from .errors import DegenerateQuad, MissingIntrinsics, NoValidPose
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
@@ -128,12 +128,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, rows: slice) -> CandidateSet:
-        """The rows in a slice of step 1, as a table of their own."""
-        lo, hi, _ = rows.indices(len(self))
-        poses = self.poses[self.offsets[lo]:self.offsets[hi]]
-        return CandidateSet(self.keys[rows], self.counts[rows], self.ratios[rows], poses)
-
 
 @dataclass(frozen=True)
 class PlanarPoses:
@@ -158,16 +152,18 @@ class PlanarPoses:
 
 
 def corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
-    """Observed corners (4N,2) and per-corner intrinsics (fx, fy, cx, cy, dist)."""
-    for d in dets:
-        if d.cam not in intrinsics:
-            raise ValueError(f"no intrinsics for camera {d.cam}")
-    intr = [intrinsics[d.cam] for d in dets]
+    """Observed corners (4N,2) of N detections and their intrinsics k (9,4N):
+    one row per parameter (fx, fy, cx, cy, k1, k2, p1, p2, k3), one column
+    per corner, as project_arrays takes them. Raises MissingIntrinsics for
+    a detection whose camera has none."""
+    # Python floats throughout: np.array converts them far faster than np.float64s
+    rows = {c: (i.fx, i.fy, i.cx, i.cy, *i.dist.tolist()) for c, i in intrinsics.items()}
+    try:
+        k = np.array([rows[d.cam] for d in dets], dtype=np.float64).reshape(-1, 9)
+    except KeyError as e:
+        raise MissingIntrinsics(e.args[0]) from None
     obs = np.array([d.corners for d in dets]).reshape(-1, 2)
-    return obs, tuple(
-        np.repeat([getattr(i, name) for i in intr], 4, axis=0)
-        for name in ("fx", "fy", "cx", "cy", "dist")
-    )
+    return obs, np.repeat(k.T, 4, axis=1)
 
 
 def _fail(status: np.ndarray, bad: np.ndarray, code: int) -> np.ndarray:
@@ -313,26 +309,25 @@ def ambiguity_ratio(err_best, err_alt):
     return np.maximum(1.0, err_alt / np.maximum(err_best, _ERR_FLOOR))
 
 
-def planar_poses(corners: np.ndarray, cam: tuple, template: MarkerTemplate) -> PlanarPoses:
+def planar_poses(corners: np.ndarray, k: np.ndarray, template: MarkerTemplate) -> PlanarPoses:
     """Both marker-to-camera pose candidates for N detections at once.
 
-    `corners` are the (N,4,2) or (4N,2) pixel corners and `cam` their
-    per-corner intrinsics (fx, fy, cx, cy, dist), as corner_arrays builds
-    them. Pipeline: undistort corners to normalized coordinates, form the
-    exact template-to-image homography in closed form (no SVD), split it
-    into the two plane-pose rotations, recover each translation by least
-    squares, then score both solutions by RMS corner reprojection error
-    (through the full distortion model, against the raw pixel corners).
+    `corners` are the (N,4,2) or (4N,2) pixel corners and `k` (9,4N) their
+    per-corner intrinsics, as corner_arrays builds them. Pipeline: undistort
+    corners to normalized coordinates, form the exact template-to-image
+    homography in closed form (no SVD), split it into the two plane-pose
+    rotations, recover each translation by least squares, then score both
+    solutions by RMS corner reprojection error (through the full distortion
+    model, against the raw pixel corners).
     """
     corners = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     n = len(corners)
-    fx, fy, cx, cy = (np.reshape(a, (n, 4)) for a in cam[:4])
-    dist = np.reshape(cam[4], (n, 4, 5))
+    k = np.reshape(k, (9, n, 4))
     template_xy = template.corners[:, :2]
     status = np.zeros(n, dtype=np.int8)
 
     ok = _fail(status, _quad_is_degenerate(corners), DEGENERATE_QUAD)
-    norm_xy = undistort_arrays(corners, fx, fy, cx, cy, dist)
+    norm_xy = undistort_arrays(corners, k)
     ok = _fail(status, ~np.isfinite(norm_xy).all(axis=(1, 2)), NO_VALID_POSE)
     norm_xy = _park(ok, norm_xy, template_xy)
 
@@ -345,8 +340,7 @@ def planar_poses(corners: np.ndarray, cam: tuple, template: MarkerTemplate) -> P
     tvec, w = _translations(rot, template_xy, norm_xy)
     pix, _, front = project_arrays(
         (w + tvec[..., None, :]).reshape(-1, 3),
-        *(np.repeat(a, 2, axis=0).reshape(-1) for a in (fx, fy, cx, cy)),
-        np.repeat(dist, 2, axis=0).reshape(-1, 5),
+        np.repeat(k, 2, axis=1).reshape(9, -1),  # both solutions of every row
         want_jacobian=False,
     )
     valid = (tvec[..., 2] > 0.0) & front.reshape(n, 2, 4).all(axis=-1)

@@ -204,6 +204,39 @@ class TestTrackCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stream", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", ["unknown camera", "unknown marker", "missing intrinsics"])
+    def test_unresolvable_detection_exit_2(self, workdir, tmp_path, capsys, monkeypatch,
+                                           stream, case):
+        # one detection of frame 3 names a camera or marker the calibration
+        # lacks, or a calibrated camera has no intrinsics
+        lines = (workdir / "detections.jsonl").read_text().splitlines()
+        intrinsics = json.loads((workdir / "intrinsics.json").read_text())
+        row = next(i for i, line in enumerate(lines) if json.loads(line)["t"] == 3)
+        det = json.loads(lines[row])
+        if case == "missing intrinsics":
+            del intrinsics[str(det["cam"])]
+        else:
+            det["cam" if case == "unknown camera" else "marker"] = 77
+            lines[row] = json.dumps(det)
+        (tmp_path / "intrinsics.json").write_text(json.dumps(intrinsics))
+        (tmp_path / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        args = [
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(tmp_path / "intrinsics.json"),
+            "--output", str(tmp_path / "traj.csv"),
+        ]
+        if stream:
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+            args += ["--detections", "-"]
+        else:
+            args += ["--detections", str(tmp_path / "detections.jsonl")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "77" in err if case != "missing intrinsics" else "no intrinsics" in err
+
 
 class TestSynthCommand:
     def test_default_spec(self, tmp_path, capsys):

@@ -55,6 +55,11 @@ def _quat_exp_rotation(rvec) -> np.ndarray:
     )
 
 
+def _k(intr: CameraIntrinsics) -> np.ndarray:
+    """The (9,) intrinsics array of one camera: fx, fy, cx, cy, then dist."""
+    return np.array([intr.fx, intr.fy, intr.cx, intr.cy, *intr.dist])
+
+
 def _pinhole_oracle(point, fx, fy, cx, cy, dist):
     """Scalar Brown-Conrady projection, coded independently."""
     px, py, pz = point
@@ -369,12 +374,11 @@ class TestUndistort:
             [rng.uniform(-0.3, 0.3, 20), rng.uniform(-0.3, 0.3, 20), np.ones(20)]
         )
         pix = project(pts, intr)
-        normalized = undistort_arrays(pix[None], intr.fx, intr.fy, intr.cx, intr.cy, intr.dist)
+        normalized = undistort_arrays(pix[None], _k(intr)[:, None, None])
         np.testing.assert_allclose(normalized[0], pts[:, :2], atol=1e-10)
 
     def test_no_distortion_is_linear(self):
-        i = DEFAULT_INTR
-        normalized = undistort_arrays([[[380.0, 240.0]]], i.fx, i.fy, i.cx, i.cy, i.dist)
+        normalized = undistort_arrays([[[380.0, 240.0]]], _k(DEFAULT_INTR)[:, None, None])
         np.testing.assert_allclose(normalized[0], [[0.1, 0.0]], atol=1e-15)
 
 
@@ -388,9 +392,7 @@ class TestProjectJacobian:
         pts = np.column_stack(
             [rng.uniform(-0.4, 0.4, 10), rng.uniform(-0.4, 0.4, 10), rng.uniform(0.5, 2.5, 10)]
         )
-        pix, jac, front = project_arrays(
-            pts, intr.fx, intr.fy, intr.cx, intr.cy, intr.dist
-        )
+        pix, jac, front = project_arrays(pts, _k(intr))
         assert front.all()
         np.testing.assert_allclose(pix, project(pts, intr))
         h = 1e-6
@@ -437,7 +439,7 @@ class TestBatchedRotations:
         factors = rotation_jacobian_factors(rvecs, rots)
         for v, rot, s in zip(rvecs, rots, factors):
             np.testing.assert_allclose(rot, rotation_from_rvec(v), atol=1e-14)
-            np.testing.assert_allclose(s, rotation_jacobian_factor(v), atol=1e-12)
+            np.testing.assert_allclose(s, rotation_jacobian_factor(v, rotation_from_rvec(v)), atol=1e-12)
 
 
 class TestIndexedPoses:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from markercal import optimizer
-from markercal.errors import NoValidPose, NumericalFailure
+from markercal.errors import NoValidPose, NumericalFailure, ValidationError
 from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
     CameraIntrinsics,
@@ -387,6 +387,52 @@ class TestBehindCamera:
         self._check(system.residuals, system.jacobian, len(dets))
 
 
+class TestPerCameraIntrinsics:
+    """Cameras that differ in fx, cx and distortion: every detection's
+    residuals come from its own camera's intrinsics in both solvers."""
+
+    INTR = {
+        0: CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0),
+        1: CameraIntrinsics(fx=750.0, fy=600.0, cx=300.0, cy=240.0, dist=DIST),
+        2: CameraIntrinsics(fx=520.0, fy=600.0, cx=345.0, cy=240.0,
+                            dist=[0.1, -0.02, -0.002, 0.0015, 0.003]),
+    }
+
+    def _scene(self):
+        rng = np.random.default_rng(67)
+        cams, markers, frames, _, _, template = _make_scene(rng, n_cams=3, n_frames=2)
+        dets = _observe(cams, markers, frames, self.INTR, template, rng, noise=0.3)
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        x = pack_params(cams, markers, frames, layout)
+        x = x + rng.normal(scale=1e-3, size=x.size)
+        return dets, template, layout, x
+
+    def _oracle(self, dets, template, cams, markers, frames):
+        """Per detection: geometry.project with that detection's own camera."""
+        out = []
+        for d in dets:
+            top = compose(invert(cams[d.cam]), compose(frames[d.t], markers[d.marker]))
+            out.append(project(top.apply(template.corners), self.INTR[d.cam]) - d.corners)
+        return np.concatenate(out).reshape(-1)
+
+    def test_refinement_residuals(self):
+        dets, template, layout, x = self._scene()
+        builder = ResidualBuilder(dets, self.INTR, template, layout)
+        expected = self._oracle(dets, template, *unpack_params(x, layout))
+        np.testing.assert_allclose(builder.residuals(x), expected, rtol=0, atol=1e-9)
+
+    def test_tracker_residuals(self):
+        dets, template, layout, x = self._scene()
+        cams, markers, frames = unpack_params(x, layout)
+        tracker = FrameTracker(cams, markers, self.INTR, template)
+        for i, t in enumerate(layout.frame_ids):
+            frame_dets = [d for d in dets if d.t == t]
+            frame_x = x[6 * (len(layout.camera_ids) + len(layout.marker_ids) + i):][:6]
+            got = _FrameSystem(tracker._frame_arrays(frame_dets)).residuals(frame_x)
+            expected = self._oracle(frame_dets, template, cams, markers, frames)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
+
 class TestFrameSystem:
     """The tracker's residuals and Jacobian are the refinement's, frozen."""
 
@@ -761,7 +807,7 @@ class TestTracking:
     def test_unknown_camera_rejected(self):
         tracker, dets, _, _ = self._frame_setup(45)
         bad = Detection(0, 77, 0, dets[0].corners)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"camera ids \[77\]"):
             tracker.solve([bad])
 
     def test_one_shot_wrapper_matches_tracker(self):

@@ -479,7 +479,7 @@ class TestCollectors:
         assert {1, 2, 3, 4, 5} <= sizes
 
     def test_empty_table_has_no_pairs(self):
-        table = _random_table(np.random.default_rng(5))[0:0]
+        table = _table({})
         assert collect_camera_pairs(table) == {} and collect_marker_pairs(table) == {}
 
 

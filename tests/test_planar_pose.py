@@ -280,8 +280,7 @@ def _status_quads(n: int, seed: int = 2027):
     rng = np.random.default_rng(seed)
     cams = (INTR, DISTORTED)
     which = np.arange(3 * n) % 2
-    fx, fy, cx, cy = (np.array([getattr(c, a) for c in cams])[which] for a in ("fx", "fy", "cx", "cy"))
-    dist = np.array([c.dist for c in cams])[which]
+    k = np.array([[c.fx, c.fy, c.cx, c.cy, *c.dist] for c in cams])[which].T
 
     axis = rng.normal(size=(n, 3))
     axis[:, 2] = 0.0
@@ -292,10 +291,7 @@ def _status_quads(n: int, seed: int = 2027):
     z = rng.uniform(0.08, 4.0, n)
     tvec = np.stack([rng.uniform(-0.6, 0.6, n) * z, rng.uniform(-0.45, 0.45, n) * z, z], 1)
     pts = np.einsum("nij,kj->nki", rot, TPL.corners) + tvec[:, None]
-    pix, _, _ = project_arrays(
-        pts.reshape(-1, 3), *(np.repeat(a[:n], 4) for a in (fx, fy, cx, cy)),
-        np.repeat(dist[:n], 4, axis=0), want_jacobian=False,
-    )
+    pix, _, _ = project_arrays(pts.reshape(-1, 3), np.repeat(k[:, :n], 4, axis=1), want_jacobian=False)
     squares = pix.reshape(n, 4, 2) + rng.normal(size=(n, 4, 2)) * rng.uniform(0.0, 2.0, (n, 1, 1))
 
     centre = rng.uniform([-300, -250], [940, 730], (n, 1, 2))
@@ -311,8 +307,7 @@ def _status_quads(n: int, seed: int = 2027):
     bad[rows, i] = np.where((rows < n // 2)[:, None], p, onto_line) + jitter
 
     corners = np.concatenate([squares, random, bad])
-    cam = tuple(np.repeat(a, 4) for a in (fx, fy, cx, cy)) + (np.repeat(dist, 4, axis=0),)
-    return corners, cam
+    return corners, np.repeat(k, 4, axis=1)
 
 
 class TestPinnedStatuses:
@@ -320,8 +315,8 @@ class TestPinnedStatuses:
 
     @pytest.fixture(scope="class")
     def batch(self):
-        corners, cam = _status_quads(self.N)
-        return corners, cam, planar_poses(corners, cam, TPL)
+        corners, k = _status_quads(self.N)
+        return corners, k, planar_poses(corners, k, TPL)
 
     def test_status_counts_per_kind(self, batch):
         # the counts of a normalized-DLT homography with an SVD projection
@@ -343,10 +338,9 @@ class TestPinnedStatuses:
         # relative to the largest normalized coordinate; the near-collinear
         # third kind leaves the mapping ill-conditioned (the normalized DLT
         # missed those corners by up to 9e-4 relative too)
-        corners, cam, poses = batch
+        corners, k, poses = batch
         n = 2 * self.N
-        fx, fy, cx, cy = (np.reshape(a[:4 * n], (n, 4)) for a in cam[:4])
-        quad = undistort_arrays(corners[:n], fx, fy, cx, cy, np.reshape(cam[4][:4 * n], (n, 4, 5)))
+        quad = undistort_arrays(corners[:n], k[:, :4 * n].reshape(9, n, 4))
         quad = quad[poses.status[:n] == POSE_OK]
         h = planar_pose._homographies(TPL.corners[:, :2], quad)
         mapped = np.einsum("nij,kj->nki", h, np.c_[TPL.corners[:, :2], np.ones(4)])
@@ -355,14 +349,14 @@ class TestPinnedStatuses:
         assert (err <= 1e-12 * np.abs(quad).max(axis=(1, 2))).all()
 
     def test_no_lapack_call(self, batch, monkeypatch):
-        corners, cam, poses = batch
+        corners, k, poses = batch
 
         class NoLinalg:
             def __getattr__(self, name):
                 raise AssertionError(f"planar_poses called np.linalg.{name}")
 
         monkeypatch.setattr(np, "linalg", NoLinalg())
-        again = planar_poses(corners[:200], tuple(a[:800] for a in cam), TPL)
+        again = planar_poses(corners[:200], k[:, :800], TPL)
         np.testing.assert_array_equal(again.status, poses.status[:200])
 
 
@@ -423,9 +417,7 @@ class TestCandidateSet:
         assert xi.ratios.tolist() == [4.0, 1.5, 3.0, 1.2]
         kept = [hs[3].best, hs[2].best, hs[2].alt, hs[1].best, hs[0].best, hs[0].alt]
         assert all(_same(xi.poses[i], t) for i, t in enumerate(kept))
-        tail = xi[1:3]
-        assert tail.keys.tolist() == [[0, 2, 0], [0, 2, 1]]
-        assert all(_same(tail.poses[i], t) for i, t in enumerate(kept[1:4]))
+        assert xi.offsets.tolist() == [0, 1, 3, 4, 6]
 
     def test_at_most_two_transforms(self):
         t = PoseStack.of([RigidTransform.identity()] * 3)
