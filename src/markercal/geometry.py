@@ -38,6 +38,17 @@ def skew_many(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v over the last axis, formed as np.cross forms it (the same bits).
+    On the (9,8,3) arrays of a 9-detection tracking frame np.cross takes
+    39 us against 24 us, and on the (9,2,3) columns of its planar poses
+    53 us against 25 us (timeit, 2-vCPU Xeon, numpy 2.4); with np.cross warm
+    tracking frames were 8-9% slower (735-frame `track` scene, seeds 0, 2)."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """An element of SE(3): rotation (3,3) and translation (3,) in meters."""

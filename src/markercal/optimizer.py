@@ -33,6 +33,7 @@ from .geometry import (
     IndexedPoses,
     MarkerTemplate,
     RigidTransform,
+    cross,
     project_arrays,
     rotation_from_rvec,
     rotation_jacobian_factor,
@@ -332,16 +333,6 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k, want_jacobian: bool):
     return res.reshape(-1), np.where(front[:, None, None], pixjac, 0.0).reshape(-1, 4, 2, 3), a
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u x v over the last axis, formed as np.cross forms it (the same bits).
-    On the (9,8,3) arrays of a 9-detection tracking frame np.cross takes
-    39 us against 24 us (timeit, 2-vCPU Xeon, numpy 2.4), and with it warm
-    tracking frames were 8-9% slower (735-frame `track` scene, seeds 0, 2)."""
-    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
-
-
 def _frame_columns(pj, rc, rg, y, s_frame):
     """(dw, dy, block) from the pixel Jacobian pj of _corner_residuals.
 
@@ -353,7 +344,7 @@ def _frame_columns(pj, rc, rg, y, s_frame):
     """
     dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1))
     dy = np.matmul(dw, rg)
-    rot_part = -np.matmul(_cross(dy, np.repeat(y, 2, axis=1)), s_frame)
+    rot_part = -np.matmul(cross(dy, np.repeat(y, 2, axis=1)), s_frame)
     return dw, dy, np.concatenate([rot_part, dw], axis=-1)
 
 
@@ -436,9 +427,9 @@ class ResidualBuilder:
         du = np.matmul(dy, rm)
         jac = np.concatenate(
             [
-                np.matmul(_cross(dw, np.repeat(a, 2, axis=1)), s_cam),
+                np.matmul(cross(dw, np.repeat(a, 2, axis=1)), s_cam),
                 -dw,
-                -np.matmul(_cross(du, self._u8), s_marker),
+                -np.matmul(cross(du, self._u8), s_marker),
                 dy,
                 frame,
             ],

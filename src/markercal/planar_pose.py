@@ -41,6 +41,7 @@ from .geometry import (
     MarkerTemplate,
     PoseStack,
     RigidTransform,
+    cross,
     project,  # noqa: F401  bound by name for perfbench/tracing.py
     project_arrays,
     undistort_arrays,
@@ -184,8 +185,8 @@ def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
     """
     nxt = corners[:, _NEXT]
     u, w = nxt - corners, nxt[:, _NEXT] - corners
-    cross = corners[..., 0] * nxt[..., 1] - corners[..., 1] * nxt[..., 0]
-    area = 0.5 * np.abs(np.sum(cross, axis=1))
+    shoelace = corners[..., 0] * nxt[..., 1] - corners[..., 1] * nxt[..., 0]
+    area = 0.5 * np.abs(np.sum(shoelace, axis=1))
     gap = corners[:, _PAIRS[0]] - corners[:, _PAIRS[1]]
     gap = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=1)
     turn = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
@@ -233,7 +234,7 @@ def _polar_step(m: np.ndarray) -> np.ndarray:
     stack, m^-T from the cross products of the columns. From a matrix within
     e of SO(3) it lands within about e^2 of the nearest rotation."""
     c = [m[..., i] for i in range(3)]
-    cof = np.stack([np.cross(c[1], c[2]), np.cross(c[2], c[0]), np.cross(c[0], c[1])], axis=-1)
+    cof = np.stack([cross(c[1], c[2]), cross(c[2], c[0]), cross(c[0], c[1])], axis=-1)
     det = np.sum(c[0] * cof[..., 0], axis=-1)
     return 0.5 * (m + cof / det[..., None, None])
 
@@ -282,7 +283,7 @@ def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
     for i, sign in enumerate((1.0, -1.0)):
         cols[:, i, 2, 0] = sign * b0
         cols[:, i, 2, 1] = sign * b1
-    cols[..., 2] = np.cross(cols[..., 0], cols[..., 1])
+    cols[..., 2] = cross(cols[..., 0], cols[..., 1])
     return _polar_step(_park(ok, np.matmul(rv[:, None], cols), eye3))
 
 

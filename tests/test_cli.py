@@ -192,6 +192,33 @@ class TestTrackCommand:
         ])
         assert rc == 0
         assert out == (tmp_path / "traj.csv").read_text().splitlines()
+        # with frame 4 gone, stdin jumps from t = 3 to 5 while file mode
+        # feeds an empty frame 4: both start frame 5 from the frame-3 pose
+        # and write the same rows, file mode an empty one for frame 4
+        gap = [line for line in lines.splitlines(keepends=True) if json.loads(line)["t"] != 4]
+        (tmp_path / "gap.jsonl").write_text("".join(gap))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(gap)))
+        assert cli.main(track + ["--detections", "-"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert cli.main(track + [
+            "--detections", str(tmp_path / "gap.jsonl"), "--output", str(tmp_path / "gap.csv"),
+        ]) == 0
+        assert (tmp_path / "gap.csv").read_text().splitlines() == out[:5] + ["4,,,,,,,"] + out[5:]
+
+    def test_detection_outside_declared_frames_exit_2(self, workdir, tmp_path, capsys):
+        rc = cli.main([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--n-frames", "5",
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: frame index 5 outside the declared 5 frames" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_stream_bad_line_exit_2(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("garbage\n"))

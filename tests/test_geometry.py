@@ -16,6 +16,7 @@ from markercal.geometry import (
     RigidTransform,
     compose,
     compose_many,
+    cross,
     invert,
     invert_many,
     project,
@@ -207,6 +208,14 @@ class TestPoseStack:
                 assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_array_equal(out.rotations[1], good.rotation @ good.rotation)
             np.testing.assert_array_equal(compose(off, good).rotation, out.rotations[0])
+
+
+class TestCross:
+    @pytest.mark.parametrize("shape", [(9, 3), (9, 2, 3), (3000, 2, 3), (50000, 3)])
+    def test_bit_equal_to_numpy(self, shape):
+        rng = np.random.default_rng(43)
+        u, v = rng.normal(size=shape), rng.normal(size=shape)
+        np.testing.assert_array_equal(cross(u, v), np.cross(u, v))
 
 
 class TestTwist:

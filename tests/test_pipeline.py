@@ -5,6 +5,15 @@ import pytest
 
 from markercal.dataset import Dataset, save_calibration
 from markercal.errors import DisconnectedGraph, NoValidPose, ValidationError
+from markercal.geometry import (
+    MarkerTemplate,
+    RigidTransform,
+    compose,
+    invert,
+    project,
+    rotation_angle,
+    rotation_from_rvec,
+)
 from markercal.pipeline import (
     CalibrationConfig,
     TrackSession,
@@ -13,7 +22,7 @@ from markercal.pipeline import (
     track_sequence,
 )
 from markercal.planar_pose import Detection
-from markercal.synthetic import SceneSpec, evaluate, generate
+from markercal.synthetic import SceneSpec, evaluate, generate, result_from_ground_truth
 
 
 def _dataset(**kwargs):
@@ -27,6 +36,43 @@ def _dataset(**kwargs):
     spec = SceneSpec(**defaults)
     gt, dets, intr = generate(spec)
     return gt, Dataset(dets, intr, spec.marker_side, spec.n_frames)
+
+
+def _stepped_track(steps, noise=0.0, seed=5):
+    """The ground-truth calibration of _dataset's scene, and a track from its
+    frame 0 that moves by one (rvec, translation) step per frame, applied on
+    the right (in the object frame). Returns the calibration, intrinsics,
+    true poses and detections by frame: every marker facing every camera."""
+    gt, ds = _dataset()
+    result = result_from_ground_truth(gt, ds.marker_side)
+    template = MarkerTemplate(ds.marker_side)
+    rng = np.random.default_rng(seed)
+    poses = [gt.traj_gt.frames[0].pose]
+    for w, v in steps:
+        poses.append(compose(poses[-1], RigidTransform(rotation_from_rvec(np.asarray(w)), v)))
+    by_frame = {}
+    for t, pose in enumerate(poses):
+        for c, cam in sorted(result.cams.poses.items()):
+            for m, marker in sorted(result.markers.poses.items()):
+                top = compose(invert(cam), compose(pose, marker))
+                if top.rotation[:, 2] @ top.translation >= 0.0:
+                    continue  # the marker's back face
+                pix = project(top.apply(template.corners), ds.intrinsics[c])
+                pix = pix + rng.normal(scale=noise, size=pix.shape) if noise else pix
+                by_frame.setdefault(t, []).append(Detection(t, c, m, pix))
+    return result, ds.intrinsics, poses, by_frame
+
+
+def _recorded_starts(session, monkeypatch) -> list:
+    """Route session's solves through a wrapper that records each warm start."""
+    starts, solve = [], session.tracker.solve
+
+    def recording(dets, warm=None, opts=None):
+        starts.append(warm)
+        return solve(dets, warm=warm, opts=opts)
+
+    monkeypatch.setattr(session.tracker, "solve", recording)
+    return starts
 
 
 def _keys(table) -> set:
@@ -272,6 +318,12 @@ class TestTrackSequence:
             expect = result.traj.frames[t].pose.as_matrix()
             assert np.abs(traj.frames[t].pose.as_matrix() - expect).max() < 1e-6
 
+    def test_detection_outside_declared_frames_rejected(self):
+        gt, ds = _dataset()
+        result = result_from_ground_truth(gt, ds.marker_side)
+        with pytest.raises(ValidationError, match="frame index 5 outside the declared 5 frames"):
+            track_sequence(result, ds.detections, ds.intrinsics, 5)
+
     def test_infers_frame_count(self):
         _, ds = _dataset()
         result, _ = calibrate(ds)
@@ -293,3 +345,83 @@ class TestTrackSession:
         assert session.warm is p0  # gap does not clear the warm start
         p2 = session.feed(by_frame[1])
         assert p2 is not None
+
+    def test_tracks_every_frame_of_a_stress_scene(self):
+        # the object turns 25-180 degrees between frames, so a prediction
+        # that doubles the last turn overshoots (frame 6 ended at 53.6 px
+        # when the prediction's fit was always kept)
+        spec = SceneSpec(
+            n_cameras=3, circle_radius=0.2, camera_height=2.0, object="flat-grid",
+            marker_side=0.06, n_frames=12, trajectory="orbit", noise_sigma=0.5,
+            ambiguity_stress=True, seed=0,
+        )
+        _, dets, intr = generate(spec)
+        result, _ = calibrate(Dataset(dets, intr, spec.marker_side, spec.n_frames))
+        traj, rms, _ = track_sequence(result, dets, intr, spec.n_frames)
+        assert len(rms) == spec.n_frames
+        assert max(rms.values()) < 2.0
+
+    def test_constant_twist_starts_from_the_prediction(self, monkeypatch):
+        step = ([0.02, -0.03, 0.01], [0.004, 0.002, -0.003])
+        result, intr, truth, by_frame = _stepped_track([step] * 5)
+        session = TrackSession(result, intr)
+        starts = _recorded_starts(session, monkeypatch)
+        poses = [session.feed(by_frame[t]) for t in range(6)]
+        assert len(starts) == 6  # no frame solved twice
+        assert starts[0] is None and starts[1] is poses[0]
+        for t in range(2, 6):
+            expect = compose(poses[t - 1], compose(invert(poses[t - 2]), poses[t - 1]))
+            np.testing.assert_array_equal(starts[t].rotation, expect.rotation)
+            np.testing.assert_array_equal(starts[t].translation, expect.translation)
+            # on a noise-free constant twist the prediction is the next pose
+            assert np.abs(starts[t].as_matrix() - truth[t].as_matrix()).max() < 1e-9
+
+    def test_overshot_prediction_is_solved_again_from_the_last_pose(self, monkeypatch):
+        step = ([0.02, -0.03, 0.01], [0.004, 0.002, -0.003])
+        result, intr, _, by_frame = _stepped_track([step] * 3, noise=0.2)
+        session = TrackSession(result, intr)
+        starts = _recorded_starts(session, monkeypatch)
+        poses = [session.feed(by_frame[t]) for t in range(2)]
+        solve = session.tracker.solve
+
+        def overshooting(dets, warm=None, opts=None):
+            # the fit from the prediction ends far above frame 1's rms
+            pose, rms = solve(dets, warm=warm, opts=opts)
+            return (pose, 100.0) if warm is not poses[1] else (pose, rms)
+
+        monkeypatch.setattr(session.tracker, "solve", overshooting)
+        session.feed(by_frame[2])
+        assert len(starts) == 4 and starts[2] is not poses[1] and starts[3] is poses[1]
+        assert session.last_rms < 1.0
+
+    def test_reversing_track_stays_on_truth(self):
+        # five 3-degree, 1.4 cm steps one way, then five back: the frame
+        # after the turn starts two steps off
+        forward = ([0.03, 0.04, 0.0], [0.01, -0.01, 0.0])
+        back = tuple(-np.asarray(a) for a in forward)
+        result, intr, truth, by_frame = _stepped_track([forward] * 5 + [back] * 5, noise=0.2)
+        session = TrackSession(result, intr)
+        for t, expect in enumerate(truth):
+            pose = session.feed(by_frame[t])
+            assert 1000.0 * np.linalg.norm(pose.translation - expect.translation) < 2.0
+            assert np.degrees(rotation_angle(pose.rotation @ expect.rotation.T)) < 3.0
+
+    @pytest.mark.parametrize("gap", [True, False], ids=["empty frame", "jump in t"])
+    def test_no_prediction_across_a_gap(self, monkeypatch, gap):
+        # frame 3 is empty, or missing from the stream altogether: frames 4
+        # and 5 start from the last pose, since no motion up to them is known
+        step = ([0.02, -0.03, 0.01], [0.004, 0.002, -0.003])
+        result, intr, _, by_frame = _stepped_track([step] * 6)
+        session = TrackSession(result, intr)
+        starts = _recorded_starts(session, monkeypatch)
+        poses = {t: session.feed(by_frame[t]) for t in range(3)}
+        if gap:
+            assert session.feed([]) is None
+            assert session.warm is poses[2]
+        poses[4] = session.feed(by_frame[4])
+        poses[5] = session.feed(by_frame[5])
+        poses[6] = session.feed(by_frame[6])
+        assert starts[-3] is poses[2]
+        assert starts[-2] is poses[4]
+        expect = compose(poses[5], compose(invert(poses[4]), poses[5]))
+        np.testing.assert_array_equal(starts[-1].as_matrix(), expect.as_matrix())
