@@ -44,7 +44,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=10000,
                    help="refinement iteration budget (default 10000)")
     p.add_argument("--min-improve", type=float, default=1e-4,
-                   help="stop when mean |residual| improves less than this many px")
+                   help="stop when the per-corner rms improves less than this many px")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

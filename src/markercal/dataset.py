@@ -19,6 +19,7 @@ from .errors import MissingIntrinsics, ParseError, ValidationError
 from .frame_init import SOURCE_TRACKED, FrameState, Trajectory
 from .geometry import (
     CameraIntrinsics,
+    MarkerTemplate,
     RigidTransform,
     rotation_from_rvec,
     rotation_to_quaternion,
@@ -39,8 +40,10 @@ class Dataset:
     n_frames: int
 
     def __post_init__(self):
-        if self.marker_side <= 0:
-            raise ValidationError("marker_side must be positive")
+        if not 0 < self.marker_side < np.inf:  # written so that NaN fails too
+            raise ValidationError(
+                f"marker_side must be positive and finite, got {self.marker_side}"
+            )
         if self.n_frames < 0:
             raise ValidationError("n_frames must be non-negative")
         seen = set()
@@ -321,7 +324,8 @@ def load_calibration(path) -> CalibrationResult:
             cams=cams,
             markers=markers,
             traj=traj,
-            marker_side=float(doc["marker_side"]),
+            # MarkerTemplate raises ValueError on a non-positive or non-finite side
+            marker_side=MarkerTemplate(float(doc["marker_side"])).side,
             report=report,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -115,8 +115,8 @@ class MarkerTemplate:
     corners: np.ndarray = field(init=False)  # (4,3)
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("marker side must be positive")
+        if not 0 < self.side < math.inf:  # written so that NaN fails too
+            raise ValueError(f"marker side must be positive and finite, got {self.side}")
         h = self.side / 2.0
         corners = np.array(
             [[h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0], [-h, -h, 0.0]]

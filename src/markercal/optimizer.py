@@ -54,7 +54,7 @@ from .structure_init import StructureEstimate
 BEHIND_RESIDUAL = 1e6  # px, replaces residuals of points behind the camera
 _EYE6 = np.eye(6)
 
-# below this mean absolute residual (px) the fit counts as numerically exact
+# below this per-corner rms (px) the fit counts as numerically exact
 _ZERO_RESIDUAL_FLOOR = 1e-12
 
 REASON_MAX_ITERS = "max_iters"
@@ -72,12 +72,13 @@ MAX_LAMBDA = 1e10
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 10000
-    min_improve: float = 1e-4  # px, mean absolute residual improvement
+    min_improve: float = 1e-4  # px, per-corner rms improvement
 
     def __post_init__(self):
         for name in ("max_iters", "min_improve"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not value > 0:  # written so that NaN fails too
+                raise ValidationError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -474,9 +475,10 @@ def lm_minimize(
     damped solve. A step is accepted only if the cost strictly decreases;
     lambda shrinks on accept and grows on reject (and on a singular or
     non-finite solve), and every accepted x has its rotations re-mapped to
-    angles in [0, pi]. Terminates on the iteration budget, on mean absolute
-    improvement below opts.min_improve, on lambda passing MAX_LAMBDA, or on
-    a numerically zero residual.
+    angles in [0, pi]. Terminates on the iteration budget, on a per-corner
+    rms improvement below opts.min_improve, on lambda passing MAX_LAMBDA, or
+    on a numerically zero residual. The rms falls with the cost it is read
+    from, so an accepted step never improves it by a negative amount.
     """
     x = np.array(initial, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -487,12 +489,11 @@ def lm_minimize(
     if not math.isfinite(cost):
         raise NumericalFailure("non-finite initial cost")
     n_res = r.size
-    mean_abs = float(np.abs(r).mean()) if n_res else 0.0
-    initial_rms = _rms(cost, n_res)
+    initial_rms = rms = _rms(cost, n_res)
     history = [cost]
     lam = LAMBDA_INIT
     iters = accepted = 0
-    reason = REASON_ZERO_RESIDUAL if mean_abs < _ZERO_RESIDUAL_FLOOR else None
+    reason = REASON_ZERO_RESIDUAL if rms < _ZERO_RESIDUAL_FLOOR else None
     normal = _normal(system.jacobian, r)
 
     while reason is None and iters < opts.max_iters:
@@ -511,13 +512,13 @@ def lm_minimize(
             if lam > MAX_LAMBDA:
                 reason = REASON_LAMBDA_LIMIT
             continue
+        rms_try = _rms(cost_try, n_res)
         x, r, cost = _canonical_rotations(x_try), r_try, cost_try
-        new_mean = float(np.abs(r).mean())
-        improvement, mean_abs = mean_abs - new_mean, new_mean
+        improvement, rms = rms - rms_try, rms_try
         history.append(cost)
         accepted += 1
         lam *= LAMBDA_DOWN
-        if mean_abs < _ZERO_RESIDUAL_FLOOR:
+        if rms < _ZERO_RESIDUAL_FLOOR:
             reason = REASON_ZERO_RESIDUAL
         elif improvement < opts.min_improve:
             reason = REASON_MIN_IMPROVE
@@ -528,7 +529,7 @@ def lm_minimize(
         iterations=iters,
         accepted_steps=accepted,
         initial_rms=initial_rms,
-        final_rms=_rms(cost, n_res),
+        final_rms=rms,
         reason=reason or REASON_MAX_ITERS,
         cost_history=tuple(history),
     )

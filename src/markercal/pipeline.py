@@ -184,14 +184,6 @@ def calibrate(
     return result, artifacts
 
 
-# A frame started from the constant-velocity prediction is solved again
-# from the last pose when its rms ends above this multiple of the last
-# frame's. On the `track` scenes (seeds 0, 5) a frame's rms is at most 1.62
-# times the last one's; where the prediction overshoots a sudden turn (the
-# ambiguity-stress scenes), LM can stop at 90-260 times it.
-_RETRY_RMS_RATIO = 2.0
-
-
 class TrackSession:
     """Stateful frame-by-frame tracking against a fixed calibration.
 
@@ -200,9 +192,7 @@ class TrackSession:
     P1 (P0^-1 P1) when the last two tracked frames are t-2 and t-1, and from
     the last tracked pose P1 otherwise: the motion up to frame t is unknown
     on the second tracked frame and after an empty frame, an untracked frame
-    or a jump in t, and is never extrapolated over. A frame started from the
-    prediction whose rms ends above _RETRY_RMS_RATIO times the last frame's
-    is solved again from P1, and the lower rms is kept. Frames with no
+    or a jump in t, and is never extrapolated over. Frames with no
     detections, and frames before the first pose whose detections are all
     unusable (no cold-start candidate), produce None and clear nothing:
     `warm` stays the last tracked pose.
@@ -224,7 +214,6 @@ class TrackSession:
         self.warm: RigidTransform | None = None
         self.last_rms: float | None = None
         self._warm_t: int | None = None  # the frame index of `warm`
-        self._warm_rms: float | None = None  # the rms of `warm`
         self._motion: RigidTransform | None = None  # P0^-1 P1 of frames _warm_t - 1, _warm_t
 
     def feed(self, dets: list[Detection]) -> RigidTransform | None:
@@ -235,15 +224,11 @@ class TrackSession:
             start = compose(self.warm, self._motion)
         try:
             pose, rms = self.tracker.solve(dets, warm=start, opts=self.opts)
-            if start is not self.warm and rms > _RETRY_RMS_RATIO * self._warm_rms:
-                # the prediction overshot a turn: the last pose may fit better
-                retry = self.tracker.solve(dets, warm=self.warm, opts=self.opts)
-                pose, rms = min((pose, rms), retry, key=lambda fit: fit[1])
         except NoValidPose:
             pose, rms = None, None
         if pose is not None:
             self._motion = compose(invert(self.warm), pose) if follows else None
-            self.warm, self._warm_t, self._warm_rms = pose, t, rms
+            self.warm, self._warm_t = pose, t
         self.last_rms = rms
         return pose
 

@@ -113,6 +113,28 @@ class TestCalibrateCommand:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "cal.json").exists()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--min-improve", "0", "min_improve"),
+        ("--min-improve", "nan", "min_improve"),
+        ("--max-iters", "0", "max_iters"),
+        ("--marker-side", "nan", "marker_side"),
+        ("--marker-side", "inf", "marker_side"),
+    ])
+    def test_bad_solver_or_side_flag_exit_2(self, workdir, tmp_path, capsys, flag, value, named):
+        args = {
+            "--detections": str(workdir / "detections.jsonl"),
+            "--intrinsics": str(workdir / "intrinsics.json"),
+            "--marker-side": "0.04",
+            "--output": str(tmp_path / "cal.json"),
+            flag: value,
+        }
+        rc = cli.main(["calibrate", *(item for pair in args.items() for item in pair)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cal.json").exists()
+
     def test_disconnected_exit_3(self, tmp_path, capsys):
         spec = SceneSpec(
             n_cameras=2, circle_radius=0.7, object="cube", n_frames=8,

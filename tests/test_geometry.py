@@ -319,8 +319,9 @@ class TestMarkerTemplate:
         np.testing.assert_allclose(tpl.corners.mean(axis=0), np.zeros(3), atol=1e-18)
 
     def test_rejects_nonpositive_side(self):
-        with pytest.raises(ValueError):
-            MarkerTemplate(side=0.0)
+        for side in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="marker side"):
+                MarkerTemplate(side=side)
 
 
 class TestProject:

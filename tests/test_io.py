@@ -186,8 +186,9 @@ class TestDataset:
         assert len(ds.detections) == 1
 
     def test_marker_side_positive(self):
-        with pytest.raises(ValidationError):
-            Dataset(self._one(), {0: _intr()}, 0.0, 1)
+        for side in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="marker_side"):
+                Dataset(self._one(), {0: _intr()}, side, 1)
 
     def test_frame_out_of_range(self):
         dets = [parse_detection_line(_det_line(t=5))]
@@ -313,6 +314,16 @@ class TestCalibrationRoundTrip:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             load_calibration(p)
+
+    def test_bad_marker_side_rejected(self, tmp_path):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        for side in (0.0, float("nan"), float("inf")):
+            doc["marker_side"] = side
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match="marker side"):
+                load_calibration(p)
 
     def test_matrix_rvec_disagreement_rejected(self, tmp_path):
         p = tmp_path / "cal.json"

@@ -568,11 +568,31 @@ class TestLmMinimize:
         rvec_norms = np.linalg.norm(x.reshape(-1, 6)[:, :3], axis=1)
         assert np.all(rvec_norms <= math.pi)
 
+    def test_stops_on_rms_not_mean_abs_residual(self):
+        # Rosenbrock's valley in translation slots 3 and 4 of one 6-block:
+        # accepted steps lower the cost while the mean |r| rises, and a stop
+        # rule on the mean |r| quit at (-0.367, 0.085), 1.46 px rms
+        class Rosenbrock:
+            def residuals(self, x):
+                return np.array([10.0 * (x[4] - x[3] ** 2), 1.0 - x[3]])
+
+            def system(self, x):
+                jac = np.zeros((2, 6))
+                jac[0, 3], jac[0, 4], jac[1, 3] = -20.0 * x[3], 10.0, -1.0
+                return ResidualSystem(self.residuals(x), jac)
+
+        x0 = np.array([0.0, 0.0, 0.0, -1.2, 1.0, 0.0])
+        x, report = lm_minimize(x0, Rosenbrock())
+        np.testing.assert_allclose(x[3:5], [1.0, 1.0], atol=1e-3)
+        assert report.final_rms < 1e-3
+
     def test_solver_options_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="max_iters"):
             SolverOptions(max_iters=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="min_improve"):
             SolverOptions(min_improve=-1.0)
+        with pytest.raises(ValidationError, match="min_improve"):
+            SolverOptions(min_improve=math.nan)
 
     def test_gauge_fully_fixed_by_references(self):
         # moving every camera and frame pose by the same rigid transform
