@@ -119,11 +119,12 @@ def _print_timing(times: list[float]) -> None:
 
 def _track_stream(args) -> int:
     """Streaming mode: detections on stdin, one JSON line each, frames
-    delimited by a change of t; each pose row is emitted as soon as its
-    frame is complete."""
+    delimited by a change of t, which must increase; each pose row is
+    emitted as soon as its frame is complete."""
     import time
 
     from . import dataset as dio
+    from .errors import ParseError
     from .pipeline import TrackSession
 
     result = dio.load_calibration(args.calibration)
@@ -148,6 +149,10 @@ def _track_stream(args) -> int:
             continue
         d = dio.parse_detection_line(raw, lineno)
         if d.t != current_t:
+            if d.t < 0:
+                raise ParseError(f"negative frame index {d.t}", lineno)
+            if current_t is not None and d.t < current_t:
+                raise ParseError(f"frame {d.t} comes after frame {current_t}", lineno)
             flush()
             current_t, batch = d.t, []
         batch.append(d)

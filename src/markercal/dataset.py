@@ -29,6 +29,8 @@ from .optimizer import CalibrationResult, FitReport
 from .pairwise import PairKey
 from .structure_init import StructureEstimate
 
+_ORTHONORMAL_TOL = 1e-9  # largest |R^T R - I| entry of a file's rotation; saved ones are ~1e-15
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -250,9 +252,11 @@ def _transform_from_json(obj) -> RigidTransform:
     if mat.shape != (4, 4):
         raise ValidationError("transform matrix must be 4x4")
     rot = mat[:3, :3]
-    if (
-        np.abs(rot - rotation_from_rvec(rvec)).max() > 1e-6
-        or np.abs(mat[:3, 3] - tvec).max() > 1e-6
+    if not np.abs(rot.T @ rot - np.eye(3)).max() <= _ORTHONORMAL_TOL:  # NaN fails too
+        raise ValidationError("transform matrix rotation is not orthonormal")
+    if not (
+        np.abs(rot - rotation_from_rvec(rvec)).max() <= 1e-6
+        and np.abs(mat[:3, 3] - tvec).max() <= 1e-6
     ):
         raise ValidationError("transform matrix disagrees with rvec/tvec")
     return RigidTransform(rot, mat[:3, 3])

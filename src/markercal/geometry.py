@@ -15,7 +15,6 @@ import numpy as np
 from .errors import PointBehindCamera
 
 MIN_DEPTH = 1e-9  # meters; points at or below this depth cannot be projected
-_ORTHO_DRIFT = 1e-9
 _EYE3 = np.eye(3)
 
 
@@ -51,7 +50,8 @@ def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """An element of SE(3): rotation (3,3) and translation (3,) in meters."""
+    """An element of SE(3): rotation (3,3) and translation (3,) in meters.
+    The rotation is proper; its producers guarantee that and composition never repairs it."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -177,18 +177,8 @@ class IndexedPoses:
 
 
 def _compose(ra, ta, rb, tb):
-    """Rotation and translation of (ra, ta) after (rb, tb), for one transform
-    or a stack. Rotations that drift from orthonormal by more than
-    _ORTHO_DRIFT are projected back onto SO(3)."""
-    r = np.matmul(ra, rb)
-    t = np.matmul(ra, tb[..., None])[..., 0] + ta
-    drift = np.abs(np.matmul(np.swapaxes(r, -1, -2), r) - _EYE3)
-    if drift.max(initial=0.0) > _ORTHO_DRIFT:
-        bad = drift.max(axis=(-2, -1)) > _ORTHO_DRIFT
-        u, _, vt = np.linalg.svd(r[bad])
-        u[..., 2] *= np.sign(np.linalg.det(np.matmul(u, vt)))[:, None]  # no reflections
-        r[bad] = np.matmul(u, vt)
-    return r, t
+    """Rotation and translation of (ra, ta) after (rb, tb), for one transform or a stack."""
+    return np.matmul(ra, rb), np.matmul(ra, tb[..., None])[..., 0] + ta
 
 
 def _invert(r, t):

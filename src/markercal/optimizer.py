@@ -654,8 +654,14 @@ class FrameTracker:
         """(y, R_c, t_c, obs, k) of a frame's detections: the corners in the
         reference-marker frame (K,4,3), the camera poses (K,3,3) and (K,3),
         and corner_arrays' observed corners (4K,2) and intrinsics (9,4K).
-        Raises ValidationError naming the cameras or markers outside the
-        calibration, and MissingIntrinsics for a camera without intrinsics."""
+        Raises ValidationError naming a repeated (cam, marker) or the cameras
+        or markers outside the calibration, and MissingIntrinsics for a
+        camera without intrinsics."""
+        seen = set()
+        for d in dets:
+            if (d.cam, d.marker) in seen:
+                raise ValidationError(f"duplicate detection {d.key}")
+            seen.add((d.cam, d.marker))
         ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
         mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
         stack = self._cam_stack.poses

@@ -64,12 +64,17 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # written so that NaN and +-inf fail too
         if self.n_cameras < 1:
             raise InvalidSpec("n_cameras must be at least 1")
-        if self.circle_radius <= 0:
-            raise InvalidSpec("circle_radius must be positive")
-        if self.marker_side <= 0:
-            raise InvalidSpec("marker_side must be positive")
+        if not 0 < self.circle_radius < math.inf:
+            raise InvalidSpec(
+                f"circle_radius must be positive and finite, got {self.circle_radius}"
+            )
+        if not math.isfinite(self.camera_height):
+            raise InvalidSpec(f"camera_height must be finite, got {self.camera_height}")
+        if not 0 < self.marker_side < math.inf:
+            raise InvalidSpec(f"marker_side must be positive and finite, got {self.marker_side}")
         if self.n_frames < 1:
             raise InvalidSpec("n_frames must be at least 1")
         if isinstance(self.object, str):
@@ -79,8 +84,10 @@ class SceneSpec:
             raise InvalidSpec("explicit marker layout is empty")
         if self.trajectory not in TRAJECTORY_KINDS:
             raise InvalidSpec(f"unknown trajectory kind {self.trajectory!r}")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidSpec(
+                f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
+            )
 
 
 @dataclass(frozen=True)

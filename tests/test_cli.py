@@ -254,17 +254,20 @@ class TestTrackCommand:
         assert "line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stream", [False, True], ids=["file", "stdin"])
-    @pytest.mark.parametrize("case", ["unknown camera", "unknown marker", "missing intrinsics"])
+    @pytest.mark.parametrize("case", ["unknown camera", "unknown marker", "missing intrinsics",
+                                      "duplicate detection"])
     def test_unresolvable_detection_exit_2(self, workdir, tmp_path, capsys, monkeypatch,
                                            stream, case):
         # one detection of frame 3 names a camera or marker the calibration
-        # lacks, or a calibrated camera has no intrinsics
+        # lacks, or a calibrated camera has no intrinsics, or is repeated
         lines = (workdir / "detections.jsonl").read_text().splitlines()
         intrinsics = json.loads((workdir / "intrinsics.json").read_text())
         row = next(i for i, line in enumerate(lines) if json.loads(line)["t"] == 3)
         det = json.loads(lines[row])
         if case == "missing intrinsics":
             del intrinsics[str(det["cam"])]
+        elif case == "duplicate detection":
+            lines.insert(row, lines[row])
         else:
             det["cam" if case == "unknown camera" else "marker"] = 77
             lines[row] = json.dumps(det)
@@ -284,7 +287,27 @@ class TestTrackCommand:
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "77" in err if case != "missing intrinsics" else "no intrinsics" in err
+        expect = {"missing intrinsics": "no intrinsics", "duplicate detection": "duplicate"}
+        assert expect.get(case, "77") in err
+
+    def test_stream_frame_index_going_back_exit_2(self, workdir, capsys, monkeypatch):
+        # frames 0, 1, then 0 again: the repeated frame is rejected, naming
+        # its line, after frame 0's row
+        lines = (workdir / "detections.jsonl").read_text().splitlines()
+        frame = {t: [line for line in lines if json.loads(line)["t"] == t] for t in (0, 1)}
+        text = "\n".join(frame[0] + frame[1] + frame[0][:1]) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        rc = cli.main([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", "-",
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        lineno = len(frame[0]) + len(frame[1]) + 1
+        assert err == f"error: line {lineno}: frame 0 comes after frame 1\n"
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0"]
 
 
 class TestSynthCommand:
@@ -338,9 +361,14 @@ class TestSynthCommand:
                                    "pre_undistorted": "false"}}),
         json.dumps({"intrinsics": {"fx": 500, "fy": 500, "cx": 320, "cy": 240,
                                    "width": 640.9}}),
+        '{"marker_side": NaN}',
+        '{"noise_sigma": NaN}',
+        '{"circle_radius": Infinity}',
+        '{"camera_height": NaN}',
     ], ids=["missing_intrinsics_field", "zero_focal_length", "non_integer_count",
             "invalid_json", "string_bool", "fractional_count", "bool_seed",
-            "string_intrinsics_bool", "fractional_width"])
+            "string_intrinsics_bool", "fractional_width", "nan_marker_side", "nan_noise_sigma",
+            "infinite_circle_radius", "nan_camera_height"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

@@ -334,6 +334,20 @@ class TestCalibrationRoundTrip:
         with pytest.raises(ValidationError, match="disagrees"):
             load_calibration(p)
 
+    def test_non_orthonormal_matrix_rejected(self, tmp_path):
+        # 9e-7 passes the rvec cross-check but leaves |R^T R - I| at 1.7e-6;
+        # a NaN translation fails the cross-check
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        for row, col, delta, match in ((0, 0, 9e-7, "not orthonormal"),
+                                       (1, 3, float("nan"), "disagrees")):
+            doc = json.loads(p.read_text())
+            doc["cameras"]["poses"]["1"]["matrix"][row][col] += delta
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match=match):
+                load_calibration(bad)
+
     def test_rvec_only_transform_accepted(self, tmp_path):
         p = tmp_path / "cal.json"
         r1 = self._result()

@@ -323,6 +323,14 @@ class TestTrackSequence:
         with pytest.raises(ValidationError, match="frame index 5 outside the declared 5 frames"):
             track_sequence(result, ds.detections, ds.intrinsics, 5)
 
+    def test_duplicate_detection_rejected(self):
+        # a repeated (cam, marker) in one frame would count its corners twice
+        gt, ds = _dataset()
+        result = result_from_ground_truth(gt, ds.marker_side)
+        dup = next(d for d in ds.detections if d.t == 2)
+        with pytest.raises(ValidationError, match=rf"duplicate detection \(2, {dup.cam}, "):
+            track_sequence(result, ds.detections + [dup], ds.intrinsics, ds.n_frames)
+
     def test_infers_frame_count(self):
         _, ds = _dataset()
         result, _ = calibrate(ds)
