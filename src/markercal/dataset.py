@@ -243,6 +243,8 @@ def _transform_from_json(obj) -> RigidTransform:
     tvec = np.asarray(obj["tvec"], dtype=np.float64)
     if rvec.shape != (3,) or tvec.shape != (3,):
         raise ValidationError("transform rvec/tvec must be 3-vectors")
+    if not (np.isfinite(rvec).all() and np.isfinite(tvec).all()):
+        raise ValidationError("transform rvec/tvec must be finite")
     if "matrix" not in obj:
         return RigidTransform(rotation_from_rvec(rvec), tvec)
     # The matrix stores the rotation exactly (rvec -> rotation is lossy in

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,15 +205,39 @@ def invert_many(s: PoseStack) -> PoseStack:
     return PoseStack(*_invert(s.rotations, s.translations))
 
 
+def _floats(a) -> list:
+    return np.asarray(a, dtype=np.float64).tolist()
+
+
+# The one-pose routines below (rotation_from_rvec, rotation_jacobian_factor,
+# rvec_from_rotation) work on Python floats and build one array at the end:
+# on 3-vectors and 3x3 matrices numpy's per-call overhead is most of the
+# cost. They agree with their batched twins to rounding, not bit for bit.
+
+
 def rotation_from_rvec(rvec: np.ndarray) -> np.ndarray:
-    """Rodrigues formula, exact for any angle; series below 1e-8 rad."""
-    v = np.asarray(rvec, dtype=np.float64)
-    theta = math.sqrt(float(v @ v))
-    k = skew_many(v)
+    """Rodrigues formula, exact for any angle; series below 1e-8 rad.
+
+    R = I + a K + b K^2 with K = [v]x, a = sin(theta)/theta and
+    b = (1 - cos(theta))/theta^2, and K^2 = v v^T - theta^2 I.
+    """
+    x, y, z = _floats(rvec)
+    xx, yy, zz = x * x, y * y, z * z
+    # (x^2 + z^2) + y^2 is the order in which rotations_from_rvecs' einsum
+    # sums on x86-64 (numpy 2.4); near pi the two forms then agree to
+    # 4.4e-16, against 1.3e-15 in the order x, y, z
+    theta = math.sqrt(xx + zz + yy)
     if theta < 1e-8:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    k /= theta
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+        a, b = 1.0, 0.5
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / (theta * theta)
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    return np.array([
+        [1.0 - b * (yy + zz), bxy - az, bxz + ay],
+        [bxy + az, 1.0 - b * (xx + zz), byz - ax],
+        [bxz - ay, byz + ax, 1.0 - b * (xx + yy)],
+    ])
 
 
 def rotations_from_rvecs(rvecs: np.ndarray) -> np.ndarray:
@@ -228,37 +253,30 @@ def rotations_from_rvecs(rvecs: np.ndarray) -> np.ndarray:
     return _EYE3 + a[:, None, None] * k + b[:, None, None] * np.matmul(k, k)
 
 
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w,x,y,z) with w >= 0, via Shepperd's method."""
-    m = np.asarray(r, dtype=np.float64)
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
+def _quaternion(r) -> tuple[float, float, float, float]:
+    """Unit quaternion (w,x,y,z) of a rotation with w >= 0, via Shepperd's method."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(r)
+    tr = m00 + m11 + m22
     if tr > 0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
-             (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s,
-             (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s,
-             (m[1, 2] + m[2, 1]) / s]
-        )
+        q = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s,
-             (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+    w, x, y, z = q if q[0] >= 0 else (-c for c in q)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w,x,y,z) with w >= 0, via Shepperd's method."""
+    return np.array(_quaternion(r))
 
 
 def rvec_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -267,40 +285,53 @@ def rvec_from_rotation(r: np.ndarray) -> np.ndarray:
     At angle exactly pi the axis sign is ambiguous; it is chosen so
     the first nonzero component is positive.
     """
-    q = rotation_to_quaternion(r)
-    w = min(q[0], 1.0)
-    vec = q[1:]
-    sin_half = np.linalg.norm(vec)
-    angle = 2.0 * math.atan2(sin_half, w)
+    w, *vec = _quaternion(r)
+    sin_half = math.sqrt(vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2])
     if sin_half < 1e-12:
-        return 2.0 * vec  # angle ~ 0: rvec ~ 2*q_vec
-    rvec = vec * (angle / sin_half)
-    if angle > math.pi - 1e-9:
-        nz = np.nonzero(np.abs(rvec) > 1e-12)[0]
-        if nz.size and rvec[nz[0]] < 0:
-            rvec = -rvec
-    return rvec
+        return np.array([2.0 * c for c in vec])  # angle ~ 0: rvec ~ 2*q_vec
+    angle = 2.0 * math.atan2(sin_half, min(w, 1.0))
+    s = angle / sin_half
+    if angle > math.pi - 1e-9 and next((c for c in vec if abs(c * s) > 1e-12), 0.0) < 0:
+        s = -s
+    return np.array([c * s for c in vec])
 
 
 def rotation_angle(r: np.ndarray) -> float:
     """Geodesic angle of a rotation matrix, radians in [0, pi]."""
-    q = rotation_to_quaternion(r)
-    return 2.0 * math.atan2(float(np.linalg.norm(q[1:])), min(float(q[0]), 1.0))
+    w, x, y, z = _quaternion(r)
+    return 2.0 * math.atan2(math.sqrt(x * x + y * y + z * z), min(w, 1.0))
 
 
 def rotation_jacobian_factor(rvec: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """Factor S(v) such that d(R(v) @ p)/dv = -R(v) @ skew(p) @ S(v), given
     rot = R(v).
 
-    Closed form for theta >= 1e-3, third-order series below (both accurate
-    to well under 1e-8 relative at the crossover).
+    Closed form (v v^T + (R^T - I) [v]x) / theta^2 for theta >= 1e-3, whose
+    row i is (v_i v + (R e_i - e_i) x v) / theta^2; third-order series
+    I - [v]x / 2 + (v v^T - theta^2 I) / 6 below (both accurate to well under
+    1e-8 relative at the crossover).
     """
-    v = np.asarray(rvec, dtype=np.float64)
-    theta_sq = float(v @ v)
-    k = skew_many(v)
+    x, y, z = _floats(rvec)
+    xx, yy, zz = x * x, y * y, z * z
+    theta_sq = xx + zz + yy  # rotation_from_rvec's order
     if theta_sq < 1e-6:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    return (np.outer(v, v) + (rot.T - np.eye(3)) @ k) / theta_sq
+        hx, hy, hz = 0.5 * x, 0.5 * y, 0.5 * z
+        xy, xz, yz = x * y / 6.0, x * z / 6.0, y * z / 6.0
+        return np.array([
+            [1.0 - (yy + zz) / 6.0, hz + xy, xz - hy],
+            [xy - hz, 1.0 - (xx + zz) / 6.0, hx + yz],
+            [hy + xz, yz - hx, 1.0 - (xx + yy) / 6.0],
+        ])
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = _floats(rot)
+    m00, m11, m22 = m00 - 1.0, m11 - 1.0, m22 - 1.0
+    return np.array([
+        [(xx + (m10 * z - m20 * y)) / theta_sq, (x * y + (m20 * x - m00 * z)) / theta_sq,
+         (x * z + (m00 * y - m10 * x)) / theta_sq],
+        [(y * x + (m11 * z - m21 * y)) / theta_sq, (yy + (m21 * x - m01 * z)) / theta_sq,
+         (y * z + (m01 * y - m11 * x)) / theta_sq],
+        [(z * x + (m12 * z - m22 * y)) / theta_sq, (z * y + (m22 * x - m02 * z)) / theta_sq,
+         (zz + (m02 * y - m12 * x)) / theta_sq],
+    ])
 
 
 def rotation_jacobian_factors(rvecs: np.ndarray, rots: np.ndarray) -> np.ndarray:
@@ -348,13 +379,26 @@ def project(points_in_camera: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     return pix[0] if single else pix
 
 
-def project_arrays(points, k, want_jacobian: bool = True):
+class Projection(NamedTuple):
+    """project_arrays' result: pixels (N,2) and the front mask (N,), plus the
+    forward terms that projection_jacobian finishes from."""
+
+    pix: np.ndarray
+    front: np.ndarray
+    a: np.ndarray  # normalized x/z and y/z
+    b: np.ndarray
+    inv_z: np.ndarray
+    r2: np.ndarray
+    radial: np.ndarray
+    k: np.ndarray
+
+
+def project_arrays(points, k) -> Projection:
     """Projection with per-point intrinsics; never raises.
 
     `points` is (N,3) and `k` the intrinsics, one row per parameter (fx, fy,
     cx, cy, k1, k2, p1, p2, k3): (9,N), one column per point, or (9,) for
-    all. Returns (pix (N,2), jac (N,2,3) or None, front (N,) bool); pixel
-    and Jacobian values at non-front points are unspecified.
+    all. Pixel values at non-front points are unspecified.
     """
     p = np.asarray(points, dtype=np.float64)
     z = p[:, 2]
@@ -365,26 +409,31 @@ def project_arrays(points, k, want_jacobian: bool = True):
     fx, fy, cx, cy = k[:4]
     xd, yd, r2, radial = _distort_normalized(a, b, k[4:])
     pix = np.stack([fx * xd + cx, fy * yd + cy], axis=-1)
-    if not want_jacobian:
-        return pix, None, front
+    return Projection(pix, front, a, b, inv_z, r2, radial, k)
 
-    k1, k2, p1, p2, k3 = k[4:]
-    dradial_dr2 = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
-    # d(xd,yd)/d(a,b)
-    dxd_da = radial + a * dradial_dr2 * 2.0 * a + 2.0 * p1 * b + 6.0 * p2 * a
-    dxd_db = a * dradial_dr2 * 2.0 * b + 2.0 * p1 * a + 2.0 * p2 * b
-    dyd_da = b * dradial_dr2 * 2.0 * a + 2.0 * p2 * b + 2.0 * p1 * a
-    dyd_db = radial + b * dradial_dr2 * 2.0 * b + 6.0 * p1 * b + 2.0 * p2 * a
 
+def projection_jacobian(proj: Projection) -> np.ndarray:
+    """(N,2,3) derivative of proj's pixels by the camera-frame points;
+    unspecified at non-front points."""
+    a, b, inv_z, r2, radial, k = proj[2:]
+    fx, fy, _, _, k1, k2, p1, p2, k3 = k
+    # d(xd,yd)/d(a,b); d(xd)/d(b) = d(yd)/d(a) = 2 a b dradial/dr2 + 2 p1 a + 2 p2 b
+    d2 = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2))  # 2 dradial/dr2
+    p1x2, p2x2 = 2.0 * p1, 2.0 * p2
+    ad = a * d2
+    xd_b = ad * b + p1x2 * a + p2x2 * b
+    xd_a = radial + ad * a + p1x2 * b + 3.0 * p2x2 * a
+    yd_b = radial + b * d2 * b + 3.0 * p1x2 * b + p2x2 * a
     # chain with d(a,b)/d(x,y,z)
-    jac = np.empty((p.shape[0], 2, 3))
-    jac[:, 0, 0] = fx * dxd_da * inv_z
-    jac[:, 0, 1] = fx * dxd_db * inv_z
-    jac[:, 0, 2] = -fx * (dxd_da * a + dxd_db * b) * inv_z
-    jac[:, 1, 0] = fy * dyd_da * inv_z
-    jac[:, 1, 1] = fy * dyd_db * inv_z
-    jac[:, 1, 2] = -fy * (dyd_da * a + dyd_db * b) * inv_z
-    return pix, jac, front
+    fxz, fyz = fx * inv_z, fy * inv_z
+    jac = np.empty((len(a), 2, 3))
+    jac[:, 0, 0] = fxz * xd_a
+    jac[:, 0, 1] = fxz * xd_b
+    jac[:, 0, 2] = -fxz * (xd_a * a + xd_b * b)
+    jac[:, 1, 0] = fyz * xd_b
+    jac[:, 1, 1] = fyz * yd_b
+    jac[:, 1, 2] = -fyz * (xd_b * a + yd_b * b)
+    return jac
 
 
 def undistort_arrays(pixels, k) -> np.ndarray:

@@ -35,6 +35,7 @@ from .geometry import (
     RigidTransform,
     cross,
     project_arrays,
+    projection_jacobian,
     rotation_from_rvec,
     rotation_jacobian_factor,
     rotation_jacobian_factors,
@@ -311,31 +312,33 @@ class ResidualSystem:
     jacobian: BlockJacobian | np.ndarray  # refinement blocks or the tracker's dense (8K,6)
 
 
-def _corner_residuals(y, rg, tg, rc, tc, obs, k, want_jacobian: bool):
+def _corner_residuals(y, rg, tg, rc, tc, obs, k):
     """The model's only projection: the residuals of marker corners y (N,4,3),
     given in the reference-marker frame, under object poses (rg, tg) and
     camera poses (rc, tc), each (N,...) or (1,...), against the observed
     corners obs (4N,2) of cameras with intrinsics k (9,4N), as corner_arrays
     builds them.
 
-    Returns (r, pj, a): the (8N,) residuals, their (N,4,2,3) pixel Jacobian
-    by the camera-frame corner R_c^T a when asked for (else None), and
+    Returns (r, proj, a): the (8N,) residuals, the forward Projection of the
+    camera-frame corners R_c^T a, which _corner_jacobian finishes, and
     a = R_g y + t_g - t_c. A corner behind the camera gets BEHIND_RESIDUAL in
-    both coordinates and an all-zero Jacobian.
+    both coordinates.
     """
     a = np.matmul(y, rg.transpose(0, 2, 1)) + tg[:, None, :] - tc[:, None, :]
-    pix, pixjac, front = project_arrays(
-        np.matmul(a, rc).reshape(-1, 3), k, want_jacobian=want_jacobian
-    )
-    res = pix - obs
-    res[~front] = BEHIND_RESIDUAL
-    if not want_jacobian:
-        return res.reshape(-1), None, a
-    return res.reshape(-1), np.where(front[:, None, None], pixjac, 0.0).reshape(-1, 4, 2, 3), a
+    proj = project_arrays(np.matmul(a, rc).reshape(-1, 3), k)
+    res = proj.pix - obs
+    res[~proj.front] = BEHIND_RESIDUAL
+    return res.reshape(-1), proj, a
+
+
+def _corner_jacobian(proj) -> np.ndarray:
+    """(N,4,2,3) pixel Jacobian of _corner_residuals by the camera-frame
+    corner, all zero for a corner behind the camera."""
+    return np.where(proj.front[:, None, None], projection_jacobian(proj), 0.0).reshape(-1, 4, 2, 3)
 
 
 def _frame_columns(pj, rc, rg, y, s_frame):
-    """(dw, dy, block) from the pixel Jacobian pj of _corner_residuals.
+    """(dw, dy, block) from the pixel Jacobian pj of _corner_jacobian.
 
     dw and dy (N,8,3) are the residuals' derivatives by the corner in the
     reference-camera and in the reference-marker frame, one row per
@@ -383,7 +386,7 @@ class ResidualBuilder:
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         _, rot, trans = self._pose_table(x)
-        return self._assemble_core(rot, trans, want_jacobian=False)[0]
+        return self._assemble_core(rot, trans)[0]
 
     def _pose_table(self, x: np.ndarray):
         """x's (K,6) blocks, and rotations (K+1,3,3) and translations (K+1,3)
@@ -395,7 +398,7 @@ class ResidualBuilder:
 
     # -- assembly -----------------------------------------------------------
 
-    def _assemble_core(self, rot, trans, want_jacobian: bool):
+    def _assemble_core(self, rot, trans):
         # one row per observation
         rows = self._rows
         rc, tc = rot[rows[:, 0]], trans[rows[:, 0]]  # (N,3,3), (N,3)
@@ -404,12 +407,12 @@ class ResidualBuilder:
 
         u = self.template.corners  # (4,3)
         y = np.matmul(u, rm.transpose(0, 2, 1)) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
-        r, pj, a = _corner_residuals(y, rg, tg, rc, tc, self.obs_pix, self._k, want_jacobian)
-        return r, (rc, rg, rm, y, a, pj)
+        r, proj, a = _corner_residuals(y, rg, tg, rc, tc, self.obs_pix, self._k)
+        return r, (rc, rg, rm, y, a, proj)
 
     def system(self, x: np.ndarray) -> ResidualSystem:
         blocks, rot, trans = self._pose_table(x)
-        r, (rc, rg, rm, y, a, pj) = self._assemble_core(rot, trans, True)
+        r, (rc, rg, rm, y, a, proj) = self._assemble_core(rot, trans)
 
         # Rodrigues factors of every block, a camera's taken at -rvec (whose
         # rotation is R_c^T) since p_cam = R(-r_c) a; row 0 (references)
@@ -424,7 +427,7 @@ class ResidualBuilder:
         # the camera's and the marker's rotation blocks are formed as the
         # frame's, from dw and from du, the derivative by the corner in the
         # marker frame; camera: p_cam = R(-r_c) a, so its sign works out positive
-        dw, dy, frame = _frame_columns(pj, rc, rg, y, s_frame)
+        dw, dy, frame = _frame_columns(_corner_jacobian(proj), rc, rg, y, s_frame)
         du = np.matmul(dy, rm)
         jac = np.concatenate(
             [
@@ -654,9 +657,13 @@ class FrameTracker:
         """(y, R_c, t_c, obs, k) of a frame's detections: the corners in the
         reference-marker frame (K,4,3), the camera poses (K,3,3) and (K,3),
         and corner_arrays' observed corners (4K,2) and intrinsics (9,4K).
-        Raises ValidationError naming a repeated (cam, marker) or the cameras
-        or markers outside the calibration, and MissingIntrinsics for a
-        camera without intrinsics."""
+        Raises ValidationError naming the frames of detections from more
+        than one frame, a repeated (cam, marker) or the cameras or markers
+        outside the calibration, and MissingIntrinsics for a camera without
+        intrinsics."""
+        frames = {d.t for d in dets}
+        if len(frames) > 1:
+            raise ValidationError(f"one frame solve got detections of frames {sorted(frames)}")
         seen = set()
         for d in dets:
             if (d.cam, d.marker) in seen:
@@ -692,7 +699,7 @@ class FrameTracker:
         # every proposal against every detection: proposal-major rows
         rg, tg = (np.repeat(a, m, axis=0) for a in (proposals.rotations, proposals.translations))
         y, rc, tc, obs = (np.concatenate([a] * n) for a in (y, rc, tc, obs))
-        r = _corner_residuals(y, rg, tg, rc, tc, obs, np.tile(k, n), False)[0]
+        r = _corner_residuals(y, rg, tg, rc, tc, obs, np.tile(k, n))[0]
         r = r.reshape(n, m, 8)[:, poses.status == POSE_OK].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
@@ -720,26 +727,43 @@ class FrameTracker:
         return _pose(x), report.final_rms
 
 
-@dataclass(frozen=True)
 class _FrameSystem:
     """One frame's residuals and dense (8K,6) Jacobian, as lm_minimize takes
-    them: the refinement's kernels with the cameras and markers frozen."""
+    them: the refinement's kernels with the cameras and markers frozen.
 
-    arrays: tuple  # FrameTracker._frame_arrays
+    It keeps the forward projection of its last residuals(x), keyed by the
+    bytes of that x, so that system(x) at an accepted point only adds the
+    Jacobian. lm_minimize re-maps a rotation past pi in place after the
+    trial; the re-mapped point has other bytes and is projected again.
+    """
+
+    def __init__(self, arrays: tuple):
+        self.arrays = arrays  # FrameTracker._frame_arrays
+        self._last = None  # (x bytes, rotation, residuals, projection)
+
+    def _forward(self, x: np.ndarray):
+        y, rc, tc, obs, k = self.arrays
+        rot = rotation_from_rvec(x[:3])
+        r, proj, _ = _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k)
+        return rot, r, proj
 
     def system(self, x: np.ndarray) -> ResidualSystem:
-        y, rc, tc, obs, k = self.arrays
-        rot = rotation_from_rvec(x[:3])
-        r, pj, _ = _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k, True)
+        last = self._last
+        if last is not None and last[0] == x.tobytes():
+            rot, r, proj = last[1:]
+        else:
+            rot, r, proj = self._forward(x)
+        y, rc = self.arrays[:2]
         # the one-rvec factor: rotation_jacobian_factors on a batch of one
-        # takes 42 us against 20 us, and made warm frames 5-6% slower
+        # takes about 40 us against 4 us (timeit, 2-vCPU host)
         s_g = rotation_jacobian_factor(x[:3], rot)
-        return ResidualSystem(r, _frame_columns(pj, rc, rot[None], y, s_g[None])[2].reshape(-1, 6))
+        frame = _frame_columns(_corner_jacobian(proj), rc, rot[None], y, s_g[None])[2]
+        return ResidualSystem(r, frame.reshape(-1, 6))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        y, rc, tc, obs, k = self.arrays
-        rot = rotation_from_rvec(x[:3])
-        return _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k, False)[0]
+        rot, r, proj = self._forward(x)
+        self._last = (x.tobytes(), rot, r, proj)
+        return r
 
 
 def track_frame(

@@ -339,11 +339,10 @@ def planar_poses(corners: np.ndarray, k: np.ndarray, template: MarkerTemplate) -
 
     rot = _two_rotations(h, status)
     tvec, w = _translations(rot, template_xy, norm_xy)
-    pix, _, front = project_arrays(
+    pix, front = project_arrays(
         (w + tvec[..., None, :]).reshape(-1, 3),
         np.repeat(k, 2, axis=1).reshape(9, -1),  # both solutions of every row
-        want_jacobian=False,
-    )
+    )[:2]
     valid = (tvec[..., 2] > 0.0) & front.reshape(n, 2, 4).all(axis=-1)
     valid &= (status == POSE_OK)[:, None]
     sq = ((pix.reshape(n, 2, 4, 2) - corners[:, None]) ** 2).reshape(n, 2, 8)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import sys
 
@@ -289,6 +290,27 @@ class TestTrackCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         expect = {"missing intrinsics": "no intrinsics", "duplicate detection": "duplicate"}
         assert expect.get(case, "77") in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rvec_without_matrix_exit_2(self, workdir, tmp_path, capsys, value):
+        # without its matrix a transform is read from rvec and tvec, which
+        # json reads as NaN or Infinity
+        doc = json.loads((workdir / "cal.json").read_text())
+        pose = doc["cameras"]["poses"]["1"]
+        del pose["matrix"]
+        pose["rvec"][0] = value
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "track",
+            "--calibration", str(tmp_path / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rvec/tvec must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_stream_frame_index_going_back_exit_2(self, workdir, capsys, monkeypatch):
         # frames 0, 1, then 0 again: the repeated frame is rejected, naming

@@ -21,6 +21,7 @@ from markercal.geometry import (
     invert_many,
     project,
     project_arrays,
+    projection_jacobian,
     rotation_angle,
     rotation_from_rvec,
     rotation_jacobian_factor,
@@ -216,6 +217,12 @@ class TestCross:
         np.testing.assert_array_equal(cross(u, v), np.cross(u, v))
 
 
+# rotation angles on each side of every branch edge of the Rodrigues
+# routines: theta = 1e-8, theta^2 = 1e-6 and pi
+BRANCH_EDGE_ANGLES = [0.0, 1e-9, 1e-8 * (1 - 1e-6), 1e-8 * (1 + 1e-6), 1e-3 * (1 - 1e-6),
+                      1e-3 * (1 + 1e-6), 0.3, math.pi - 1e-3, math.pi, 4.0]
+
+
 class TestTwist:
     def test_zero_twist_is_identity(self):
         np.testing.assert_allclose(rotation_from_rvec(np.zeros(3)), np.eye(3), atol=1e-15)
@@ -244,14 +251,31 @@ class TestTwist:
         np.testing.assert_allclose(vecs @ again.T, vecs @ t.rotation.T, atol=1e-9)
 
     def test_angle_pi_sign_canonicalization(self):
-        # first nonzero rvec component comes out positive at a half turn
-        for axis in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-0.6, 0.8, 0.0]):
-            r = _quat_exp_rotation(np.asarray(axis) * math.pi)
-            rvec = rvec_from_rotation(r)
-            assert abs(np.linalg.norm(rvec) - math.pi) < 1e-9
-            nz = rvec[np.abs(rvec) > 1e-12]
-            assert nz[0] > 0
-            np.testing.assert_allclose(rotation_from_rvec(rvec), r, atol=1e-9)
+        # first nonzero rvec component comes out positive at a half turn,
+        # whichever sign of the axis the rotation was made from
+        for axis in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-0.6, 0.8, 0.0],
+                     [-0.36, 0.48, 0.8]):
+            axis = np.asarray(axis) * math.pi
+            for r in (_quat_exp_rotation(axis), rotation_from_rvec(axis), rotation_from_rvec(-axis)):
+                rvec = rvec_from_rotation(r)
+                assert abs(np.linalg.norm(rvec) - math.pi) < 1e-9
+                nz = rvec[np.abs(rvec) > 1e-12]
+                assert nz[0] > 0
+                np.testing.assert_allclose(rotation_from_rvec(rvec), r, atol=1e-9)
+
+    def test_round_trip_at_branch_edges(self):
+        rng = np.random.default_rng(37)
+        for angle in BRANCH_EDGE_ANGLES:
+            axis = rng.normal(size=3)
+            rvec = axis / np.linalg.norm(axis) * angle
+            got = rvec_from_rotation(rotation_from_rvec(rvec))
+            if angle < math.pi:
+                np.testing.assert_allclose(got, rvec, rtol=0, atol=1e-12)
+            else:  # the same rotation, by an angle in [0, pi]
+                assert np.linalg.norm(got) <= math.pi + 1e-12
+                np.testing.assert_allclose(
+                    rotation_from_rvec(got), rotation_from_rvec(rvec), rtol=0, atol=1e-12
+                )
 
     def test_tiny_angles(self):
         for scale in (1e-12, 1e-9, 1e-6):
@@ -400,7 +424,8 @@ class TestProjectJacobian:
         pts = np.column_stack(
             [rng.uniform(-0.4, 0.4, 10), rng.uniform(-0.4, 0.4, 10), rng.uniform(0.5, 2.5, 10)]
         )
-        pix, jac, front = project_arrays(pts, _k(intr))
+        proj = project_arrays(pts, _k(intr))
+        pix, front, jac = proj.pix, proj.front, projection_jacobian(proj)
         assert front.all()
         np.testing.assert_allclose(pix, project(pts, intr))
         h = 1e-6
@@ -438,16 +463,19 @@ class TestRotationJacobianFactor:
 
 class TestBatchedRotations:
     def test_match_one_vector_forms(self):
-        # both branches: angles from 1e-9 (series) up to past pi
+        # every branch, on each side of its edge: the Rodrigues series below
+        # theta = 1e-8, the factor's series below theta^2 = 1e-6, and angles
+        # up to and past pi; and a few angles between the edges
         rng = np.random.default_rng(59)
-        axes = rng.normal(size=(9, 3))
+        axes = rng.normal(size=(16, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        rvecs = axes * np.array([0.0, 1e-9, 1e-5, 5e-4, 2e-3, 0.3, 1.5, math.pi - 1e-3, 4.0])[:, None]
+        angles = np.array(BRANCH_EDGE_ANGLES + [1e-5, 5e-4, 2e-3, 1.5])
+        rvecs = (axes[None] * angles[:, None, None]).reshape(-1, 3)
         rots = rotations_from_rvecs(rvecs)
         factors = rotation_jacobian_factors(rvecs, rots)
         for v, rot, s in zip(rvecs, rots, factors):
-            np.testing.assert_allclose(rot, rotation_from_rvec(v), atol=1e-14)
-            np.testing.assert_allclose(s, rotation_jacobian_factor(v, rotation_from_rvec(v)), atol=1e-12)
+            np.testing.assert_allclose(rotation_from_rvec(v), rot, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rotation_jacobian_factor(v, rot), s, rtol=0, atol=1e-15)
 
 
 class TestIndexedPoses:

@@ -124,6 +124,19 @@ def _near_pi_frames(frames, rng):
     return truth, start
 
 
+def _count_projections(monkeypatch) -> list[int]:
+    """A one-item list counting the optimizer's project_arrays calls from now on."""
+    calls = [0]
+    original = optimizer.project_arrays
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(optimizer, "project_arrays", counted)
+    return calls
+
+
 def _perturb(pose, rng, rot_deg, trans_m):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -473,6 +486,39 @@ class TestFrameSystem:
         tracked = _FrameSystem(tracker._frame_arrays(dets)).system(frame_x)
         np.testing.assert_array_equal(tracked.residuals, system.residuals)
         np.testing.assert_array_equal(tracked.jacobian, system.jacobian.blocks[:, :, 12:].reshape(-1, 6))
+
+    def test_system_after_residuals_is_a_fresh_system(self, monkeypatch):
+        # the accepted point's forward projection is reused, bit for bit
+        cams, markers, frames, dets, intr, template, rng = self._scene(63, DIST)
+        arrays = FrameTracker(cams, markers, intr, template)._frame_arrays(dets)
+        x = np.concatenate([rvec_from_rotation(frames[0].rotation), frames[0].translation])
+        x = x + rng.normal(scale=1e-3, size=6)
+        fresh = _FrameSystem(arrays).system(x)
+        frame = _FrameSystem(arrays)
+        frame.residuals(x.copy())
+        calls = _count_projections(monkeypatch)
+        got = frame.system(x)
+        assert calls == [0]
+        np.testing.assert_array_equal(got.residuals, fresh.residuals)
+        np.testing.assert_array_equal(got.jacobian, fresh.jacobian)
+
+    def test_rotation_remapped_in_place_is_projected_again(self, monkeypatch):
+        # lm_minimize re-maps an accepted x past pi in place after its trial
+        cams, markers, frames, dets, intr, template, rng = self._scene(64)
+        arrays = FrameTracker(cams, markers, intr, template)._frame_arrays(dets)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        x = np.concatenate([(math.pi + 0.01) * axis, frames[0].translation])
+        frame = _FrameSystem(arrays)
+        frame.residuals(x)
+        optimizer._canonical_rotations(x)
+        assert np.linalg.norm(x[:3]) < math.pi
+        calls = _count_projections(monkeypatch)
+        got = frame.system(x)
+        assert calls == [1]
+        fresh = _FrameSystem(arrays).system(x)
+        np.testing.assert_array_equal(got.residuals, fresh.residuals)
+        np.testing.assert_array_equal(got.jacobian, fresh.jacobian)
 
     @pytest.mark.parametrize("dist", [None, DIST])
     def test_jacobian_matches_finite_differences(self, dist):
@@ -829,6 +875,27 @@ class TestTracking:
         bad = Detection(0, 77, 0, dets[0].corners)
         with pytest.raises(ValidationError, match=r"camera ids \[77\]"):
             tracker.solve([bad])
+
+    def test_detections_of_several_frames_rejected(self):
+        # frame 3 of the tiny track scene plus the detections of frame 10
+        # whose (cam, marker) frame 3 lacks: no repeated pair, but two frames
+        spec = SceneSpec(
+            n_cameras=5, circle_radius=0.7, object="cube", marker_side=0.04, n_frames=20,
+            trajectory="fast", noise_sigma=0.2, seed=0,
+        )
+        gt, dets, intr = generate(spec)
+        cams, markers = gt.cams_gt.poses, gt.markers_gt.poses
+        template = MarkerTemplate(spec.marker_side)
+        frame3 = [d for d in dets if d.t == 3]
+        pairs = {(d.cam, d.marker) for d in frame3}
+        mixed = frame3 + [d for d in dets if d.t == 10 and (d.cam, d.marker) not in pairs]
+        assert len(mixed) > len(frame3)
+        tracker = FrameTracker(cams, markers, intr, template)
+        for solve in (lambda: track_frame(mixed, cams, markers, intr, template),
+                      lambda: tracker.solve(mixed, warm=gt.traj_gt.frames[3].pose),
+                      lambda: tracker.cold_start(mixed)):
+            with pytest.raises(ValidationError, match=r"frames \[3, 10\]"):
+                solve()
 
     def test_one_shot_wrapper_matches_tracker(self):
         rng = np.random.default_rng(46)

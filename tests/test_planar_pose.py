@@ -291,7 +291,7 @@ def _status_quads(n: int, seed: int = 2027):
     z = rng.uniform(0.08, 4.0, n)
     tvec = np.stack([rng.uniform(-0.6, 0.6, n) * z, rng.uniform(-0.45, 0.45, n) * z, z], 1)
     pts = np.einsum("nij,kj->nki", rot, TPL.corners) + tvec[:, None]
-    pix, _, _ = project_arrays(pts.reshape(-1, 3), np.repeat(k[:, :n], 4, axis=1), want_jacobian=False)
+    pix = project_arrays(pts.reshape(-1, 3), np.repeat(k[:, :n], 4, axis=1)).pix
     squares = pix.reshape(n, 4, 2) + rng.normal(size=(n, 4, 2)) * rng.uniform(0.0, 2.0, (n, 1, 1))
 
     centre = rng.uniform([-300, -250], [940, 730], (n, 1, 2))
