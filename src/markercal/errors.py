@@ -11,10 +11,6 @@ class PointBehindCamera(MarkerCalError):
     """A 3D point has non-positive depth and cannot be projected."""
 
 
-class DegenerateQuad(MarkerCalError):
-    """Detection corners are duplicated or (near-)collinear."""
-
-
 class NoValidPose(MarkerCalError):
     """Both planar pose solutions place the marker behind the camera."""
 

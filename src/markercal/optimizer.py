@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import spsolve  # noqa: F401  bound by name for perfbench/tracing.py
 
 from .errors import NoValidPose, NumericalFailure, ValidationError
 from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
@@ -47,10 +46,13 @@ from .planar_pose import (
     Detection,
     candidate_set,
     corner_arrays,
-    estimate_two_poses,  # noqa: F401  bound by name for perfbench/tracing.py
     planar_poses,
 )
 from .structure_init import StructureEstimate
+
+# perfbench/tracing.py looks these names up to wrap them; nothing calls them
+spsolve = None
+estimate_two_poses = None
 
 BEHIND_RESIDUAL = 1e6  # px, replaces residuals of points behind the camera
 _EYE6 = np.eye(6)

@@ -19,8 +19,7 @@ solution lies in front of the camera, or the viewing geometry is
 degenerate. A row that fails a check gets a benign placeholder (or a
 divisor of 1) before the next step that could divide by zero, so one bad
 detection cannot poison its batch, and every row comes out exactly as its
-own one-row call would. `estimate_two_poses` is that one-row call; it
-raises DegenerateQuad or NoValidPose for the failing statuses.
+own one-row call would.
 
 The error ratio is the ambiguity measure: a ratio near 1 means the
 detection alone cannot tell the two poses apart. By it `candidate_set`
@@ -35,12 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuad, MissingIntrinsics, NoValidPose
+from .errors import MissingIntrinsics
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
     PoseStack,
-    RigidTransform,
     cross,
     project,  # noqa: F401  bound by name for perfbench/tracing.py
     project_arrays,
@@ -81,22 +79,6 @@ class Detection:
         return (self.t, self.cam, self.marker)
 
 
-@dataclass(frozen=True)
-class PoseHypothesis:
-    """The two candidate marker-to-camera poses with their reprojection errors.
-
-    err_best <= err_alt always; ratio = err_alt / max(err_best, 1e-12),
-    clamped to >= 1. When only one pose survives the in-front check, alt
-    duplicates best and ratio is the SINGLE_SOLUTION_RATIO sentinel.
-    """
-
-    best: RigidTransform
-    alt: RigidTransform
-    err_best: float
-    err_alt: float
-    ratio: float
-
-
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
     """The marker-to-camera poses kept for N detections, as one table.
@@ -107,7 +89,7 @@ class CandidateSet:
 
     keys: np.ndarray  # (N,3) int
     counts: np.ndarray  # (N,) int
-    ratios: np.ndarray  # (N,) as PoseHypothesis.ratio, NaN without a pose
+    ratios: np.ndarray  # (N,) as PlanarPoses.ratios, NaN without a pose
     poses: PoseStack
     offsets: np.ndarray = field(init=False, repr=False)  # (N+1,) into poses
 
@@ -134,22 +116,18 @@ class CandidateSet:
 class PlanarPoses:
     """Both marker-to-camera pose candidates of N detections, best first.
 
-    Rows whose status is not POSE_OK hold NaN poses, errors and ratios.
+    errors[i, 0] <= errors[i, 1] always; ratios[i] = err_alt / max(err_best,
+    1e-12), clamped to >= 1. When only one pose survives the in-front check,
+    the alt duplicates the best and the ratio is the SINGLE_SOLUTION_RATIO
+    sentinel. Rows whose status is not POSE_OK hold NaN poses, errors and
+    ratios.
     """
 
     rotations: np.ndarray  # (N,2,3,3)
     translations: np.ndarray  # (N,2,3)
     errors: np.ndarray  # (N,2) RMS corner reprojection error, px
-    ratios: np.ndarray  # (N,) as PoseHypothesis.ratio
+    ratios: np.ndarray  # (N,) ambiguity ratio, see above
     status: np.ndarray  # (N,) POSE_OK, DEGENERATE_QUAD or NO_VALID_POSE
-
-    def hypothesis(self, i: int) -> PoseHypothesis | None:
-        """Row i as a PoseHypothesis; None unless its status is POSE_OK."""
-        if self.status[i] != POSE_OK:
-            return None
-        best, alt = (RigidTransform(self.rotations[i, k], self.translations[i, k]) for k in (0, 1))
-        err = self.errors[i]
-        return PoseHypothesis(best, alt, float(err[0]), float(err[1]), float(self.ratios[i]))
 
 
 def corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
@@ -358,24 +336,6 @@ def planar_poses(corners: np.ndarray, k: np.ndarray, template: MarkerTemplate) -
     rot, tvec, err = rot[rows, order], tvec[rows, order], err[rows, order]
     ratio = np.where(single, SINGLE_SOLUTION_RATIO, ambiguity_ratio(err[:, 0], err[:, 1]))
     return PlanarPoses(*(_park(ok, x, np.nan) for x in (rot, tvec, err, ratio)), status)
-
-
-def estimate_two_poses(
-    d: Detection, intr: CameraIntrinsics, template: MarkerTemplate
-) -> PoseHypothesis:
-    """Both marker-to-camera pose candidates for one detection: the one-row
-    call of planar_poses.
-
-    Raises DegenerateQuad for collinear or coincident corners and NoValidPose
-    when neither solution places the marker in front of the camera.
-    """
-    poses = planar_poses(*corner_arrays([d], {d.cam: intr}), template)
-    where = f"(t={d.t}, cam={d.cam}, marker={d.marker})"
-    if poses.status[0] == DEGENERATE_QUAD:
-        raise DegenerateQuad(f"degenerate corner quad for {where}")
-    if poses.status[0] == NO_VALID_POSE:
-        raise NoValidPose(f"no pose candidate in front of the camera for {where}")
-    return poses.hypothesis(0)
 
 
 def candidate_set(poses: PlanarPoses, keys, tau_e: float) -> CandidateSet:

@@ -44,7 +44,7 @@ from markercal.optimizer import (
     _FrameSystem,
     _solve_damped,
 )
-from markercal.planar_pose import Detection, estimate_two_poses
+from markercal.planar_pose import POSE_OK, Detection, corner_arrays, planar_poses
 from markercal.structure_init import StructureEstimate
 from markercal.synthetic import SceneSpec, generate
 
@@ -935,9 +935,11 @@ class TestTracking:
             builder = ResidualBuilder(frame_dets, intr, template, layout)
             best_cost, best = math.inf, None
             for d in sorted(frame_dets, key=lambda d: d.key):
-                h = estimate_two_poses(d, intr[d.cam], template)
-                ambiguous += h.ratio < 2.0
-                for t_mc in (h.best, h.alt):
+                poses = planar_poses(*corner_arrays([d], {d.cam: intr[d.cam]}), template)
+                assert poses.status[0] == POSE_OK
+                ambiguous += poses.ratios[0] < 2.0
+                for rot, tvec in zip(poses.rotations[0], poses.translations[0]):
+                    t_mc = RigidTransform(rot, tvec)
                     g = compose(compose(cams[d.cam], t_mc), invert(markers[d.marker]))
                     r = builder.residuals(pack_params(cams, markers, {t: g}, layout))
                     if float(r @ r) < best_cost:

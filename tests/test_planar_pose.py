@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from markercal.errors import DegenerateQuad, NoValidPose
 from markercal.geometry import (
     CameraIntrinsics,
     MarkerTemplate,
@@ -30,12 +29,10 @@ from markercal.planar_pose import (
     CandidateSet,
     Detection,
     PlanarPoses,
-    PoseHypothesis,
     SINGLE_SOLUTION_RATIO,
     ambiguity_ratio,
     candidate_set,
     corner_arrays,
-    estimate_two_poses,
     planar_poses,
 )
 
@@ -63,15 +60,26 @@ def _tilted_pose(rng, tilt_lo=0.25, tilt_hi=1.0) -> RigidTransform:
     return RigidTransform(rot, t)
 
 
+def _one(d: Detection, intr: CameraIntrinsics = INTR) -> PlanarPoses:
+    """planar_poses of the one detection d: its row 0 holds both poses."""
+    return planar_poses(*corner_arrays([d], {d.cam: intr}), TPL)
+
+
+def _best(p: PlanarPoses) -> RigidTransform:
+    return RigidTransform(p.rotations[0, 0], p.translations[0, 0])
+
+
 class TestEstimateTwoPoses:
+    """One detection at a time, through one-row planar_poses calls."""
+
     def test_recovers_known_pose_zero_noise(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
             pose = _tilted_pose(rng)
-            h = estimate_two_poses(_detect(pose), INTR, TPL)
-            rot_err = rotation_angle(h.best.rotation.T @ pose.rotation)
+            best = _best(_one(_detect(pose)))
+            rot_err = rotation_angle(best.rotation.T @ pose.rotation)
             assert rot_err < 1e-6
-            assert np.linalg.norm(h.best.translation - pose.translation) < 1e-7
+            assert np.linalg.norm(best.translation - pose.translation) < 1e-7
 
     def test_truth_always_among_the_two_solutions(self):
         # holds even for nearly fronto-parallel poses where best may be the
@@ -79,12 +87,12 @@ class TestEstimateTwoPoses:
         rng = np.random.default_rng(67)
         for _ in range(50):
             pose = _tilted_pose(rng, tilt_lo=0.0, tilt_hi=0.6)
-            h = estimate_two_poses(_detect(pose), INTR, TPL)
+            p = _one(_detect(pose))
             errs = []
-            for cand in (h.best, h.alt):
+            for rot, tvec in zip(p.rotations[0], p.translations[0]):
                 errs.append(
-                    rotation_angle(cand.rotation.T @ pose.rotation)
-                    + np.linalg.norm(cand.translation - pose.translation)
+                    rotation_angle(rot.T @ pose.rotation)
+                    + np.linalg.norm(tvec - pose.translation)
                 )
             assert min(errs) < 1e-6
 
@@ -96,16 +104,16 @@ class TestEstimateTwoPoses:
         rng = np.random.default_rng(71)
         for _ in range(20):
             pose = _tilted_pose(rng)
-            h = estimate_two_poses(_detect(pose, intr=intr), intr, TPL)
-            assert rotation_angle(h.best.rotation.T @ pose.rotation) < 1e-6
-            assert np.linalg.norm(h.best.translation - pose.translation) < 1e-7
+            best = _best(_one(_detect(pose, intr=intr), intr))
+            assert rotation_angle(best.rotation.T @ pose.rotation) < 1e-6
+            assert np.linalg.norm(best.translation - pose.translation) < 1e-7
 
     def test_fronto_parallel_is_ambiguous(self):
         # centered: the two solutions coincide, errors are both ~0
         pose = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
-        h = estimate_two_poses(_detect(pose), INTR, TPL)
-        assert h.ratio < 1.1
-        assert h.err_best <= h.err_alt
+        p = _one(_detect(pose))
+        assert p.ratios[0] < 1.1
+        assert p.errors[0, 0] <= p.errors[0, 1]
 
     def test_noisy_fronto_parallel_stays_ambiguous(self):
         # with realistic noise the mirror solution explains the corners about
@@ -113,7 +121,7 @@ class TestEstimateTwoPoses:
         rng = np.random.default_rng(83)
         pose = RigidTransform(np.eye(3), [0.05, 0.03, 1.0])
         ratios = [
-            estimate_two_poses(_detect(pose, noise_sigma=0.3, rng=rng), INTR, TPL).ratio
+            _one(_detect(pose, noise_sigma=0.3, rng=rng)).ratios[0]
             for _ in range(50)
         ]
         assert float(np.median(ratios)) < 1.5
@@ -122,9 +130,9 @@ class TestEstimateTwoPoses:
         # normals of the two solutions agree along the center viewing ray and
         # are opposite in the orthogonal complement
         pose = RigidTransform(np.eye(3), [0.08, 0.05, 1.0])
-        h = estimate_two_poses(_detect(pose), INTR, TPL)
-        d = h.best.translation / np.linalg.norm(h.best.translation)
-        n1, n2 = h.best.rotation[:, 2], h.alt.rotation[:, 2]
+        p = _one(_detect(pose))
+        d = p.translations[0, 0] / np.linalg.norm(p.translations[0, 0])
+        n1, n2 = p.rotations[0, 0, :, 2], p.rotations[0, 1, :, 2]
         assert abs(float(n1 @ d) - float(n2 @ d)) < 1e-6
         np.testing.assert_allclose(
             n1 - (n1 @ d) * d, -(n2 - (n2 @ d) * d), atol=1e-6
@@ -134,18 +142,17 @@ class TestEstimateTwoPoses:
         pose = RigidTransform(
             rotation_from_rvec([0.0, math.radians(40.0), 0.0]), [0.0, 0.0, 0.5]
         )
-        h = estimate_two_poses(_detect(pose), INTR, TPL)
-        assert h.ratio > 2.0
+        assert _one(_detect(pose)).ratios[0] > 2.0
 
     def test_reprojection_error_consistency(self):
         rng = np.random.default_rng(73)
         pose = _tilted_pose(rng)
         det = _detect(pose, noise_sigma=0.4, rng=rng)
-        h = estimate_two_poses(det, INTR, TPL)
-        assert h.err_best <= h.err_alt
-        pix = project(h.best.apply(TPL.corners), INTR)
+        p = _one(det)
+        assert p.errors[0, 0] <= p.errors[0, 1]
+        pix = project(_best(p).apply(TPL.corners), INTR)
         rms = math.sqrt(float(np.sum((pix - det.corners) ** 2)) / 4.0)
-        assert abs(rms - h.err_best) < 1e-9
+        assert abs(rms - p.errors[0, 0]) < 1e-9
 
     def test_error_grows_with_noise(self):
         rng = np.random.default_rng(79)
@@ -157,7 +164,7 @@ class TestEstimateTwoPoses:
             errs = []
             for _ in range(120):
                 det = _detect(pose, noise_sigma=sigma, rng=rng)
-                errs.append(estimate_two_poses(det, INTR, TPL).err_best)
+                errs.append(_one(det).errors[0, 0])
             means.append(float(np.mean(errs)))
         assert all(means[i] <= means[i + 1] for i in range(len(means) - 1))
 
@@ -165,26 +172,20 @@ class TestEstimateTwoPoses:
         base = np.array([[100.0, 100.0], [200.0, 100.0], [200.0, 200.0], [100.0, 200.0]])
         dup = base.copy()
         dup[1] = dup[0]
-        with pytest.raises(DegenerateQuad):
-            estimate_two_poses(Detection(0, 0, 0, dup), INTR, TPL)
         collinear = np.array([[0.0, 0.0], [100.0, 0.001], [200.0, 0.0], [300.0, 0.001]])
-        with pytest.raises(DegenerateQuad):
-            estimate_two_poses(Detection(0, 0, 0, collinear), INTR, TPL)
         tiny = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(DegenerateQuad):
-            estimate_two_poses(Detection(0, 0, 0, tiny), INTR, TPL)
+        for quad in (dup, collinear, tiny):
+            assert _one(Detection(0, 0, 0, quad)).status[0] == DEGENERATE_QUAD
 
     def test_non_convex_quads_rejected(self):
         # no square in front of a pinhole camera images to a non-convex quad;
         # a homography still fits this one exactly, with poses whose RMS
-        # errors are about 185 px
+        # errors are about 185 px; every rotation of the corner order, either
+        # winding
         dart = np.array([[100.0, 100.0], [200.0, 100.0], [130.0, 130.0], [100.0, 200.0]])
-        with pytest.raises(DegenerateQuad):
-            estimate_two_poses(Detection(0, 0, 0, dart), INTR, TPL)
-        # every rotation of the corner order, either winding
         for quad in (dart, dart[::-1]):
             for k in range(4):
-                poses = _batch([Detection(0, 0, 0, np.roll(quad, k, axis=0))], {0: INTR})
+                poses = _one(Detection(0, 0, 0, np.roll(quad, k, axis=0)))
                 assert poses.status.tolist() == [DEGENERATE_QUAD]
 
 
@@ -198,23 +199,14 @@ def _batch(dets, intrinsics):
 
 
 def _assert_row_is_own_call(poses, i, d, intr):
-    """Row i of a batch carries exactly what the one-row call gives d."""
-    try:
-        h = estimate_two_poses(d, intr, TPL)
-    except DegenerateQuad:
-        assert poses.status[i] == DEGENERATE_QUAD
-        assert np.isnan(poses.rotations[i]).all() and np.isnan(poses.errors[i]).all()
-        return
-    except NoValidPose:
-        assert poses.status[i] == NO_VALID_POSE
-        assert np.isnan(poses.translations[i]).all() and np.isnan(poses.ratios[i])
-        return
-    assert poses.status[i] == POSE_OK
-    got = poses.hypothesis(i)
-    for a, b in ((got.best, h.best), (got.alt, h.alt)):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
-    assert (got.err_best, got.err_alt, got.ratio) == (h.err_best, h.err_alt, h.ratio)
+    """Row i of a batch carries exactly what the one-row call gives d, and
+    NaN poses, errors and ratio unless its status is POSE_OK."""
+    own = _one(d, intr)
+    assert poses.status[i] == own.status[0]
+    for name in ("rotations", "translations", "errors", "ratios"):
+        got = getattr(poses, name)[i]
+        assert np.array_equal(got, getattr(own, name)[0], equal_nan=True), name
+        assert poses.status[i] == POSE_OK or np.isnan(got).all(), name
 
 
 class TestPlanarPosesBatch:
@@ -376,17 +368,16 @@ class TestAmbiguityRatio:
 
 class TestCandidateSet:
     def test_unambiguous_keeps_best_only(self):
-        h = _hypothesis(ratio=2.5)
-        xi = _one_row(h, tau_e=2.0)
+        xi = _one_row(2.5, tau_e=2.0)
         assert xi.counts.tolist() == [1] and len(xi.poses) == 1
-        assert _same(xi.poses[0], h.best)
+        assert _same(xi.poses[0], _pair(0)[0])
         assert xi.ratios[0] == 2.5
 
     def test_ambiguous_keeps_both(self):
-        h = _hypothesis(ratio=1.3)
-        xi = _one_row(h, tau_e=2.0)
+        xi = _one_row(1.3, tau_e=2.0)
+        best, alt = _pair(0)
         assert xi.counts.tolist() == [2] and len(xi.poses) == 2
-        assert _same(xi.poses[0], h.best) and _same(xi.poses[1], h.alt)
+        assert _same(xi.poses[0], best) and _same(xi.poses[1], alt)
 
     def test_no_detection_gives_empty_set(self):
         xi = _one_row(None, tau_e=2.0)
@@ -396,12 +387,12 @@ class TestCandidateSet:
     def test_cardinality_rule_grid(self):
         for ratio in (1.0, 1.5, 1.999, 2.0, 2.5, 10.0, SINGLE_SOLUTION_RATIO):
             for tau in (1.0, 1.5, 2.0, 5.0):
-                n = len(_one_row(_hypothesis(ratio=ratio), tau).poses)
+                n = len(_one_row(ratio, tau).poses)
                 assert n == (1 if ratio >= tau else 2)
 
     def test_infinite_threshold_keeps_both_of_every_usable_row(self):
-        hs = [_hypothesis(2.5), None, _hypothesis(SINGLE_SOLUTION_RATIO)]
-        xi = candidate_set(_planar(hs), [(0, 0, m) for m in range(3)], math.inf)
+        rows = _planar([2.5, None, SINGLE_SOLUTION_RATIO])
+        xi = candidate_set(rows, [(0, 0, m) for m in range(3)], math.inf)
         assert xi.counts.tolist() == [2, 0, 2]
 
     def test_rejects_tau_below_one(self):
@@ -409,13 +400,12 @@ class TestCandidateSet:
             _one_row(None, tau_e=0.5)
 
     def test_rows_sorted_by_key_with_their_poses(self):
-        hs = [_hypothesis(r) for r in (1.2, 3.0, 1.5, 4.0)]
         keys = [(1, 0, 0), (0, 2, 1), (0, 2, 0), (0, 0, 5)]
-        xi = candidate_set(_planar(hs), keys, 2.0)
+        xi = candidate_set(_planar([1.2, 3.0, 1.5, 4.0]), keys, 2.0)
         assert xi.keys.tolist() == sorted(map(list, keys))
         assert xi.counts.tolist() == [1, 2, 1, 2]
         assert xi.ratios.tolist() == [4.0, 1.5, 3.0, 1.2]
-        kept = [hs[3].best, hs[2].best, hs[2].alt, hs[1].best, hs[0].best, hs[0].alt]
+        kept = [_pair(3)[0], *_pair(2), _pair(1)[0], *_pair(0)]
         assert all(_same(xi.poses[i], t) for i, t in enumerate(kept))
         assert xi.offsets.tolist() == [0, 1, 3, 4, 6]
 
@@ -441,26 +431,30 @@ class TestCandidateSet:
             CandidateSet([(0, 0, 0)], [1, 1], [3.0], t)
 
 
-def _hypothesis(ratio: float) -> PoseHypothesis:
-    best = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
-    alt = RigidTransform(rotation_from_rvec([0.2, 0.0, 0.0]), [0.0, 0.0, 1.0])
-    return PoseHypothesis(best, alt, 0.5, 0.5 * ratio, ratio)
+def _pair(i: int) -> tuple[RigidTransform, RigidTransform]:
+    """The best and alt pose that _planar gives row i; no two rows share one."""
+    tvec = [0.0, 0.0, 1.0 + i]
+    alt = RigidTransform(rotation_from_rvec([0.2, 0.0, 0.0]), tvec)
+    return RigidTransform(np.eye(3), tvec), alt
 
 
-def _planar(hs: list) -> PlanarPoses:
-    """PlanarPoses rows holding the given hypotheses; None is a failed row."""
-    nan = np.full((2, 4, 4), np.nan)
-    mats = np.array([[h.best.as_matrix(), h.alt.as_matrix()] if h else nan for h in hs])
+def _planar(ratios: list) -> PlanarPoses:
+    """PlanarPoses whose row i holds _pair(i) with errors 0.5 and 0.5 * ratios[i];
+    a None ratio makes a failed row."""
+    failed = np.array([r is None for r in ratios])
+    ratio = np.array([np.nan if r is None else r for r in ratios])
+    mats = np.array([[p.as_matrix() for p in _pair(i)] for i in range(len(ratios))])
+    mats[failed] = np.nan
     return PlanarPoses(
         mats[:, :, :3, :3], mats[:, :, :3, 3],
-        np.array([[h.err_best, h.err_alt] if h else [np.nan] * 2 for h in hs]),
-        np.array([h.ratio if h else np.nan for h in hs]),
-        np.array([POSE_OK if h else DEGENERATE_QUAD for h in hs]),
+        np.stack([np.where(failed, np.nan, 0.5), 0.5 * ratio], axis=1),
+        ratio,
+        np.where(failed, DEGENERATE_QUAD, POSE_OK),
     )
 
 
-def _one_row(h: PoseHypothesis | None, tau_e: float) -> CandidateSet:
-    return candidate_set(_planar([h]), [(0, 0, 0)], tau_e)
+def _one_row(ratio: float | None, tau_e: float) -> CandidateSet:
+    return candidate_set(_planar([ratio]), [(0, 0, 0)], tau_e)
 
 
 def _same(a: RigidTransform, b: RigidTransform) -> bool:

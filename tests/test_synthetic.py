@@ -18,7 +18,7 @@ from markercal.geometry import (
     rotation_from_rvec,
 )
 from markercal.optimizer import CalibrationResult, refine_all
-from markercal.planar_pose import estimate_two_poses
+from markercal.planar_pose import POSE_OK, corner_arrays, planar_poses
 from markercal.structure_init import StructureEstimate
 from markercal.synthetic import (
     ErrorReport,
@@ -158,7 +158,9 @@ class TestGenerate:
         template = MarkerTemplate(spec.marker_side)
         ratios = []
         for d in dets:
-            ratios.append(estimate_two_poses(d, intr[d.cam], template).ratio)
+            poses = planar_poses(*corner_arrays([d], {d.cam: intr[d.cam]}), template)
+            assert poses.status[0] == POSE_OK
+            ratios.append(poses.ratios[0])
         ratios = np.array(ratios)
         assert len(ratios) > 100
         assert np.mean(ratios < 2.0) >= 0.5
