@@ -30,6 +30,11 @@ _THREAD_ENV_VARS = (
 def _apply_threads(n: int | None) -> None:
     if n is None:
         return
+    if n < 1:
+        # OpenBLAS reads 0 or a negative count as no cap at all
+        from .errors import ValidationError
+
+        raise ValidationError(f"--threads must be at least 1, got {n}")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(n)
 
@@ -48,8 +53,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/linear-algebra threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="cap BLAS/linear-algebra threads at N >= 1 (default: all cores)")
 
 
 def cmd_calibrate(args) -> int:
@@ -337,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(getattr(args, "threads", None))
 
     from .errors import DisconnectedGraph, MarkerCalError, NumericalFailure
 
     try:
+        _apply_threads(getattr(args, "threads", None))
         return args.func(args)
     except DisconnectedGraph as e:
         print(f"error: {e}", file=sys.stderr)

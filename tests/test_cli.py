@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -454,3 +455,44 @@ class TestThreadFlag:
         rc = cli.main(["synth", "--output-dir", str(tmp_path / "o")])
         assert rc == 0
         assert all(var not in os.environ for var in cli._THREAD_ENV_VARS)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        # OpenBLAS reads 0 or a negative count as no cap at all
+        for var in cli._THREAD_ENV_VARS:
+            monkeypatch.delenv(var, raising=False)
+        rc = cli.main(["synth", "--output-dir", str(tmp_path / "o"), "--threads", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--threads" in err
+        assert all(var not in os.environ for var in cli._THREAD_ENV_VARS)
+        assert not (tmp_path / "o").exists()
+
+
+def _loaded_after(*modules: str) -> set[str]:
+    """The top-level packages in sys.modules after a fresh interpreter
+    imports `modules` from this markercal."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys, {', '.join(modules)}; print(' '.join(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return {name.split(".")[0] for name in out.split()}
+
+
+class TestImports:
+    def test_cli_leaves_numpy_unloaded(self):
+        # --threads caps BLAS through environment variables, which only take
+        # effect if numpy loads after them
+        assert "numpy" not in _loaded_after("markercal.cli")
+
+    def test_runtime_leaves_scipy_unloaded(self):
+        # numpy is the only runtime dependency
+        loaded = _loaded_after(
+            "markercal.cli", "markercal.pipeline", "markercal.optimizer",
+            "markercal.dataset", "markercal.synthetic",
+        )
+        assert "numpy" in loaded
+        assert "scipy" not in loaded
