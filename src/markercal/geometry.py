@@ -20,7 +20,9 @@ _EYE3 = np.eye(3)
 
 
 def _as_array(x, shape) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64).reshape(shape)
+    # row-major always: stacked matmul rounds column-major blocks differently,
+    # so the layout an upstream kernel returns would reach the output bits
+    a = np.asarray(x, dtype=np.float64, order="C").reshape(shape)
     a.flags.writeable = False
     return a
 

@@ -208,6 +208,23 @@ class TestPoseStack:
         assert np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max() < 1e-12
         assert np.all(np.linalg.det(r) > 0)
 
+    def test_results_do_not_depend_on_the_input_layout(self):
+        # stacked matmul rounds column-major 3x3 blocks differently from
+        # row-major ones, so a stack that kept the layout it was given (an
+        # inverse's swapped axes, say) would pass that layout into the bits
+        # of every product formed from it
+        rng = np.random.default_rng(43)
+        rot = rotations_from_rvecs(rng.uniform(-3, 3, (2000, 3)))
+        tvec = rng.uniform(-1, 1, (2000, 3))
+        col_major = np.swapaxes(np.swapaxes(rot, -1, -2).copy(), -1, -2)
+        f, c = PoseStack(col_major, tvec), PoseStack(rot, tvec)
+        a = PoseStack(rotations_from_rvecs(rng.uniform(-3, 3, (2000, 3))),
+                      rng.uniform(-1, 1, (2000, 3)))
+        for x, y in ((compose_many(f, a), compose_many(c, a)), (invert_many(f), invert_many(c))):
+            assert x.rotations.flags.c_contiguous
+            np.testing.assert_array_equal(x.rotations, y.rotations)
+            np.testing.assert_array_equal(x.translations, y.translations)
+
 
 class TestCross:
     @pytest.mark.parametrize("shape", [(9, 3), (9, 2, 3), (3000, 2, 3), (50000, 3)])
