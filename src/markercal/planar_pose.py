@@ -116,11 +116,11 @@ class CandidateSet:
 class PlanarPoses:
     """Both marker-to-camera pose candidates of N detections, best first.
 
-    errors[i, 0] <= errors[i, 1] always; ratios[i] = err_alt / max(err_best,
-    1e-12), clamped to >= 1. When only one pose survives the in-front check,
-    the alt duplicates the best and the ratio is the SINGLE_SOLUTION_RATIO
-    sentinel. Rows whose status is not POSE_OK hold NaN poses, errors and
-    ratios.
+    errors[i, 0] <= errors[i, 1] always, and the ambiguity ratio is
+    ratios[i] = errors[i, 1] / max(errors[i, 0], 1e-12), clamped to >= 1.
+    When only one pose survives the in-front check, the alt duplicates the
+    best and the ratio is the SINGLE_SOLUTION_RATIO sentinel. Rows whose
+    status is not POSE_OK hold NaN poses, errors and ratios.
     """
 
     rotations: np.ndarray  # (N,2,3,3)
