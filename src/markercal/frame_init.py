@@ -2,9 +2,10 @@
 
 Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
-candidate marker poses T. object_poses forms them from rows of the candidate
-table as one PoseStack: the whole table at once in calibration, one frame's
-rows in the tracker's cold start. Within each frame, the proposal that best
+candidate marker poses T. object_poses forms them as one PoseStack from
+row-aligned stacks of camera, marker and marker-to-camera poses: the whole
+candidate table at once in calibration, one frame's proposals in the
+tracker's cold start. Within each frame, the proposal that best
 agrees with the rest, by the same summed probe-point distance used for
 pairwise selection, becomes the frame's initial pose: the proposal whose
 probe-point images lie nearest their frame's mean. All frames are selected
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import IndexedPoses, PoseStack, RigidTransform, compose_many, invert_many
+from .geometry import PoseStack, RigidTransform, compose_many, invert_many
 from .pairwise import argmin_summed_distance
 from .planar_pose import CandidateSet
 from .structure_init import StructureEstimate
@@ -59,15 +60,11 @@ class Trajectory:
         return len(self.frames)
 
 
-def object_poses(cams: IndexedPoses, markers: IndexedPoses, table: CandidateSet) -> PoseStack:
-    """G = C_c * T * M_m^-1 for each pose T of the table, kept for a
-    detection of marker m by camera c: the object pose (reference marker to
-    reference camera) it implies, given the stacked camera poses `cams` and
-    marker poses `markers`."""
-    views = np.repeat(table.keys[:, 1:], table.counts, axis=0)
-    c = cams.poses[cams.rows(views[:, 0])]
-    m = markers.poses[markers.rows(views[:, 1])]
-    return compose_many(compose_many(c, table.poses), invert_many(m))
+def object_poses(cams: PoseStack, poses: PoseStack, markers: PoseStack) -> PoseStack:
+    """G = C * T * M^-1, row by row: the object pose (reference marker to
+    reference camera) that a marker pose T, seen by camera C of marker M,
+    implies. The callers gather the camera and marker poses of each row."""
+    return compose_many(compose_many(cams, poses), invert_many(markers))
 
 
 def frame_candidates(
@@ -81,7 +78,10 @@ def frame_candidates(
         t, c, m = posed[np.argmin(known)].tolist()
         raise ValueError(f"detection (t={t}, cam={c}, marker={m}) outside the structure estimate")
     frames = np.repeat(table.keys[:, 0], table.counts)
-    return FramePoseCandidates(frames, object_poses(cams.stacked, markers.stacked, table))
+    views = np.repeat(table.keys[:, 1:], table.counts, axis=0)
+    c, m = cams.stacked, markers.stacked
+    cam_poses, marker_poses = c.poses[c.rows(views[:, 0])], m.poses[m.rows(views[:, 1])]
+    return FramePoseCandidates(frames, object_poses(cam_poses, table.poses, marker_poses))
 
 
 def build_trajectory(proposals: FramePoseCandidates, probe: np.ndarray, n_frames: int) -> Trajectory:

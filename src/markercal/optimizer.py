@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .geometry import (
     CameraIntrinsics,
     IndexedPoses,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     cross,
     project_arrays,
@@ -41,13 +43,7 @@ from .geometry import (
     rotations_from_rvecs,
     rvec_from_rotation,
 )
-from .planar_pose import (
-    POSE_OK,
-    Detection,
-    candidate_set,
-    corner_arrays,
-    planar_poses,
-)
+from .planar_pose import POSE_OK, Detection, corner_arrays, planar_poses
 from .structure_init import StructureEstimate
 
 # perfbench/tracing.py looks these names up to wrap them; nothing calls them
@@ -59,6 +55,10 @@ _EYE6 = np.eye(6)
 
 # below this per-corner rms (px) the fit counts as numerically exact
 _ZERO_RESIDUAL_FLOOR = 1e-12
+
+# a squared rotation angle this far below pi^2 is below it whatever order
+# its three squares are summed in
+_INSIDE_PI_SQ = math.pi ** 2 * (1.0 - 1e-12)
 
 REASON_MAX_ITERS = "max_iters"
 REASON_MIN_IMPROVE = "min_improve"
@@ -319,14 +319,16 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k):
     given in the reference-marker frame, under object poses (rg, tg) and
     camera poses (rc, tc), each (N,...) or (1,...), against the observed
     corners obs (4N,2) of cameras with intrinsics k (9,4N), as corner_arrays
-    builds them.
+    builds them. Object poses rg (P,1,3,3) and tg (P,1,3) score P poses
+    against all N detections at once, pose-major, with obs and k tiled P
+    times.
 
-    Returns (r, proj, a): the (8N,) residuals, the forward Projection of the
-    camera-frame corners R_c^T a, which _corner_jacobian finishes, and
-    a = R_g y + t_g - t_c. A corner behind the camera gets BEHIND_RESIDUAL in
-    both coordinates.
+    Returns (r, proj, a): the (8N,) or (8PN,) residuals, the forward
+    Projection of the camera-frame corners R_c^T a, which _corner_jacobian
+    finishes, and a = R_g y + t_g - t_c. A corner behind the camera gets
+    BEHIND_RESIDUAL in both coordinates.
     """
-    a = np.matmul(y, rg.transpose(0, 2, 1)) + tg[:, None, :] - tc[:, None, :]
+    a = np.matmul(y, rg.swapaxes(-1, -2)) + tg[..., None, :] - tc[..., None, :]
     proj = project_arrays(np.matmul(a, rc).reshape(-1, 3), k)
     res = proj.pix - obs
     res[~proj.front] = BEHIND_RESIDUAL
@@ -336,7 +338,9 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k):
 def _corner_jacobian(proj) -> np.ndarray:
     """(N,4,2,3) pixel Jacobian of _corner_residuals by the camera-frame
     corner, all zero for a corner behind the camera."""
-    return np.where(proj.front[:, None, None], projection_jacobian(proj), 0.0).reshape(-1, 4, 2, 3)
+    jac = projection_jacobian(proj)
+    jac[~proj.front] = 0.0
+    return jac.reshape(-1, 4, 2, 3)
 
 
 def _frame_columns(pj, rc, rg, y, s_frame):
@@ -455,7 +459,16 @@ class ResidualBuilder:
 
 
 def _canonical_rotations(x: np.ndarray) -> np.ndarray:
-    """Re-map, in place, every rotation block that drifted past pi to [0, pi]."""
+    """Re-map, in place, every rotation block that drifted past pi to [0, pi].
+
+    The tracker's one block is first tested on Python floats: one well
+    inside pi returns at once, and any other takes the array test, so a
+    block is re-mapped exactly when the array test says so.
+    """
+    if len(x) == 6:
+        a, b, c = x[:3].tolist()
+        if a * a + b * b + c * c < _INSIDE_PI_SQ:
+            return x
     rvecs = x.reshape(-1, 6)[:, :3]
     for i in np.flatnonzero(np.einsum("ij,ij->i", rvecs, rvecs) > math.pi ** 2):
         rvecs[i] = rvec_from_rotation(rotation_from_rvec(rvecs[i]))
@@ -631,6 +644,18 @@ def _calibrated_rows(stack: IndexedPoses, ids: list[int], kind: str) -> np.ndarr
         raise ValidationError(f"{kind} {e.args[0]} by the calibration") from None
 
 
+class FrameArrays(NamedTuple):
+    """One frame's K detections, in their given order, as the tracker's
+    solves take them."""
+
+    y: np.ndarray  # (K,4,3) marker corners in the reference-marker frame
+    rc: np.ndarray  # (K,3,3) camera rotations
+    tc: np.ndarray  # (K,3) camera translations
+    obs: np.ndarray  # (4K,2) observed corners, as corner_arrays builds them
+    k: np.ndarray  # (9,4K) their intrinsics
+    markers: np.ndarray  # (K,) rows of the detections' markers in the marker stack
+
+
 class FrameTracker:
     """Six-parameter pose solver over a fixed calibration.
 
@@ -649,19 +674,19 @@ class FrameTracker:
         self.template = template
         self._cam_stack = IndexedPoses.of(cams)
         self._marker_stack = IndexedPoses.of(markers)
+        self._cam_rows = {c: i for i, c in enumerate(self._cam_stack.ids.tolist())}
+        self._marker_rows = {m: i for i, m in enumerate(self._marker_stack.ids.tolist())}
         # by marker position, the template corners in the reference-marker
         # frame, formed as ResidualBuilder forms them
         rm, tm = self._marker_stack.poses.rotations, self._marker_stack.poses.translations
         self._y = np.matmul(template.corners, rm.transpose(0, 2, 1)) + tm[:, None, :]
         self.last_iterations = 0
 
-    def _frame_arrays(self, dets: list[Detection]):
-        """(y, R_c, t_c, obs, k) of a frame's detections: the corners in the
-        reference-marker frame (K,4,3), the camera poses (K,3,3) and (K,3),
-        and corner_arrays' observed corners (4K,2) and intrinsics (9,4K).
-        Raises ValidationError naming the frames of detections from more
-        than one frame, a repeated (cam, marker) or the cameras or markers
-        outside the calibration, and MissingIntrinsics for a camera without
+    def _frame_arrays(self, dets: list[Detection]) -> FrameArrays:
+        """The FrameArrays of a frame's detections. Raises ValidationError
+        naming the frames of detections from more than one frame, a
+        repeated (cam, marker) or the cameras or markers outside the
+        calibration, and MissingIntrinsics for a camera without
         intrinsics."""
         frames = {d.t for d in dets}
         if len(frames) > 1:
@@ -671,38 +696,51 @@ class FrameTracker:
             if (d.cam, d.marker) in seen:
                 raise ValidationError(f"duplicate detection {d.key}")
             seen.add((d.cam, d.marker))
-        ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
-        mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
+        try:
+            ci = [self._cam_rows[d.cam] for d in dets]
+            mi = np.array([self._marker_rows[d.marker] for d in dets], dtype=np.intp)
+        except KeyError:
+            _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
+            _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
+            raise
         stack = self._cam_stack.poses
         obs, k = corner_arrays(dets, self.intrinsics)
-        return self._y[mi], stack.rotations[ci], stack.translations[ci], obs, k
+        return FrameArrays(self._y[mi], stack.rotations[ci], stack.translations[ci], obs, k, mi)
 
-    def cold_start(self, dets: list[Detection], arrays=None) -> RigidTransform:
+    def cold_start(self, dets: list[Detection], arrays: FrameArrays | None = None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
 
         The planar poses of all detections come from one planar_poses call
-        over the frame's corners. Its candidate table (tau_e = inf) keeps
-        both solutions of every usable detection, best before alt in sorted
-        key order, which are mapped into the gauge (frame_init.object_poses)
-        and scored in one reprojection of the usable detections' corners
-        under every proposal. The first proposal of least finite cost wins;
-        raises NoValidPose when there is none. Scoring both solutions keeps
-        an ambiguous first view from starting the track in the flipped
-        basin. `arrays` are the frame's _frame_arrays, built here when not
-        given.
+        over the frame's corners. Every usable detection, in sorted key
+        order, proposes its best and then its alt pose, mapped into the
+        gauge (frame_init.object_poses) with the camera and marker rows that
+        `arrays` already hold. All proposals are scored in one reprojection
+        of the usable detections' corners, the proposals' poses broadcast
+        against the detections. The first proposal of least finite cost
+        wins; raises NoValidPose when
+        there is none. Scoring both solutions keeps an ambiguous first view
+        from starting the track in the flipped basin. `arrays` are the
+        frame's _frame_arrays, built here when not given.
         """
-        y, rc, tc, obs, k = arrays if arrays is not None else self._frame_arrays(dets)
-        poses = planar_poses(obs, k, self.template)
-        table = candidate_set(poses, [d.key for d in dets], math.inf)
-        if not len(table.poses):
+        arrays = arrays if arrays is not None else self._frame_arrays(dets)
+        poses = planar_poses(arrays.obs, arrays.k, self.template)
+        usable = poses.status == POSE_OK
+        flags = usable.tolist()
+        rows = [i for _, i in sorted((d.key, i) for i, d in enumerate(dets)) if flags[i]]
+        if not rows:
             raise NoValidPose("no usable cold-start candidate in frame")
-        proposals = object_poses(self._cam_stack, self._marker_stack, table)
-        n, m = len(proposals), len(dets)
-        # every proposal against every detection: proposal-major rows
-        rg, tg = (np.repeat(a, m, axis=0) for a in (proposals.rotations, proposals.translations))
-        y, rc, tc, obs = (np.concatenate([a] * n) for a in (y, rc, tc, obs))
-        r = _corner_residuals(y, rg, tg, rc, tc, obs, np.tile(k, n))[0]
-        r = r.reshape(n, m, 8)[:, poses.status == POSE_OK].reshape(n, -1)
+        views = np.repeat(rows, 2)  # the detection of each proposal
+        proposals = object_poses(
+            PoseStack(arrays.rc[views], arrays.tc[views]),
+            PoseStack(poses.rotations[rows], poses.translations[rows]),
+            self._marker_stack.poses[arrays.markers[views]],
+        )
+        n = len(proposals)
+        r = _corner_residuals(
+            arrays.y, proposals.rotations[:, None], proposals.translations[:, None],
+            arrays.rc, arrays.tc, np.tile(arrays.obs, (n, 1)), np.tile(arrays.k, n),
+        )[0]
+        r = r.reshape(n, len(dets), 8)[:, usable].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():
@@ -739,14 +777,14 @@ class _FrameSystem:
     trial; the re-mapped point has other bytes and is projected again.
     """
 
-    def __init__(self, arrays: tuple):
-        self.arrays = arrays  # FrameTracker._frame_arrays
+    def __init__(self, arrays: FrameArrays):
+        self.arrays = arrays
         self._last = None  # (x bytes, rotation, residuals, projection)
 
     def _forward(self, x: np.ndarray):
-        y, rc, tc, obs, k = self.arrays
+        a = self.arrays
         rot = rotation_from_rvec(x[:3])
-        r, proj, _ = _corner_residuals(y, rot[None], x[None, 3:], rc, tc, obs, k)
+        r, proj, _ = _corner_residuals(a.y, rot[None], x[None, 3:], a.rc, a.tc, a.obs, a.k)
         return rot, r, proj
 
     def system(self, x: np.ndarray) -> ResidualSystem:

@@ -7,10 +7,12 @@ the marker center). `planar_poses` recovers both for every detection of a
 batch at once, in the manner of IPPE (Collins & Bartoli, "Infinitesimal
 Plane-based Pose Estimation", IJCV 2014). Each step is one array operation
 over all rows, and none calls LAPACK: the quad checks, undistortion, the
-exact homography in Heckbert's closed form for a square, the split into two
-rotations (a 2x2 solve by Cramer's rule, then one polar Newton step that
-removes their rounding drift from SO(3)), the least-squares translations,
-and the RMS corner reprojection scores through `project_arrays`.
+exact homography in Heckbert's closed form for a square (after the
+template's affine map to the unit square, formed once per marker side), the
+split into two rotations (a 2x2 solve by Cramer's rule, the third row and
+column in closed form, then one polar Newton step that removes their
+rounding drift from SO(3)), the least-squares translations, and the RMS
+corner reprojection scores through `project_arrays`.
 
 Every row gets a status. POSE_OK rows carry both poses, best first.
 DEGENERATE_QUAD means a non-convex quad, coincident or collinear corners, an
@@ -24,12 +26,14 @@ own one-row call would.
 The error ratio is the ambiguity measure: a ratio near 1 means the
 detection alone cannot tell the two poses apart. By it `candidate_set`
 keeps none, the best or both poses of each detection in one `CandidateSet`
-table, sorted by (t, cam, marker), from which pairwise voting, frame
-initialization and the tracker's cold start all read.
+table, sorted by (t, cam, marker), from which pairwise voting and frame
+initialization read. The tracker's cold start keeps both poses of every
+usable row, in the same key order, without the table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +60,10 @@ POSE_OK = 0
 DEGENERATE_QUAD = 1
 NO_VALID_POSE = 2
 
-_NEXT = np.array([1, 2, 3, 0])  # corner i -> corner i+1 around the quad
-_PAIRS = np.triu_indices(4, 1)
+_AHEAD = np.array([[1, 2, 3, 0], [2, 3, 0, 1]])  # corners i+1, i+2 around the quad
+_ROLL = np.array([[1, 2, 0], [2, 0, 1]])  # columns j+1, j+2 of a 3x3 matrix
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -145,14 +151,19 @@ def corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]
     return obs, np.repeat(k.T, 4, axis=1)
 
 
-def _fail(status: np.ndarray, bad: np.ndarray, code: int) -> np.ndarray:
-    """Give `code` to the rows still POSE_OK where `bad`; the new ok mask."""
-    status[(status == POSE_OK) & bad] = code
-    return status == POSE_OK
+def _fail(status: np.ndarray, ok: np.ndarray, bad: np.ndarray, code: int) -> np.ndarray:
+    """Give `code` to the rows of `ok` where `bad`; the new ok mask."""
+    if not bad.any():
+        return ok
+    bad = ok & bad
+    status[bad] = code
+    return ok & ~bad
 
 
 def _park(ok: np.ndarray, x: np.ndarray, benign) -> np.ndarray:
     """x with every row outside `ok` replaced by `benign`."""
+    if ok.all():
+        return x
     return np.where(ok.reshape(ok.shape + (1,) * (x.ndim - ok.ndim)), x, benign)
 
 
@@ -161,31 +172,36 @@ def _quad_is_degenerate(corners: np.ndarray) -> np.ndarray:
     square in front of a pinhole camera gives), area <= 1 px^2, coincident
     or collinear corners. Non-finite corners count as degenerate too.
     """
-    nxt = corners[:, _NEXT]
-    u, w = nxt - corners, nxt[:, _NEXT] - corners
+    ahead = corners[:, _AHEAD]  # (N,2,4,2): corners i+1 and i+2 of each corner i
+    d = ahead - corners[:, None]
+    nxt, u, w = ahead[:, 0], d[:, 0], d[:, 1]
     shoelace = corners[..., 0] * nxt[..., 1] - corners[..., 1] * nxt[..., 0]
     area = 0.5 * np.abs(np.sum(shoelace, axis=1))
-    gap = corners[:, _PAIRS[0]] - corners[:, _PAIRS[1]]
-    gap = np.sqrt(np.sum(gap * gap, axis=-1)).min(axis=1)
+    # every pair of corners is an edge u or a diagonal w, up to sign
+    gap = np.sqrt(np.sum(d * d, axis=-1).min(axis=(1, 2)))
     turn = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
     convex = (turn >= 1e-9).all(axis=1) | (turn <= -1e-9).all(axis=1)
     return ~((area > 1.0) & (gap >= 1e-9) & convex)
 
 
-def _unit_square_map(src: np.ndarray) -> np.ndarray:
-    """The affine map (3,3) taking (4,2) square corners 0, 1, 3 to the unit
-    square's (0,0), (1,0), (0,1), inverted by Cramer's rule."""
+@functools.lru_cache(maxsize=8)
+def _unit_square_map(side: float) -> np.ndarray:
+    """The affine map (3,3) taking the corners 0, 1, 3 of the template of
+    side `side` to the unit square's (0,0), (1,0), (0,1), inverted by
+    Cramer's rule; formed once per side."""
+    src = MarkerTemplate(side).corners[:, :2]
     e = np.stack([src[1] - src[0], src[3] - src[0]], axis=1)
     det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
     m = np.eye(3)
     m[:2, :2] = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
     m[:2, 2] = -m[:2, :2] @ src[0]
+    m.flags.writeable = False
     return m
 
 
-def _homographies(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Exact template-to-image homographies (N,3,3), up to scale, of square
-    template corners src (4,2) onto quads dst (N,4,2).
+def _homographies(template: MarkerTemplate, dst: np.ndarray) -> np.ndarray:
+    """Exact template-to-image homographies (N,3,3), up to scale, of the
+    template's corners onto quads dst (N,4,2).
 
     Heckbert's closed form ("Fundamentals of Texture Mapping and Image
     Warping", 1989, sec. 2.2.3) maps the unit square onto each quad; the
@@ -196,29 +212,32 @@ def _homographies(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """
     p0, p1, p2, p3 = (dst[:, i] for i in range(4))
     s, d1, d3 = p0 - p1 + p2 - p3, p1 - p2, p3 - p2
-    den = d1[:, 0] * d3[:, 1] - d3[:, 0] * d1[:, 1]
-    g = s[:, 0] * d3[:, 1] - d3[:, 0] * s[:, 1]
-    k = d1[:, 0] * s[:, 1] - s[:, 0] * d1[:, 1]
     h = np.empty((len(dst), 3, 3))
-    h[:, :2, 0] = den[:, None] * (p1 - p0) + g[:, None] * p1
-    h[:, :2, 1] = den[:, None] * (p3 - p0) + k[:, None] * p3
-    h[:, :2, 2] = den[:, None] * p0
-    h[:, 2] = np.stack([g, k, den], axis=1)
-    return np.matmul(h, _unit_square_map(src))
+    g, k, den = h[:, 2, 0], h[:, 2, 1], h[:, 2, 2]  # the bottom row
+    np.subtract(s[:, 0] * d3[:, 1], d3[:, 0] * s[:, 1], out=g)
+    np.subtract(d1[:, 0] * s[:, 1], s[:, 0] * d1[:, 1], out=k)
+    np.subtract(d1[:, 0] * d3[:, 1], d3[:, 0] * d1[:, 1], out=den)
+    # columns 0 and 1 from corners 1 and 3: den (p - p0) + (g or k) p
+    p13 = np.swapaxes(dst[:, 1::2], 1, 2)  # (N,2,2): p1 and p3 as columns
+    h[:, :2, :2] = den[:, None, None] * (p13 - p0[:, :, None]) + h[:, 2:, :2] * p13
+    np.multiply(den[:, None], p0, out=h[:, :2, 2])
+    return np.matmul(h, _unit_square_map(template.side))
 
 
 def _polar_step(m: np.ndarray) -> np.ndarray:
     """One Newton step (m + m^-T) / 2 of the polar decomposition on a (...,3,3)
-    stack, m^-T from the cross products of the columns. From a matrix within
-    e of SO(3) it lands within about e^2 of the nearest rotation."""
-    c = [m[..., i] for i in range(3)]
-    cof = np.stack([cross(c[1], c[2]), cross(c[2], c[0]), cross(c[0], c[1])], axis=-1)
-    det = np.sum(c[0] * cof[..., 0], axis=-1)
-    return 0.5 * (m + cof / det[..., None, None])
+    stack, m^-T from the cofactors: column j is the cross product of
+    columns j+1 and j+2. From a matrix within e of SO(3) it lands within
+    about e^2 of the nearest rotation."""
+    rolled = np.swapaxes(m, -1, -2)[..., _ROLL, :]  # rows: columns j+1, then j+2
+    cof = cross(rolled[..., 0, :, :], rolled[..., 1, :, :])  # row j: cofactor column j
+    det = np.sum(m[..., 0] * cof[..., 0, :], axis=-1)
+    return 0.5 * (m + np.swapaxes(cof / det[..., None, None], -1, -2))
 
 
-def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """(N,2,3,3) two-fold rotation decomposition of plane homographies.
+def _two_rotations(h: np.ndarray, status: np.ndarray, ok: np.ndarray):
+    """(N,2,3,3) two-fold rotation decomposition of plane homographies, and
+    the ok mask after it.
 
     Works in the frame rotated so the marker-center viewing ray becomes the
     z axis; there the top-left 2x2 block of the rotation is a scaled copy of
@@ -227,10 +246,9 @@ def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
     Updates `status` in place for degenerate rows.
     """
     n = len(h)
-    eye2, eye3 = np.eye(2), np.eye(3)
     v = h[:, :2, 2]  # (N,2)
     jac = h[:, :2, :2] - v[:, :, None] * h[:, None, 2, :2]
-    s = np.sqrt(np.einsum("ni,ni->n", v, v))
+    s = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
     small = s < _EPS
     k = np.zeros((n, 3, 3))
     k[:, :2, 2] = v
@@ -238,31 +256,38 @@ def _two_rotations(h: np.ndarray, status: np.ndarray) -> np.ndarray:
     k /= np.where(small, 1.0, s)[:, None, None]
     t = np.sqrt(s * s + 1.0)
     sin_t, cos_t = s / t, 1.0 / t
-    rv = eye3 + sin_t[:, None, None] * k + (1.0 - cos_t)[:, None, None] * np.matmul(k, k)
-    rv = np.where(small[:, None, None], eye3, rv)
+    rv = _EYE3 + sin_t[:, None, None] * k + (1.0 - cos_t)[:, None, None] * np.matmul(k, k)
+    rv = np.where(small[:, None, None], _EYE3, rv)
 
     b_mat = rv[:, :2, :2] - v[:, :, None] * rv[:, None, 2, :2]
     det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
-    ok = _fail(status, ~(np.abs(det) >= _EPS), NO_VALID_POSE)
-    adj = b_mat[:, ::-1, ::-1].transpose(0, 2, 1) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    ok = _fail(status, ok, ~(np.abs(det) >= _EPS), NO_VALID_POSE)
+    adj = b_mat[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS
     a_mat = np.matmul(adj, jac) / np.where(ok, det, 1.0)[:, None, None]  # Cramer's rule
 
     aat = np.matmul(a_mat, a_mat.transpose(0, 2, 1))
     disc = np.sqrt((aat[:, 0, 0] - aat[:, 1, 1]) ** 2 + 4.0 * aat[:, 0, 1] ** 2)
     gamma = np.sqrt(0.5 * (aat[:, 0, 0] + aat[:, 1, 1] + disc))
-    ok = _fail(status, ~(gamma >= _EPS), DEGENERATE_QUAD)
+    ok = _fail(status, ok, ~(gamma >= _EPS), DEGENERATE_QUAD)
     r22 = a_mat / np.where(ok, gamma, 1.0)[:, None, None]
 
-    gram = eye2 - np.matmul(r22.transpose(0, 2, 1), r22)
-    b0 = np.sqrt(np.maximum(gram[:, 0, 0], 0.0))
-    b1 = np.copysign(np.sqrt(np.maximum(gram[:, 1, 1], 0.0)), gram[:, 0, 1])
-    cols = np.zeros((n, 2, 3, 3))
+    # the third row of the first two columns, +-b, from their unit norm;
+    # the third column is their cross product, whose first two entries
+    # change sign with b (exactly, as a - c = -(c - a))
+    gram = _EYE2 - np.matmul(r22.transpose(0, 2, 1), r22)
+    b = np.sqrt(np.maximum(gram.reshape(n, 4)[:, ::3], 0.0))
+    b[:, 1] = np.copysign(b[:, 1], gram[:, 0, 1])
+    (r00, r01), (r10, r11) = r22[:, 0].T, r22[:, 1].T
+    cols = np.empty((n, 2, 3, 3))
     cols[:, :, :2, :2] = r22[:, None]
-    for i, sign in enumerate((1.0, -1.0)):
-        cols[:, i, 2, 0] = sign * b0
-        cols[:, i, 2, 1] = sign * b1
-    cols[..., 2] = cross(cols[..., 0], cols[..., 1])
-    return _polar_step(_park(ok, np.matmul(rv[:, None], cols), eye3))
+    cols[:, 0, 2, :2] = b
+    np.negative(b, out=cols[:, 1, 2, :2])
+    np.subtract(r10 * b[:, 1], b[:, 0] * r11, out=cols[:, 0, 0, 2])
+    np.subtract(b[:, 0] * r01, r00 * b[:, 1], out=cols[:, 0, 1, 2])
+    np.negative(cols[:, 0, :2, 2], out=cols[:, 1, :2, 2])
+    np.subtract(r00 * r11, r10 * r01, out=cols[:, 0, 2, 2])
+    cols[:, 1, 2, 2] = cols[:, 0, 2, 2]
+    return _polar_step(_park(ok, np.matmul(rv[:, None], cols), _EYE3)), ok
 
 
 def _translations(rot: np.ndarray, template_xy: np.ndarray, norm_xy: np.ndarray):
@@ -273,14 +298,22 @@ def _translations(rot: np.ndarray, template_xy: np.ndarray, norm_xy: np.ndarray)
     w the rotated corner and (a, b) its normalized observation. The x and y
     offsets are the means given t_z, so t_z comes from the centered system.
     """
-    w = np.einsum("nsij,kj->nski", rot[..., :2], template_xy)  # (N,2,4,3)
-    ab = norm_xy[:, None]  # (N,1,4,2)
-    rhs = ab * w[..., 2:] - w[..., :2]  # (N,2,4,2)
-    d_ab = ab - ab.mean(axis=2, keepdims=True)
-    d_rhs = rhs - rhs.mean(axis=2, keepdims=True)
-    tz = -np.sum(d_ab * d_rhs, axis=(2, 3)) / np.sum(d_ab * d_ab, axis=(2, 3))
-    txy = ab.mean(axis=2) * tz[..., None] + rhs.mean(axis=2)
-    return np.concatenate([txy, tz[..., None]], axis=-1), w
+    # (N,2,4,3): R (x, y, 0) of every template corner
+    w = rot[..., None, :, 0] * template_xy[:, :1] + rot[..., None, :, 1] * template_xy[:, 1:]
+    rhs = norm_xy[:, None] * w[..., 2:] - w[..., :2]  # (N,2,4,2)
+    # means over the four corners, summed in corner order
+    ab_mean = (((norm_xy[:, 0] + norm_xy[:, 1]) + norm_xy[:, 2]) + norm_xy[:, 3]) / 4.0
+    rhs_mean = (((rhs[:, :, 0] + rhs[:, :, 1]) + rhs[:, :, 2]) + rhs[:, :, 3]) / 4.0
+    d_ab, d_rhs = norm_xy - ab_mean[:, None], rhs - rhs_mean[:, :, None]
+    t = np.empty(rot.shape[:2] + (3,))
+    tz = t[..., 2]
+    np.divide(
+        -np.add.reduce(d_ab[:, None] * d_rhs, axis=(2, 3)),
+        np.add.reduce(d_ab * d_ab, axis=(1, 2))[:, None],
+        out=tz,
+    )
+    np.add(ab_mean[:, None] * tz[..., None], rhs_mean, out=t[..., :2])
+    return t, w
 
 
 def ambiguity_ratio(err_best, err_alt):
@@ -301,39 +334,40 @@ def planar_poses(corners: np.ndarray, k: np.ndarray, template: MarkerTemplate) -
     """
     corners = np.asarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     n = len(corners)
-    k = np.reshape(k, (9, n, 4))
+    k = np.asarray(k).reshape(9, n, 4)
     template_xy = template.corners[:, :2]
-    status = np.zeros(n, dtype=np.int8)
+    bad = _quad_is_degenerate(corners)
+    status = bad * np.int8(DEGENERATE_QUAD)  # POSE_OK is 0
+    ok = ~bad
 
-    ok = _fail(status, _quad_is_degenerate(corners), DEGENERATE_QUAD)
     norm_xy = undistort_arrays(corners, k)
-    ok = _fail(status, ~np.isfinite(norm_xy).all(axis=(1, 2)), NO_VALID_POSE)
+    ok = _fail(status, ok, ~np.isfinite(norm_xy).all(axis=(1, 2)), NO_VALID_POSE)
     norm_xy = _park(ok, norm_xy, template_xy)
 
-    h = _homographies(template_xy, norm_xy)
+    h = _homographies(template, norm_xy)
     h22 = h[:, 2, 2]  # the weight at the template origin, against h's scale
-    ok = _fail(status, ~(np.abs(h22) >= _EPS * np.abs(h).max(axis=(1, 2))), NO_VALID_POSE)
+    ok = _fail(status, ok, ~(np.abs(h22) >= _EPS * np.abs(h).max(axis=(1, 2))), NO_VALID_POSE)
     h = h / np.where(ok, h22, 1.0)[:, None, None]
 
-    rot = _two_rotations(h, status)
+    rot, ok = _two_rotations(h, status, ok)
     tvec, w = _translations(rot, template_xy, norm_xy)
     pix, front = project_arrays(
         (w + tvec[..., None, :]).reshape(-1, 3),
         np.repeat(k, 2, axis=1).reshape(9, -1),  # both solutions of every row
     )[:2]
-    valid = (tvec[..., 2] > 0.0) & front.reshape(n, 2, 4).all(axis=-1)
-    valid &= (status == POSE_OK)[:, None]
+    valid = (tvec[..., 2] > 0.0) & front.reshape(n, 2, 4).all(axis=-1) & ok[:, None]
     sq = ((pix.reshape(n, 2, 4, 2) - corners[:, None]) ** 2).reshape(n, 2, 8)
-    err = np.sqrt(np.sum(sq, axis=-1) / 4.0)
-    ok = _fail(status, ~valid.any(axis=1), NO_VALID_POSE)
+    err = np.sqrt(np.add.reduce(sq, axis=-1) / 4.0)
+    ok = _fail(status, ok, ~valid.any(axis=1), NO_VALID_POSE)
 
     # best first; the alt of a one-solution row duplicates its best
     swap = valid[:, 1] & (~valid[:, 0] | (err[:, 1] < err[:, 0]))
     single = valid[:, 0] != valid[:, 1]
-    first = swap.astype(np.int64)
-    order = np.stack([first, np.where(single, first, 1 - first)], axis=1)
-    rows = np.arange(n)[:, None]
-    rot, tvec, err = rot[rows, order], tvec[rows, order], err[rows, order]
+    pick = np.empty((n, 2), dtype=np.intp)  # flat (row, solution) of best and alt
+    pick[:, 0] = swap
+    pick[:, 1] = swap == single
+    pick += np.arange(0, 2 * n, 2)[:, None]
+    rot, tvec, err = rot.reshape(-1, 3, 3)[pick], tvec.reshape(-1, 3)[pick], err.reshape(-1)[pick]
     ratio = np.where(single, SINGLE_SOLUTION_RATIO, ambiguity_ratio(err[:, 0], err[:, 1]))
     return PlanarPoses(*(_park(ok, x, np.nan) for x in (rot, tvec, err, ratio)), status)
 

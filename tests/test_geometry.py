@@ -233,6 +233,32 @@ class TestCross:
         u, v = rng.normal(size=shape), rng.normal(size=shape)
         np.testing.assert_array_equal(cross(u, v), np.cross(u, v))
 
+    def test_broadcast_one_row_against_many(self):
+        rng = np.random.default_rng(44)
+        u, v = rng.normal(size=(1, 3)), rng.normal(size=(9, 3))
+        for got, want in ((cross(u, v), np.cross(u, v)), (cross(v, u), np.cross(v, u))):
+            assert got.shape == (9, 3)
+            np.testing.assert_array_equal(got, want)
+
+    def test_non_contiguous_views(self):
+        # every other row of a (9,16,3) stack, and its reversed twin
+        rng = np.random.default_rng(45)
+        base = rng.normal(size=(9, 16, 3))
+        u, v = base[:, ::2], base[:, 1::2][:, ::-1]
+        assert u.shape == (9, 8, 3) and not u.flags.c_contiguous
+        np.testing.assert_array_equal(cross(u, v), np.cross(u, v))
+
+    @pytest.mark.parametrize("n", [1, 8, 3000])
+    def test_column_slices_of_rotation_stacks(self, n):
+        # the columns of (N,2,3,3) two-solution stacks, and the rolled
+        # column pairs of the polar step's cofactors
+        rng = np.random.default_rng(46)
+        m = rng.normal(size=(n, 2, 3, 3))
+        np.testing.assert_array_equal(cross(m[..., 0], m[..., 1]), np.cross(m[..., 0], m[..., 1]))
+        rows = np.swapaxes(m, -1, -2)
+        u, v = rows[..., [1, 2, 0], :], rows[..., [2, 0, 1], :]
+        np.testing.assert_array_equal(cross(u, v), np.cross(u, v))
+
 
 # rotation angles on each side of every branch edge of the Rodrigues
 # routines: theta = 1e-8, theta^2 = 1e-6 and pi

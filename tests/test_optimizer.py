@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from markercal import optimizer
-from markercal.errors import NoValidPose, NumericalFailure, ValidationError
+from markercal.errors import MissingIntrinsics, NoValidPose, NumericalFailure, ValidationError
 from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
     CameraIntrinsics,
@@ -534,6 +534,41 @@ class TestFrameSystem:
         assert rel.max() < 1e-4
 
 
+class TestCanonicalRotations:
+    """The one-block test on Python floats re-maps exactly the blocks, and
+    to exactly the bytes, that the array test over many blocks does."""
+
+    ANGLES = [0.0, 1.0, math.pi - 1e-3, math.pi * (1 - 1e-15), math.pi, math.pi * (1 + 1e-15),
+              math.pi + 1e-9, math.pi + 0.01, 4.0, 2 * math.pi - 0.1]
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_one_block_matches_the_array_path(self, angle):
+        rng = np.random.default_rng(71)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        x = np.concatenate([angle * axis, rng.normal(size=3)])
+        other = np.concatenate([0.5 * axis, rng.normal(size=3)])
+        one = optimizer._canonical_rotations(x.copy())
+        both = optimizer._canonical_rotations(np.concatenate([x, other]))
+        assert one.tobytes() == both[:6].tobytes()
+        assert np.linalg.norm(one[:3]) <= math.pi * (1 + 1e-12)
+
+    def test_one_block_past_pi_is_remapped(self):
+        x = np.array([math.pi + 0.01, 0.0, 0.0, 1.0, 2.0, 3.0])
+        got = optimizer._canonical_rotations(x.copy())
+        assert got.tobytes() != x.tobytes()
+        np.testing.assert_allclose(got[:3], [-(math.pi - 0.01), 0.0, 0.0], atol=1e-12)
+        np.testing.assert_array_equal(got[3:], x[3:])
+
+    def test_one_block_well_inside_pi_takes_no_array_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("array test ran")
+
+        monkeypatch.setattr(optimizer.np, "einsum", refuse)
+        x = np.array([1.0, -2.0, 0.5, 1.0, 2.0, 3.0])
+        assert optimizer._canonical_rotations(x.copy()).tobytes() == x.tobytes()
+
+
 class TestLmMinimize:
     def test_start_at_optimum_keeps_cost(self):
         rng = np.random.default_rng(21)
@@ -875,6 +910,24 @@ class TestTracking:
         bad = Detection(0, 77, 0, dets[0].corners)
         with pytest.raises(ValidationError, match=r"camera ids \[77\]"):
             tracker.solve([bad])
+
+    def test_unknown_marker_rejected(self):
+        tracker, dets, _, _ = self._frame_setup(45)
+        bad = [*dets, Detection(0, dets[0].cam, 77, dets[0].corners),
+               Detection(0, dets[0].cam, 78, dets[0].corners)]
+        for solve in (tracker.solve, tracker.cold_start):
+            with pytest.raises(ValidationError, match=r"marker ids \[77, 78\] not held by the calibration"):
+                solve(bad)
+
+    def test_camera_without_intrinsics_rejected(self):
+        rng = np.random.default_rng(45)
+        cams, markers, _, dets, intr, template = _make_scene(rng, n_cams=5, n_markers=4, n_frames=1)
+        cam = dets[-1].cam
+        tracker = FrameTracker(cams, markers, {c: i for c, i in intr.items() if c != cam}, template)
+        for solve in (tracker.solve, tracker.cold_start):
+            with pytest.raises(MissingIntrinsics) as e:
+                solve(dets)
+            assert e.value.cam == cam
 
     def test_detections_of_several_frames_rejected(self):
         # frame 3 of the tiny track scene plus the detections of frame 10

@@ -334,7 +334,7 @@ class TestPinnedStatuses:
         n = 2 * self.N
         quad = undistort_arrays(corners[:n], k[:, :4 * n].reshape(9, n, 4))
         quad = quad[poses.status[:n] == POSE_OK]
-        h = planar_pose._homographies(TPL.corners[:, :2], quad)
+        h = planar_pose._homographies(TPL, quad)
         mapped = np.einsum("nij,kj->nki", h, np.c_[TPL.corners[:, :2], np.ones(4)])
         mapped = mapped[..., :2] / mapped[..., 2:]
         err = np.abs(mapped - quad).max(axis=(1, 2))
