@@ -674,8 +674,6 @@ class FrameTracker:
         self.template = template
         self._cam_stack = IndexedPoses.of(cams)
         self._marker_stack = IndexedPoses.of(markers)
-        self._cam_rows = {c: i for i, c in enumerate(self._cam_stack.ids.tolist())}
-        self._marker_rows = {m: i for i, m in enumerate(self._marker_stack.ids.tolist())}
         # by marker position, the template corners in the reference-marker
         # frame, formed as ResidualBuilder forms them
         rm, tm = self._marker_stack.poses.rotations, self._marker_stack.poses.translations
@@ -696,13 +694,8 @@ class FrameTracker:
             if (d.cam, d.marker) in seen:
                 raise ValidationError(f"duplicate detection {d.key}")
             seen.add((d.cam, d.marker))
-        try:
-            ci = [self._cam_rows[d.cam] for d in dets]
-            mi = np.array([self._marker_rows[d.marker] for d in dets], dtype=np.intp)
-        except KeyError:
-            _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
-            _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
-            raise
+        ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
+        mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
         stack = self._cam_stack.poses
         obs, k = corner_arrays(dets, self.intrinsics)
         return FrameArrays(self._y[mi], stack.rotations[ci], stack.translations[ci], obs, k, mi)
