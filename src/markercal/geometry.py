@@ -107,7 +107,9 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-        dist = np.zeros(5) if self.pre_undistorted else self.dist
+        # x + 0.0 is x, except that -0.0 becomes +0.0: "no distortion" has one
+        # bit pattern, and project_arrays' shortcut gives its bits
+        dist = np.zeros(5) if self.pre_undistorted else np.add(self.dist, 0.0)
         object.__setattr__(self, "dist", _as_array(dist, (5,)))
 
 
@@ -396,8 +398,8 @@ class Projection(NamedTuple):
     a: np.ndarray  # normalized x/z and y/z
     b: np.ndarray
     inv_z: np.ndarray
-    r2: np.ndarray
-    radial: np.ndarray
+    r2: np.ndarray | None  # None when the batch has no distortion terms
+    radial: np.ndarray | None
     k: np.ndarray
 
 
@@ -407,6 +409,11 @@ def project_arrays(points, k) -> Projection:
     `points` is (N,3) and `k` the intrinsics, one row per parameter (fx, fy,
     cx, cy, k1, k2, p1, p2, k3): (9,N), one column per point, or (9,) for
     all. Pixel values at non-front points are unspecified.
+
+    The Brown-Conrady polynomial is formed only when some coefficient in
+    k[4:] is nonzero. Otherwise xd = a + 0.0 and yd = b + 0.0, the bits the
+    polynomial gives with +0.0 coefficients wherever a^2 + b^2 is finite
+    (CameraIntrinsics stores -0.0 as +0.0), and r2 and radial are None.
     """
     p = np.asarray(points, dtype=np.float64)
     z = p[:, 2]
@@ -415,7 +422,11 @@ def project_arrays(points, k) -> Projection:
     a = p[:, 0] * inv_z
     b = p[:, 1] * inv_z
     fx, fy, cx, cy = k[:4]
-    xd, yd, r2, radial = _distort_normalized(a, b, k[4:])
+    # count_nonzero takes about 0.5 us on a frame's k, .any() 1.3 (timeit, 2-vCPU host)
+    if np.count_nonzero(k[4:]):
+        xd, yd, r2, radial = _distort_normalized(a, b, k[4:])
+    else:
+        xd, yd, r2, radial = a + 0.0, b + 0.0, None, None
     pix = np.empty((len(a), 2))
     np.add(fx * xd, cx, out=pix[:, 0])
     np.add(fy * yd, cy, out=pix[:, 1])
@@ -424,16 +435,24 @@ def project_arrays(points, k) -> Projection:
 
 def projection_jacobian(proj: Projection) -> np.ndarray:
     """(N,2,3) derivative of proj's pixels by the camera-frame points;
-    unspecified at non-front points."""
+    unspecified at non-front points.
+
+    Without distortion terms (proj.r2 is None) it takes the polynomial's
+    derivatives at +0.0 coefficients as constants: d(xd)/d(a) = d(yd)/d(b)
+    = 1.0 and d(xd)/d(b) = d(yd)/d(a) = +0.0, the same bits where a^2 + b^2
+    is finite."""
     a, b, inv_z, r2, radial, k = proj[2:]
     fx, fy, _, _, k1, k2, p1, p2, k3 = k
-    # d(xd,yd)/d(a,b); d(xd)/d(b) = d(yd)/d(a) = 2 a b dradial/dr2 + 2 p1 a + 2 p2 b
-    d2 = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2))  # 2 dradial/dr2
-    p1x2, p2x2 = 2.0 * p1, 2.0 * p2
-    ad = a * d2
-    xd_b = ad * b + p1x2 * a + p2x2 * b
-    xd_a = radial + ad * a + p1x2 * b + 3.0 * p2x2 * a
-    yd_b = radial + b * d2 * b + 3.0 * p1x2 * b + p2x2 * a
+    if r2 is None:
+        xd_a, xd_b, yd_b = 1.0, 0.0, 1.0
+    else:
+        # d(xd,yd)/d(a,b); d(xd)/d(b) = d(yd)/d(a) = 2 a b dradial/dr2 + 2 p1 a + 2 p2 b
+        d2 = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2))  # 2 dradial/dr2
+        p1x2, p2x2 = 2.0 * p1, 2.0 * p2
+        ad = a * d2
+        xd_b = ad * b + p1x2 * a + p2x2 * b
+        xd_a = radial + ad * a + p1x2 * b + 3.0 * p2x2 * a
+        yd_b = radial + b * d2 * b + 3.0 * p1x2 * b + p2x2 * a
     # chain with d(a,b)/d(x,y,z)
     fxz, fyz = fx * inv_z, fy * inv_z
     jac = np.empty((len(a), 2, 3))

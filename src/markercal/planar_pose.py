@@ -102,7 +102,11 @@ class CandidateSet:
     def __post_init__(self):
         keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 3)
         counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-        if (np.lexsort(keys.T[::-1]) != np.arange(len(keys))).any():
+        # each key against the next at the first column where they differ
+        # (column 0 for equal keys, which may repeat)
+        prev, nxt = keys[:-1], keys[1:]
+        first = (prev != nxt).argmax(axis=1)[:, None]
+        if np.take_along_axis(nxt < prev, first, axis=1).any():
             raise ValueError("candidate keys must be sorted")
         if len(counts) != len(keys) or ((counts < 0) | (counts > 2)).any():
             raise ValueError("every key needs a count of 0, 1 or 2")

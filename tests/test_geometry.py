@@ -9,10 +9,12 @@ import pytest
 
 from markercal.errors import PointBehindCamera
 from markercal.geometry import (
+    MIN_DEPTH,
     CameraIntrinsics,
     IndexedPoses,
     MarkerTemplate,
     PoseStack,
+    Projection,
     RigidTransform,
     compose,
     compose_many,
@@ -30,6 +32,7 @@ from markercal.geometry import (
     rotations_from_rvecs,
     rvec_from_rotation,
     undistort_arrays,
+    _distort_normalized,
 )
 
 # ---------------------------------------------------------------------------
@@ -372,6 +375,14 @@ class TestIntrinsics:
         )
         np.testing.assert_array_equal(intr.dist, np.zeros(5))
 
+    def test_negative_zero_dist_stored_as_positive_zero(self):
+        intr = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, dist=[-0.0] * 5)
+        assert intr.dist.tobytes() == np.zeros(5).tobytes()
+        mixed = CameraIntrinsics(
+            fx=600.0, fy=600.0, cx=320.0, cy=240.0, dist=[-0.0, 0.1, -0.0, 0.0, -0.2]
+        )
+        assert mixed.dist.tobytes() == np.array([0.0, 0.1, 0.0, 0.0, -0.2]).tobytes()
+
 
 class TestMarkerTemplate:
     def test_corner_layout(self):
@@ -479,6 +490,79 @@ class TestProjectJacobian:
                 d[axis] = h
                 fd[:, axis] = (project(pts[i] + d, intr) - project(pts[i] - d, intr)) / (2 * h)
             np.testing.assert_allclose(jac[i], fd, rtol=1e-4, atol=1e-6)
+
+
+def _polynomial_projection(points, k) -> Projection:
+    """project_arrays with the Brown-Conrady polynomial always formed: the
+    oracle of its shortcut for cameras without distortion."""
+    p = np.asarray(points, dtype=np.float64)
+    z = p[:, 2]
+    front = z > MIN_DEPTH
+    inv_z = 1.0 / np.where(front, z, 1.0)
+    a, b = p[:, 0] * inv_z, p[:, 1] * inv_z
+    xd, yd, r2, radial = _distort_normalized(a, b, k[4:])
+    pix = np.column_stack([k[0] * xd + k[2], k[1] * yd + k[3]])
+    return Projection(pix, front, a, b, inv_z, r2, radial, k)
+
+
+def _assert_same_bytes(got: Projection, expected: Projection):
+    assert got.pix.tobytes() == expected.pix.tobytes()
+    assert got.front.tobytes() == expected.front.tobytes()
+    assert projection_jacobian(got).tobytes() == projection_jacobian(expected).tobytes()
+
+
+class TestDistortionShortcut:
+    """Without distortion, project_arrays and projection_jacobian skip the
+    polynomial and keep its bits."""
+
+    # signed zeros, values whose square underflows, ordinary and wide angles, at a
+    # front depth and at two non-front ones (behind, and inside MIN_DEPTH)
+    GRID = np.array([
+        [a, b, z]
+        for a in (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.0, -2.0)
+        for b in (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 2.0, -2.0)
+        for z in (1.0, -1.0, 1e-12)
+    ])
+
+    def _points(self):
+        rng = np.random.default_rng(71)
+        random = np.column_stack([rng.normal(size=(200, 2)), rng.uniform(-0.5, 3.0, 200)])
+        return np.concatenate([self.GRID, random])
+
+    @pytest.mark.parametrize("centre", [(320.0, 240.0), (0.0, 0.0), (-0.0, -0.0)])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_matches_the_polynomial_bit_for_bit(self, centre, per_point):
+        pts = self._points()
+        k = np.array([600.0, 590.0, *centre, 0.0, 0.0, 0.0, 0.0, 0.0])
+        if per_point:
+            k = np.repeat(k[:, None], len(pts), axis=1)
+        got = project_arrays(pts, k)
+        assert got.r2 is None  # the shortcut ran
+        _assert_same_bytes(got, _polynomial_projection(pts, k))
+
+    @pytest.mark.parametrize("coefficient", range(5))
+    def test_any_one_coefficient_forms_the_polynomial(self, coefficient):
+        pts = self._points()
+        k = np.array([600.0, 590.0, 320.0, 240.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        k[4 + coefficient] = 1e-6
+        got = project_arrays(pts, k)
+        assert got.r2 is not None
+        _assert_same_bytes(got, _polynomial_projection(pts, k))
+
+    def test_mixed_batch_matches_each_cameras_own_batch(self):
+        pts = self._points()
+        n = len(pts)
+        plain = np.array([600.0, 590.0, 320.0, 240.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        distorted = np.array([600.0, 590.0, 320.0, 240.0, -0.2, 0.05, 0.001, -0.002, 0.01])
+        k = np.repeat(np.column_stack([distorted, plain]), n, axis=1)
+        mixed = project_arrays(np.concatenate([pts, pts]), k)
+        assert mixed.r2 is not None  # one distorted camera: the polynomial for all
+        mixed_jac = projection_jacobian(mixed)
+        for half, ki in ((slice(0, n), distorted), (slice(n, 2 * n), plain)):
+            own = project_arrays(pts, np.repeat(ki[:, None], n, axis=1))
+            assert mixed.pix[half].tobytes() == own.pix.tobytes()
+            assert mixed.front[half].tobytes() == own.front.tobytes()
+            assert mixed_jac[half].tobytes() == projection_jacobian(own).tobytes()
 
 
 class TestRotationJacobianFactor:

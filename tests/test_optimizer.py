@@ -1,11 +1,12 @@
 """Tests for the joint refinement solver and the per-frame tracker."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from markercal import optimizer
+from markercal import geometry, optimizer
 from markercal.errors import MissingIntrinsics, NoValidPose, NumericalFailure, ValidationError
 from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
@@ -124,17 +125,22 @@ def _near_pi_frames(frames, rng):
     return truth, start
 
 
-def _count_projections(monkeypatch) -> list[int]:
-    """A one-item list counting the optimizer's project_arrays calls from now on."""
+def _count_calls(monkeypatch, owner, name) -> list[int]:
+    """A one-item list counting the calls of owner.name from now on."""
     calls = [0]
-    original = optimizer.project_arrays
+    original = getattr(owner, name)
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(optimizer, "project_arrays", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_projections(monkeypatch) -> list[int]:
+    """A one-item list counting the optimizer's project_arrays calls from now on."""
+    return _count_calls(monkeypatch, optimizer, "project_arrays")
 
 
 def _perturb(pose, rng, rot_deg, trans_m):
@@ -894,6 +900,35 @@ class TestTracking:
         pose, rms = tracker.solve(dets, warm=start[0])
         assert rms < 1e-8
         _assert_poses_close({0: pose}, truth, 1e-6)
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_polynomial_formed_only_for_distorted_cameras(self, dist, monkeypatch):
+        rng = np.random.default_rng(41)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=5, n_markers=4, n_frames=1, noise=0.3, dist=dist
+        )
+        tracker = FrameTracker(cams, markers, intr, template)
+        warm = _perturb(frames[0], rng, 1.0, 0.01)
+        projections = _count_projections(monkeypatch)
+        polynomials = _count_calls(monkeypatch, geometry, "_distort_normalized")
+        tracker.solve(dets, warm=warm)
+        assert projections[0] >= 3
+        assert polynomials == ([0] if dist is None else projections)
+        if dist is None:  # the cold start's planar poses and scoring too
+            tracker.solve(dets)
+            assert polynomials == [0]
+
+    def test_negative_zero_dist_solves_as_zero_dist(self):
+        rng = np.random.default_rng(43)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=5, n_markers=4, n_frames=1, noise=0.3
+        )
+        negative = {c: dataclasses.replace(i, dist=[-0.0] * 5) for c, i in intr.items()}
+        warm = _perturb(frames[0], rng, 1.0, 0.01)
+        expected, expected_rms = FrameTracker(cams, markers, intr, template).solve(dets, warm=warm)
+        got, rms = FrameTracker(cams, markers, negative, template).solve(dets, warm=warm)
+        assert got.as_matrix().tobytes() == expected.as_matrix().tobytes()
+        assert rms == expected_rms
 
     def test_non_finite_warm_start_raises(self):
         tracker, dets, truth, _ = self._frame_setup(49)

@@ -420,6 +420,23 @@ class TestCandidateSet:
             CandidateSet([(0, 1, 0), (0, 0, 5)], [1, 1], [3.0, 3.0], t)
         with pytest.raises(ValueError, match="sorted"):
             CandidateSet([(1, 0, 0), (0, 9, 9)], [1, 1], [3.0, 3.0], t)
+        with pytest.raises(ValueError, match="sorted"):
+            CandidateSet([(0, 0, 5), (0, 0, 2)], [1, 1], [3.0, 3.0], t)
+
+    def test_order_check_accepts_what_a_stable_sort_keeps(self):
+        # repeated keys are accepted, as a stable lexsort leaves them in place
+        rng = np.random.default_rng(5)
+        t = PoseStack.of([RigidTransform.identity()] * 3)
+        for _ in range(300):
+            keys = rng.integers(0, 2, size=(3, 3))
+            in_order = (np.lexsort(keys.T[::-1]) == np.arange(3)).all()
+            try:
+                CandidateSet(keys, [1, 1, 1], [3.0] * 3, t)
+            except ValueError:
+                assert not in_order
+            else:
+                assert in_order
+        assert len(CandidateSet(np.empty((0, 3)), [], [], t[:0])) == 0
 
     def test_rejects_counts_not_matching_poses(self):
         t = PoseStack.of([RigidTransform.identity()] * 2)
