@@ -291,6 +291,7 @@ def save_calibration(result: CalibrationResult, path) -> None:
             "final_rms": result.report.final_rms,
             "iterations": result.report.iterations,
             "reason": result.report.reason,
+            "left_out": result.report.left_out,
             "per_frame_rms": {
                 str(t): v for t, v in sorted(result.report.per_frame_rms.items())
             },
@@ -325,6 +326,8 @@ def load_calibration(path) -> CalibrationResult:
                 iterations=int(rep["iterations"]),
                 per_frame_rms={int(t): float(v) for t, v in rep["per_frame_rms"].items()},
                 reason=rep.get("reason", ""),
+                # files written before the count was saved load as 0
+                left_out=json_scalar(rep.get("left_out", 0), int, "left_out"),
             )
         return CalibrationResult(
             cams=cams,

@@ -56,10 +56,6 @@ _EYE6 = np.eye(6)
 # below this per-corner rms (px) the fit counts as numerically exact
 _ZERO_RESIDUAL_FLOOR = 1e-12
 
-# a squared rotation angle this far below pi^2 is below it whatever order
-# its three squares are summed in
-_INSIDE_PI_SQ = math.pi ** 2 * (1.0 - 1e-12)
-
 REASON_MAX_ITERS = "max_iters"
 REASON_MIN_IMPROVE = "min_improve"
 REASON_LAMBDA_LIMIT = "lambda_limit"
@@ -458,23 +454,6 @@ class ResidualBuilder:
         }
 
 
-def _canonical_rotations(x: np.ndarray) -> np.ndarray:
-    """Re-map, in place, every rotation block that drifted past pi to [0, pi].
-
-    The tracker's one block is first tested on Python floats: one well
-    inside pi returns at once, and any other takes the array test, so a
-    block is re-mapped exactly when the array test says so.
-    """
-    if len(x) == 6:
-        a, b, c = x[:3].tolist()
-        if a * a + b * b + c * c < _INSIDE_PI_SQ:
-            return x
-    rvecs = x.reshape(-1, 6)[:, :3]
-    for i in np.flatnonzero(np.einsum("ij,ij->i", rvecs, rvecs) > math.pi ** 2):
-        rvecs[i] = rvec_from_rotation(rotation_from_rvec(rvecs[i]))
-    return x
-
-
 def _rms(cost: float, n_residuals: int) -> float:
     return math.sqrt(cost / (n_residuals / 2.0)) if n_residuals else 0.0
 
@@ -492,10 +471,12 @@ def lm_minimize(
     equations are formed once per Jacobian; a rejected step redoes only the
     damped solve. A step is accepted only if the cost strictly decreases;
     lambda shrinks on accept and grows on reject (and on a singular or
-    non-finite solve), and every accepted x has its rotations re-mapped to
-    angles in [0, pi]. Terminates on the iteration budget, on a per-corner
-    rms improvement below opts.min_improve, on lambda passing MAX_LAMBDA, or
-    on a numerically zero residual. The rms falls with the cost it is read
+    non-finite solve). An accepted x is the trial point as evaluated, so the
+    returned x is the point whose residuals gave final_rms; its twists may
+    end past pi, where the Rodrigues map is still exact. Terminates on the
+    iteration budget, on a per-corner rms improvement below
+    opts.min_improve, on lambda passing MAX_LAMBDA, or on a numerically
+    zero residual. The rms falls with the cost it is read
     from, so an accepted step never improves it by a negative amount.
     """
     x = np.array(initial, dtype=np.float64)
@@ -531,7 +512,7 @@ def lm_minimize(
                 reason = REASON_LAMBDA_LIMIT
             continue
         rms_try = _rms(cost_try, n_res)
-        x, r, cost = _canonical_rotations(x_try), r_try, cost_try
+        x, r, cost = x_try, r_try, cost_try
         improvement, rms = rms - rms_try, rms_try
         history.append(cost)
         accepted += 1
@@ -766,8 +747,8 @@ class _FrameSystem:
 
     It keeps the forward projection of its last residuals(x), keyed by the
     bytes of that x, so that system(x) at an accepted point only adds the
-    Jacobian. lm_minimize re-maps a rotation past pi in place after the
-    trial; the re-mapped point has other bytes and is projected again.
+    Jacobian. A caller may change x between residuals(x) and system(x); the
+    changed x has other bytes and is projected again.
     """
 
     def __init__(self, arrays: FrameArrays):

@@ -143,6 +143,35 @@ def _count_projections(monkeypatch) -> list[int]:
     return _count_calls(monkeypatch, optimizer, "project_arrays")
 
 
+class _Recording:
+    """A builder that records the bytes and the cost of every residuals(x)."""
+
+    def __init__(self, builder):
+        self.builder, self.trials = builder, []
+
+    def system(self, x):
+        return self.builder.system(x)
+
+    def residuals(self, x):
+        r = self.builder.residuals(x)
+        self.trials.append((x.tobytes(), float(r @ r)))
+        return r
+
+
+def _assert_returned_point_was_evaluated(builder, recording, x, report):
+    """The returned x is, byte for byte, the last trial that lowered the
+    cost, and final_rms is read from that point's residuals."""
+    cost, accepted = report.cost_history[0], []
+    for x_bytes, cost_try in recording.trials:
+        if cost_try < cost:
+            cost = cost_try
+            accepted.append(x_bytes)
+    assert len(accepted) == report.accepted_steps > 0
+    assert x.tobytes() == accepted[-1]
+    r = builder.residuals(x)
+    assert report.final_rms == optimizer._rms(float(r @ r), r.size)
+
+
 def _perturb(pose, rng, rot_deg, trans_m):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -509,7 +538,7 @@ class TestFrameSystem:
         np.testing.assert_array_equal(got.jacobian, fresh.jacobian)
 
     def test_rotation_remapped_in_place_is_projected_again(self, monkeypatch):
-        # lm_minimize re-maps an accepted x past pi in place after its trial
+        # a caller may change x in place between residuals(x) and system(x)
         cams, markers, frames, dets, intr, template, rng = self._scene(64)
         arrays = FrameTracker(cams, markers, intr, template)._frame_arrays(dets)
         axis = rng.normal(size=3)
@@ -517,7 +546,7 @@ class TestFrameSystem:
         x = np.concatenate([(math.pi + 0.01) * axis, frames[0].translation])
         frame = _FrameSystem(arrays)
         frame.residuals(x)
-        optimizer._canonical_rotations(x)
+        x[:3] = rvec_from_rotation(rotation_from_rvec(x[:3]))
         assert np.linalg.norm(x[:3]) < math.pi
         calls = _count_projections(monkeypatch)
         got = frame.system(x)
@@ -538,41 +567,6 @@ class TestFrameSystem:
         assert analytic.shape == (8 * len(dets), 6)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)
         assert rel.max() < 1e-4
-
-
-class TestCanonicalRotations:
-    """The one-block test on Python floats re-maps exactly the blocks, and
-    to exactly the bytes, that the array test over many blocks does."""
-
-    ANGLES = [0.0, 1.0, math.pi - 1e-3, math.pi * (1 - 1e-15), math.pi, math.pi * (1 + 1e-15),
-              math.pi + 1e-9, math.pi + 0.01, 4.0, 2 * math.pi - 0.1]
-
-    @pytest.mark.parametrize("angle", ANGLES)
-    def test_one_block_matches_the_array_path(self, angle):
-        rng = np.random.default_rng(71)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        x = np.concatenate([angle * axis, rng.normal(size=3)])
-        other = np.concatenate([0.5 * axis, rng.normal(size=3)])
-        one = optimizer._canonical_rotations(x.copy())
-        both = optimizer._canonical_rotations(np.concatenate([x, other]))
-        assert one.tobytes() == both[:6].tobytes()
-        assert np.linalg.norm(one[:3]) <= math.pi * (1 + 1e-12)
-
-    def test_one_block_past_pi_is_remapped(self):
-        x = np.array([math.pi + 0.01, 0.0, 0.0, 1.0, 2.0, 3.0])
-        got = optimizer._canonical_rotations(x.copy())
-        assert got.tobytes() != x.tobytes()
-        np.testing.assert_allclose(got[:3], [-(math.pi - 0.01), 0.0, 0.0], atol=1e-12)
-        np.testing.assert_array_equal(got[3:], x[3:])
-
-    def test_one_block_well_inside_pi_takes_no_array_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("array test ran")
-
-        monkeypatch.setattr(optimizer.np, "einsum", refuse)
-        x = np.array([1.0, -2.0, 0.5, 1.0, 2.0, 3.0])
-        assert optimizer._canonical_rotations(x.copy()).tobytes() == x.tobytes()
 
 
 class TestLmMinimize:
@@ -639,21 +633,35 @@ class TestLmMinimize:
         with pytest.raises(NumericalFailure):
             lm_minimize(x0, builder)
 
-    def test_rotation_past_pi_is_remapped(self):
+    def _near_pi_scene(self):
         rng = np.random.default_rng(27)
         cams, markers, frames, _, intr, template = _make_scene(rng, n_frames=4)
         truth, start = _near_pi_frames(frames, rng)
         dets = _observe(cams, markers, truth, intr, template)
         layout = ParamLayout.build(cams, markers, truth, 0, 0)
         builder = ResidualBuilder(dets, intr, template, layout)
-        x, report = lm_minimize(pack_params(cams, markers, start, layout), builder)
+        return cams, markers, truth, layout, builder, pack_params(cams, markers, start, layout)
+
+    def test_converges_across_pi(self):
+        cams, markers, truth, layout, builder, x0 = self._near_pi_scene()
+        x, report = lm_minimize(x0, builder)
         assert report.final_rms < 1e-8
         cams_e, markers_e, frames_e = unpack_params(x, layout)
         _assert_poses_close(cams_e, cams, 1e-6)
         _assert_poses_close(markers_e, markers, 1e-6)
         _assert_poses_close(frames_e, truth, 1e-6)
-        rvec_norms = np.linalg.norm(x.reshape(-1, 6)[:, :3], axis=1)
-        assert np.all(rvec_norms <= math.pi)
+        # each truth sits across the cut from its start, and LM keeps the
+        # twists it stepped to
+        frame_norms = np.linalg.norm(x.reshape(-1, 6)[-len(truth):, :3], axis=1)
+        assert np.all(frame_norms > math.pi)
+
+    @pytest.mark.parametrize("max_iters", [1, SolverOptions.max_iters])
+    def test_returns_the_last_accepted_trial(self, max_iters):
+        # one iteration ends on the step that crosses the cut at pi
+        _, _, _, _, builder, x0 = self._near_pi_scene()
+        recording = _Recording(builder)
+        x, report = lm_minimize(x0, recording, SolverOptions(max_iters=max_iters))
+        _assert_returned_point_was_evaluated(builder, recording, x, report)
 
     def test_stops_on_rms_not_mean_abs_residual(self):
         # Rosenbrock's valley in translation slots 3 and 4 of one 6-block:
@@ -889,17 +897,42 @@ class TestTracking:
         assert rotation_angle(cold.rotation @ warm.rotation.T) < 1e-6
         assert np.linalg.norm(cold.translation - warm.translation) < 1e-6
 
-    def test_warm_start_across_pi_recovers_truth(self):
+    def _across_pi_frame(self):
+        """A tracker, one frame's detections, its truth and a warm start
+        across the rvec cut at pi from it."""
         rng = np.random.default_rng(48)
         cams, markers, frames, _, intr, template = _make_scene(
             rng, n_cams=5, n_markers=4, n_frames=1
         )
         truth, start = _near_pi_frames(frames, rng)
         dets = _observe(cams, markers, truth, intr, template)
-        tracker = FrameTracker(cams, markers, intr, template)
-        pose, rms = tracker.solve(dets, warm=start[0])
+        return FrameTracker(cams, markers, intr, template), dets, truth, start[0]
+
+    def test_warm_start_across_pi_recovers_truth(self):
+        tracker, dets, truth, start = self._across_pi_frame()
+        pose, rms = tracker.solve(dets, warm=start)
         assert rms < 1e-8
         _assert_poses_close({0: pose}, truth, 1e-6)
+
+    @pytest.mark.parametrize("max_iters", [1, SolverOptions.max_iters])
+    def test_solve_returns_the_last_accepted_trial(self, max_iters, monkeypatch):
+        tracker, dets, _, start = self._across_pi_frame()
+        runs = []
+        minimize = optimizer.lm_minimize
+
+        def recorded(initial, builder, opts):
+            recording = _Recording(builder)
+            x, report = minimize(initial, recording, opts)
+            runs.append((builder, recording, x, report))
+            return x, report
+
+        monkeypatch.setattr(optimizer, "lm_minimize", recorded)
+        pose, rms = tracker.solve(dets, warm=start, opts=SolverOptions(max_iters=max_iters))
+        [(builder, recording, x, report)] = runs
+        _assert_returned_point_was_evaluated(builder, recording, x, report)
+        assert np.linalg.norm(x[:3]) > math.pi
+        assert rms == report.final_rms
+        np.testing.assert_array_equal(pose.translation, x[3:])
 
     @pytest.mark.parametrize("dist", [None, DIST])
     def test_polynomial_formed_only_for_distorted_cameras(self, dist, monkeypatch):

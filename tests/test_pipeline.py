@@ -1,9 +1,11 @@
 """End-to-end tests for the offline calibration driver and the tracker."""
 
+import json
+
 import numpy as np
 import pytest
 
-from markercal.dataset import Dataset, save_calibration
+from markercal.dataset import Dataset, load_calibration, save_calibration
 from markercal.errors import DisconnectedGraph, NoValidPose, ValidationError
 from markercal.geometry import (
     CameraIntrinsics,
@@ -268,6 +270,24 @@ class TestCalibrate:
         assert dets[5].cam in result.cams.poses and dets[5].marker in result.markers.poses
         assert result.report.left_out == 1
         assert result.report.final_rms < 1e-6
+
+    def test_left_out_count_survives_the_calibration_file(self, tmp_path):
+        # one detection of the noise-free cube scene above made collinear
+        spec = SceneSpec(n_cameras=3, object="cube", n_frames=16, trajectory="orbit",
+                         noise_sigma=0.0, seed=2)
+        _, dets, intr = generate(spec)
+        line = np.array([[100.0, 100.0], [110.0, 110.0], [120.0, 120.0], [130.0, 130.0]])
+        dets[5] = Detection(dets[5].t, dets[5].cam, dets[5].marker, line)
+        result, _ = calibrate(Dataset(dets, intr, spec.marker_side, spec.n_frames))
+        assert result.report.left_out == 1
+        path = tmp_path / "cal.json"
+        save_calibration(result, path)
+        assert load_calibration(path).report == result.report
+        # a file written without the count loads it as 0
+        doc = json.loads(path.read_text())
+        del doc["report"]["left_out"]
+        path.write_text(json.dumps(doc))
+        assert load_calibration(path).report.left_out == 0
 
     def test_no_usable_detection_raises(self):
         _, ds = _dataset()
