@@ -321,11 +321,14 @@ def load_calibration(path) -> CalibrationResult:
         if doc.get("report") is not None:
             rep = doc["report"]
             report = FitReport(
-                initial_rms=float(rep["initial_rms"]),
-                final_rms=float(rep["final_rms"]),
-                iterations=int(rep["iterations"]),
-                per_frame_rms={int(t): float(v) for t, v in rep["per_frame_rms"].items()},
-                reason=rep.get("reason", ""),
+                initial_rms=json_scalar(rep["initial_rms"], float, "initial_rms"),
+                final_rms=json_scalar(rep["final_rms"], float, "final_rms"),
+                iterations=json_scalar(rep["iterations"], int, "iterations"),
+                per_frame_rms={
+                    int(t): json_scalar(v, float, "per_frame_rms")
+                    for t, v in rep["per_frame_rms"].items()
+                },
+                reason=json_scalar(rep.get("reason", ""), str, "reason"),
                 # files written before the count was saved load as 0
                 left_out=json_scalar(rep.get("left_out", 0), int, "left_out"),
             )

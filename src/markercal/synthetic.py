@@ -25,8 +25,10 @@ from .geometry import (
     MIN_DEPTH,
     CameraIntrinsics,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     compose,
+    compose_many,
     invert,
     project,
     rotation_angle,
@@ -38,6 +40,9 @@ from .structure_init import StructureEstimate
 
 # a marker is considered detectable up to ~85 degrees of grazing incidence
 GRAZING_COS = 0.087
+# (frame, camera, marker) views that generate() poses and projects in one
+# array pass; it bounds the pass's transient arrays
+_BLOCK_VIEWS = 1024
 
 OBJECT_KINDS = ("cube", "pentagon", "flat-grid")
 TRAJECTORY_KINDS = ("static", "orbit", "fast")
@@ -222,24 +227,34 @@ def _stress_trajectory(traj, spec, rng, cam_world, marker_obj):
     return out
 
 
-def _visible_corners(marker_in_cam, template, intr):
-    """Projected corners when the marker passes the visibility test, else None."""
-    pts = marker_in_cam.apply(template.corners)
-    center = marker_in_cam.translation
-    if center[2] <= MIN_DEPTH or np.any(pts[:, 2] <= MIN_DEPTH):
-        return None
-    view = center / np.linalg.norm(center)
-    normal = marker_in_cam.rotation[:, 2]
-    if -(normal @ view) <= GRAZING_COS:
-        return None
-    pix = project(pts, intr)
+def _visible_pixels(views: PoseStack, template: MarkerTemplate, intr: CameraIntrinsics):
+    """Rows of `views` (marker-to-camera poses) whose marker is visible, and
+    their (K,4,2) projected corners.
+
+    A marker is visible when its center and every corner lie in front of the
+    camera, its face turns more than GRAZING_COS toward the line of sight,
+    and every projected corner falls inside the image. Each product, norm
+    and dot product is the numpy call that one view alone would make (a
+    (1,3) by (3,1) matmul reaches the dot kernel that `np.linalg.norm` and
+    `@` of two vectors use, on the same strides), so every pixel and every
+    test has the bits of the one-view form.
+    """
+    rot, center = views.rotations, views.translations
+    pts = np.matmul(template.corners, np.swapaxes(rot, -1, -2)) + center[:, None, :]
+    behind = (center[:, 2] <= MIN_DEPTH) | np.any(pts[:, :, 2] <= MIN_DEPTH, axis=1)
+    rows = np.flatnonzero(~behind)
+    c = center[rows]
+    view = c / np.sqrt(np.matmul(c[:, None, :], c[:, :, None]))[:, 0]
+    normal = rot[rows][:, None, :, 2]
+    rows = rows[~(-np.matmul(normal, view[:, :, None])[:, 0, 0] <= GRAZING_COS)]
+    pix = project(pts[rows].reshape(-1, 3), intr).reshape(-1, 4, 2)
     inside = (
-        (pix[:, 0] >= 0.0)
-        & (pix[:, 0] <= intr.width - 1.0)
-        & (pix[:, 1] >= 0.0)
-        & (pix[:, 1] <= intr.height - 1.0)
-    )
-    return pix if bool(np.all(inside)) else None
+        (pix[..., 0] >= 0.0)
+        & (pix[..., 0] <= intr.width - 1.0)
+        & (pix[..., 1] >= 0.0)
+        & (pix[..., 1] <= intr.height - 1.0)
+    ).all(axis=1)
+    return rows[inside], pix[inside]
 
 
 def generate(spec: SceneSpec):
@@ -247,6 +262,8 @@ def generate(spec: SceneSpec):
 
     Detections are emitted in (t, cam, marker) order; noise draws happen in
     that order too, so the output is bit-for-bit reproducible per seed.
+    The views are posed, tested and projected as arrays, a block of whole
+    frames at a time.
     """
     rng = np.random.default_rng(spec.seed)
     cam_world = _camera_ring(spec)
@@ -274,19 +291,33 @@ def generate(spec: SceneSpec):
 
     template = MarkerTemplate(spec.marker_side)
     intrinsics = {c: spec.intrinsics for c in range(spec.n_cameras)}
+    marker_ids = sorted(marker_obj)
+    n_cams, n_markers = spec.n_cameras, len(marker_ids)
+    world_to_cam = PoseStack.of([invert(w) for w in cam_world])
+    objects = PoseStack.of(obj_world)
+    markers = PoseStack.of([marker_obj[m] for m in marker_ids])
+    frames_per_block = max(1, _BLOCK_VIEWS // (n_cams * n_markers))
     detections = []
-    world_to_cam = [invert(w) for w in cam_world]
-    for t in range(spec.n_frames):
-        for c in range(spec.n_cameras):
-            obj_in_cam = compose(world_to_cam[c], obj_world[t])
-            for m in sorted(marker_obj):
-                marker_in_cam = compose(obj_in_cam, marker_obj[m])
-                pix = _visible_corners(marker_in_cam, template, spec.intrinsics)
-                if pix is None:
-                    continue
-                if spec.noise_sigma > 0:
-                    pix = pix + rng.normal(scale=spec.noise_sigma, size=(4, 2))
-                detections.append(Detection(t, c, m, pix))
+    for t0 in range(0, spec.n_frames, frames_per_block):
+        n = min(frames_per_block, spec.n_frames - t0)
+        # one row per (t, cam), then one per (t, cam, marker), in that order
+        obj_in_cam = compose_many(
+            world_to_cam[np.tile(np.arange(n_cams), n)],
+            objects[np.repeat(np.arange(t0, t0 + n), n_cams)],
+        )
+        views = compose_many(
+            obj_in_cam[np.repeat(np.arange(n * n_cams), n_markers)],
+            markers[np.tile(np.arange(n_markers), n * n_cams)],
+        )
+        rows, pix = _visible_pixels(views, template, spec.intrinsics)
+        if spec.noise_sigma > 0:
+            pix = pix + rng.normal(scale=spec.noise_sigma, size=pix.shape)
+        cam_row, m = np.divmod(rows, n_markers)
+        t, c = np.divmod(cam_row, n_cams)
+        detections += [
+            Detection(t0 + ti, ci, marker_ids[mi], p)
+            for ti, ci, mi, p in zip(t.tolist(), c.tolist(), m.tolist(), pix)
+        ]
     return GroundTruth(cams_gt, markers_gt, traj_gt), detections, intrinsics
 
 

@@ -313,6 +313,25 @@ class TestTrackCommand:
         assert err.startswith("error: ") and "rvec/tvec must be finite" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("iterations", "6"), ("final_rms", True), ("reason", 7)]
+    )
+    def test_report_field_of_wrong_type_exit_2(self, workdir, tmp_path, capsys, field, value):
+        doc = json.loads((workdir / "cal.json").read_text())
+        doc["report"][field] = value
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "track",
+            "--calibration", str(tmp_path / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be a JSON" in err
+        assert "Traceback" not in err
+
     def test_stream_frame_index_going_back_exit_2(self, workdir, capsys, monkeypatch):
         # frames 0, 1, then 0 again: the repeated frame is rejected, naming
         # its line, after frame 0's row

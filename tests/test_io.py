@@ -348,6 +348,45 @@ class TestCalibrationRoundTrip:
             with pytest.raises(ValidationError, match=match):
                 load_calibration(bad)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("initial_rms", "1.5"),
+            ("final_rms", True),
+            ("final_rms", None),
+            ("iterations", "6"),
+            ("iterations", 6.0),
+            ("iterations", False),
+            ("reason", 7),
+            ("reason", None),
+            ("per_frame_rms", {"0": "0.25"}),
+            ("per_frame_rms", {"0": True}),
+        ],
+    )
+    def test_report_field_of_wrong_type_rejected(self, tmp_path, field, value):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["report"][field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=field):
+            load_calibration(p)
+
+    def test_report_loads_as_saved(self, tmp_path):
+        # integral rms values are JSON numbers too; a file without `reason`
+        # loads with the empty reason
+        r1 = self._result()
+        p = tmp_path / "cal.json"
+        save_calibration(r1, p)
+        assert load_calibration(p).report == r1.report
+        doc = json.loads(p.read_text())
+        doc["report"]["final_rms"] = 0
+        del doc["report"]["reason"]
+        p.write_text(json.dumps(doc))
+        report = load_calibration(p).report
+        assert report.final_rms == 0.0 and isinstance(report.final_rms, float)
+        assert report.reason == ""
+
     def test_rvec_only_transform_accepted(self, tmp_path):
         p = tmp_path / "cal.json"
         r1 = self._result()

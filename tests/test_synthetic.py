@@ -1,14 +1,18 @@
 """Tests for scene generation, Horn alignment and the error metrics."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from markercal import synthetic
 from markercal.errors import DegenerateConfiguration, FrameMismatch, InvalidSpec
 from markercal.frame_init import FrameState, Trajectory
 from markercal.geometry import (
+    MIN_DEPTH,
+    CameraIntrinsics,
     MarkerTemplate,
     RigidTransform,
     compose,
@@ -21,6 +25,9 @@ from markercal.optimizer import CalibrationResult, refine_all
 from markercal.planar_pose import POSE_OK, corner_arrays, planar_poses
 from markercal.structure_init import StructureEstimate
 from markercal.synthetic import (
+    GRAZING_COS,
+    OBJECT_KINDS,
+    TRAJECTORY_KINDS,
     ErrorReport,
     GroundTruth,
     SceneSpec,
@@ -164,6 +171,146 @@ class TestGenerate:
         ratios = np.array(ratios)
         assert len(ratios) > 100
         assert np.mean(ratios < 2.0) >= 0.5
+
+
+def _per_view_generate(spec):
+    """generate() one (frame, camera, marker) view at a time: the oracle of
+    its array pass. Returns the ground-truth poses keyed ("cam", c),
+    ("marker", m) and ("frame", t), the detections as (key, pixels) and the
+    count of views cut by each visibility test."""
+    rng = np.random.default_rng(spec.seed)
+    cam_world = synthetic._camera_ring(spec)
+    if isinstance(spec.object, str):
+        marker_obj = marker_layout(spec.object, spec.marker_side)
+    else:
+        marker_obj = dict(spec.object)
+    obj_world = synthetic._base_trajectory(spec, rng)
+    if spec.ambiguity_stress:
+        obj_world = synthetic._stress_trajectory(obj_world, spec, rng, cam_world, marker_obj)
+    w0_inv = invert(cam_world[0])
+    p0 = marker_obj[min(marker_obj)]
+    gt = {("cam", c): compose(w0_inv, cam_world[c]) for c in range(1, spec.n_cameras)}
+    gt[("cam", 0)] = RigidTransform.identity()
+    gt.update({("marker", m): compose(invert(p0), p) for m, p in marker_obj.items()})
+    gt[("marker", min(marker_obj))] = RigidTransform.identity()
+    for t in range(spec.n_frames):
+        gt[("frame", t)] = compose(w0_inv, compose(obj_world[t], p0))
+
+    template = MarkerTemplate(spec.marker_side)
+    intr = spec.intrinsics
+    world_to_cam = [invert(w) for w in cam_world]
+    dets, cuts = [], Counter()
+    for t in range(spec.n_frames):
+        for c in range(spec.n_cameras):
+            obj_in_cam = compose(world_to_cam[c], obj_world[t])
+            for m in sorted(marker_obj):
+                marker_in_cam = compose(obj_in_cam, marker_obj[m])
+                pts = marker_in_cam.apply(template.corners)
+                center = marker_in_cam.translation
+                if center[2] <= MIN_DEPTH or np.any(pts[:, 2] <= MIN_DEPTH):
+                    cuts["depth"] += 1
+                    continue
+                view = center / np.linalg.norm(center)
+                if -(marker_in_cam.rotation[:, 2] @ view) <= GRAZING_COS:
+                    cuts["grazing"] += 1
+                    continue
+                pix = project(pts, intr)
+                inside = (
+                    (pix[:, 0] >= 0.0)
+                    & (pix[:, 0] <= intr.width - 1.0)
+                    & (pix[:, 1] >= 0.0)
+                    & (pix[:, 1] <= intr.height - 1.0)
+                )
+                if not np.all(inside):
+                    cuts["border"] += 1
+                    continue
+                if spec.noise_sigma > 0:
+                    pix = pix + rng.normal(scale=spec.noise_sigma, size=(4, 2))
+                dets.append(((t, c, m), pix))
+    return gt, dets, cuts
+
+
+def _assert_matches_per_view(spec):
+    """generate() gives the oracle's keys in its order, its pixel bytes and
+    its ground-truth pose bytes; returns the oracle's cut counts."""
+    gt, dets, _ = generate(spec)
+    want_gt, want, cuts = _per_view_generate(spec)
+    assert [d.key for d in dets] == [key for key, _ in want]
+    for d, (_, pix) in zip(dets, want):
+        assert np.array_equal(d.corners, pix)
+        assert d.corners.tobytes() == pix.tobytes()  # also tells -0.0 from +0.0
+    got = {("cam", c): p for c, p in gt.cams_gt.poses.items()}
+    got.update({("marker", m): p for m, p in gt.markers_gt.poses.items()})
+    got.update({("frame", t): st.pose for t, st in gt.traj_gt.frames.items()})
+    assert got.keys() == want_gt.keys()
+    for key, pose in want_gt.items():
+        assert got[key].as_matrix().tobytes() == pose.as_matrix().tobytes(), key
+    return cuts
+
+
+_DISTORTED = CameraIntrinsics(
+    fx=600.0, fy=600.0, cx=320.0, cy=240.0, dist=np.array([-0.2, 0.05, 0.001, -0.002, 0.01])
+)
+
+
+def _scattered_rig(n_markers, seed):
+    """Markers at random attitudes up to about 2 m from the object origin, so
+    that some sit behind a camera of the unit ring, some outside its image
+    and some edge-on."""
+    rng = np.random.default_rng(seed)
+    return {
+        m: RigidTransform(rotation_from_rvec(rng.normal(size=3)), 0.8 * rng.normal(size=3))
+        for m in range(n_markers)
+    }
+
+
+class TestGenerateMatchesPerView:
+    """generate() poses, tests and projects its views as arrays, a block of
+    frames at a time; each case here must come out bit for bit as the one-view
+    loop of _per_view_generate gives it."""
+
+    @pytest.mark.parametrize("stress", [False, True])
+    @pytest.mark.parametrize("trajectory", TRAJECTORY_KINDS)
+    @pytest.mark.parametrize("kind", OBJECT_KINDS)
+    def test_every_object_and_trajectory(self, kind, trajectory, stress):
+        for intr in (SceneSpec().intrinsics, _DISTORTED):
+            for sigma in (0.0, 0.4):
+                spec = SceneSpec(
+                    object=kind, trajectory=trajectory, ambiguity_stress=stress,
+                    intrinsics=intr, noise_sigma=sigma, n_frames=9, seed=3,
+                )
+                _assert_matches_per_view(spec)
+
+    def test_depth_grazing_and_border_cuts(self):
+        spec = SceneSpec(
+            object=_scattered_rig(12, 1), trajectory="fast", noise_sigma=0.3,
+            intrinsics=_DISTORTED, n_frames=15, seed=2,
+        )
+        cuts = _assert_matches_per_view(spec)
+        assert min(cuts[k] for k in ("depth", "grazing", "border")) > 0, cuts
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks(self, monkeypatch, block):
+        # 20 views per frame: block 1 and 7 hold less than one frame, 64
+        # holds three, and 23 frames leave a partial last block
+        monkeypatch.setattr(synthetic, "_BLOCK_VIEWS", block, raising=False)
+        spec = SceneSpec(trajectory="orbit", noise_sigma=0.4, n_frames=23, seed=4)
+        _assert_matches_per_view(spec)
+
+    def test_frame_count_not_a_multiple_of_the_block(self):
+        # 20 views per frame, 51 frames per 1024-view block: two blocks, the
+        # second partial
+        spec = SceneSpec(trajectory="fast", noise_sigma=0.2, n_frames=60, seed=1)
+        _assert_matches_per_view(spec)
+
+    def test_views_per_frame_exceed_the_block(self):
+        # 40 cameras x 30 markers: 1200 views per frame, over 1024
+        spec = SceneSpec(
+            n_cameras=40, object=_scattered_rig(30, 5), trajectory="orbit",
+            noise_sigma=0.3, n_frames=2, seed=6,
+        )
+        cuts = _assert_matches_per_view(spec)
+        assert sum(cuts.values()) < 2 * 1200  # some views are seen
 
 
 class TestAlignHorn:
