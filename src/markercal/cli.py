@@ -221,7 +221,7 @@ def _load_scene_spec(path: str | None):
         elif key in _SYNTH_SCALAR_FIELDS:
             try:
                 kwargs[key] = json_scalar(val, _SYNTH_SCALAR_FIELDS[key], key)
-            except TypeError as e:
+            except (TypeError, ValueError) as e:
                 raise ValidationError(f"bad scene spec field {key!r}: {e}") from None
         else:
             raise ValidationError(f"unknown scene spec field {key!r}")

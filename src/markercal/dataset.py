@@ -8,7 +8,9 @@ representation, object keys are sorted, rows are sorted by id.
 
 from __future__ import annotations
 
+import array
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .geometry import (
 )
 from .optimizer import CalibrationResult, FitReport
 from .pairwise import PairKey
+from .planar_pose import Detection
 from .structure_init import StructureEstimate
 
 _ORTHONORMAL_TOL = 1e-9  # largest |R^T R - I| entry of a file's rotation; saved ones are ~1e-15
@@ -63,14 +66,19 @@ class Dataset:
             seen.add(d.key)
 
 
-def parse_detection_line(line: str, lineno: int | None = None):
-    """One detection from one JSON line; errors carry the line number."""
-    from .planar_pose import Detection
+_NUMBER_TYPES = {int, float}
 
+
+def _detection_fields(line: str, lineno: int | None):
+    """(t, cam, marker, its 8 corner values x0, y0, ..., y3) of one JSON line.
+
+    The ids must be JSON integers and the corners a 4x2 array of finite
+    JSON numbers within double range; errors carry the line number.
+    """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", lineno) from None
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
+        raise ParseError(f"invalid JSON: {getattr(e, 'msg', e)}", lineno) from None
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", lineno)
     missing = sorted({"t", "cam", "marker", "corners"} - obj.keys())
@@ -83,32 +91,51 @@ def parse_detection_line(line: str, lineno: int | None = None):
     if not (isinstance(rows, list) and len(rows) == 4
             and all(isinstance(row, list) and len(row) == 2 for row in rows)):
         raise ParseError("corners must be a 4x2 array of numbers", lineno)
+    vals = rows[0] + rows[1] + rows[2] + rows[3]
     try:
-        corners = np.array([[json_scalar(v, float, "corners") for v in row] for row in rows])
-    except TypeError as e:
-        raise ParseError(str(e), lineno) from None
-    if not np.all(np.isfinite(corners)):
+        # the type set also rejects bools; isfinite overflows on a huge integer
+        ok = set(map(type, vals)) <= _NUMBER_TYPES and all(map(math.isfinite, vals))
+    except OverflowError:
+        ok = False
+    if not ok:
+        try:
+            for v in vals:
+                json_scalar(v, float, "corners")
+        except (TypeError, ValueError) as e:
+            raise ParseError(str(e), lineno) from None
         raise ParseError("corners must be a finite 4x2 array", lineno)
-    return Detection(obj["t"], obj["cam"], obj["marker"], corners)
+    return obj["t"], obj["cam"], obj["marker"], vals
+
+
+def parse_detection_line(line: str, lineno: int | None = None):
+    """One detection from one JSON line; errors carry the line number."""
+    return Detection(*_detection_fields(line, lineno))
 
 
 def load_detections(path) -> list:
-    """Detections from a JSON-lines file; duplicates name both source lines."""
-    dets = []
+    """Detections from a JSON-lines file; duplicates name both source lines.
+
+    The corners of all lines are converted in one pass, and each detection's
+    corners are a view of that one read-only (N, 4, 2) array.
+    """
     first_line: dict[tuple[int, int, int], int] = {}
+    values = array.array("d")  # flat: 8 doubles per detection, in file order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            d = parse_detection_line(raw, lineno)
-            if d.key in first_line:
+            t, cam, marker, vals = _detection_fields(raw, lineno)
+            key = (t, cam, marker)
+            if key in first_line:
                 raise ValidationError(
-                    f"duplicate detection (t={d.t}, cam={d.cam}, marker={d.marker})"
-                    f" at lines {first_line[d.key]} and {lineno}"
+                    f"duplicate detection (t={t}, cam={cam}, marker={marker})"
+                    f" at lines {first_line[key]} and {lineno}"
                 )
-            first_line[d.key] = lineno
-            dets.append(d)
-    return dets
+            first_line[key] = lineno
+            values.extend(vals)
+    corners = np.frombuffer(values, dtype=np.float64).reshape(-1, 4, 2)
+    corners.flags.writeable = False
+    return [Detection(*key, c) for key, c in zip(first_line, corners)]
 
 
 def read_json(path):
@@ -116,8 +143,10 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from None
+        except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
+            raise ParseError(
+                f"invalid JSON: {getattr(e, 'msg', e)}", getattr(e, "lineno", None)
+            ) from None
 
 
 def json_scalar(val, kind: type, name: str):
@@ -125,11 +154,17 @@ def json_scalar(val, kind: type, name: str):
 
     Booleans come only from true/false, integers only from integers and
     floats from any number; nothing is converted from a bool or a string.
+    An integer read as a float but too large for a double raises ValueError.
     """
     allowed = (int, float) if kind is float else kind
     if isinstance(val, bool) != (kind is bool) or not isinstance(val, allowed):
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {val!r}")
-    return kind(val)
+    try:
+        return kind(val)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be within double range, got a {len(str(abs(val)))}-digit integer"
+        ) from None
 
 
 def parse_intrinsics(val, where: str) -> CameraIntrinsics:
@@ -199,16 +234,27 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+# one detection line; for a finite float, %r writes what json.dumps writes
+_DETECTION_LINE = (
+    '{"t":%d,"cam":%d,"marker":%d,"corners":[[%r,%r],[%r,%r],[%r,%r],[%r,%r]]}'
+)
+
+
 def save_detections(detections, path) -> None:
-    lines = []
-    for d in detections:
-        corners = [[float(x), float(y)] for x, y in d.corners]
-        lines.append(
-            json.dumps(
-                {"t": d.t, "cam": d.cam, "marker": d.marker, "corners": corners},
-                separators=(",", ":"),
-            )
+    """One JSON line per detection; non-finite corners raise ValidationError."""
+    detections = list(detections)
+    corners = np.array([d.corners for d in detections], dtype=np.float64).reshape(-1, 8)
+    finite = np.isfinite(corners).all(axis=1)
+    if not finite.all():
+        d = detections[int(np.argmin(finite))]
+        raise ValidationError(
+            f"detection (t={d.t}, cam={d.cam}, marker={d.marker}) has non-finite corners"
         )
+    # one short list of floats per line: no float object outlives its line
+    lines = [
+        _DETECTION_LINE % (d.t, d.cam, d.marker, *d.corners.ravel().tolist())
+        for d in detections
+    ]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -275,7 +321,7 @@ def _structure_to_json(s: StructureEstimate) -> dict:
 def _structure_from_json(obj, kind: str) -> StructureEstimate:
     poses = {int(i): _transform_from_json(p) for i, p in obj["poses"].items()}
     edges = tuple(PairKey(a, b, kind) for a, b in obj.get("tree_edges", []))
-    return StructureEstimate(int(obj["reference"]), poses, edges)
+    return StructureEstimate(json_scalar(obj["reference"], int, "reference"), poses, edges)
 
 
 def save_calibration(result: CalibrationResult, path) -> None:
@@ -315,7 +361,8 @@ def load_calibration(path) -> CalibrationResult:
         for t, entry in doc["trajectory"].items():
             pose = entry["pose"]
             traj.frames[int(t)] = FrameState(
-                None if pose is None else _transform_from_json(pose), entry["source"]
+                None if pose is None else _transform_from_json(pose),
+                json_scalar(entry["source"], str, "source"),
             )
         report = None
         if doc.get("report") is not None:
@@ -337,7 +384,9 @@ def load_calibration(path) -> CalibrationResult:
             markers=markers,
             traj=traj,
             # MarkerTemplate raises ValueError on a non-positive or non-finite side
-            marker_side=MarkerTemplate(float(doc["marker_side"])).side,
+            marker_side=MarkerTemplate(
+                json_scalar(doc["marker_side"], float, "marker_side")
+            ).side,
             report=report,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -99,6 +99,25 @@ class TestCalibrateCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_integer_corner_beyond_double_range_exit_2(self, workdir, tmp_path, capsys):
+        # a valid JSON integer that float() overflows on, in the third line
+        lines = (workdir / "detections.jsonl").read_text().splitlines()
+        det = json.loads(lines[2])
+        lines[2] = json.dumps({**det, "corners": [[1, 2], [3, 10 ** 400], [5, 6], [7, 8]]})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = cli.main([
+            "calibrate",
+            "--detections", str(bad),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--marker-side", "0.04",
+            "--output", str(tmp_path / "cal.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: corners must be within double range")
+        assert not (tmp_path / "cal.json").exists()
+
     def test_non_finite_intrinsics_exit_2(self, workdir, tmp_path, capsys):
         intr = json.loads((workdir / "intrinsics.json").read_text())
         intr["0"]["fx"] = float("nan")
@@ -255,6 +274,20 @@ class TestTrackCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_stream_integer_corner_beyond_double_range_exit_2(self, workdir, capsys,
+                                                              monkeypatch):
+        line = json.dumps({"t": 0, "cam": 0, "marker": 0,
+                           "corners": [[1, 2], [3, 4], [5, 6], [7, -(10 ** 400)]]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n" + line + "\n"))
+        rc = cli.main([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", "-",
+        ])
+        assert rc == 2
+        assert "error: line 2: corners must be within double range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stream", [False, True], ids=["file", "stdin"])
     @pytest.mark.parametrize("case", ["unknown camera", "unknown marker", "missing intrinsics",
                                       "duplicate detection"])
@@ -407,10 +440,14 @@ class TestSynthCommand:
         '{"noise_sigma": NaN}',
         '{"circle_radius": Infinity}',
         '{"camera_height": NaN}',
+        '{"circle_radius": 1' + "0" * 400 + "}",
+        '{"intrinsics": {"fx": 1' + "0" * 400 + ', "fy": 500, "cx": 320, "cy": 240}}',
+        '{"seed": 1' + "0" * 5000 + "}",
     ], ids=["missing_intrinsics_field", "zero_focal_length", "non_integer_count",
             "invalid_json", "string_bool", "fractional_count", "bool_seed",
             "string_intrinsics_bool", "fractional_width", "nan_marker_side", "nan_noise_sigma",
-            "infinite_circle_radius", "nan_camera_height"])
+            "infinite_circle_radius", "nan_camera_height", "huge_integer_radius",
+            "huge_integer_focal_length", "integer_past_digit_limit"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

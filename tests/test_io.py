@@ -1,6 +1,7 @@
 """Tests for file parsing, validation and round-trip serialization."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from markercal.dataset import (
     Dataset,
     atomic_write,
+    json_scalar,
     load_calibration,
     load_dataset,
     load_detections,
@@ -27,7 +29,9 @@ from markercal.frame_init import SOURCE_INIT, FrameState, Trajectory
 from markercal.geometry import CameraIntrinsics, RigidTransform, rotation_from_rvec
 from markercal.optimizer import CalibrationResult, FitReport
 from markercal.pairwise import PairKey
+from markercal.planar_pose import Detection
 from markercal.structure_init import StructureEstimate
+from markercal.synthetic import SceneSpec, generate
 
 CORNERS = [[100.0, 100.0], [150.0, 100.0], [150.0, 150.0], [100.0, 150.0]]
 
@@ -99,6 +103,26 @@ class TestParseDetectionLine:
             parse_detection_line(line, 5)
         assert e.value.line == 5
 
+    def test_integer_corner_beyond_double_range(self, tmp_path):
+        # a valid JSON integer, but float() of it overflows
+        line = json.dumps({"t": 0, "cam": 0, "marker": 0,
+                           "corners": [[1, 2], [3, 10 ** 400], [5, 6], [7, 8]]})
+        with pytest.raises(ParseError, match="corners must be within double range") as e:
+            parse_detection_line(line, 5)
+        assert e.value.line == 5
+        p = tmp_path / "d.jsonl"
+        p.write_text(_det_line() + "\n" + line + "\n")
+        with pytest.raises(ParseError, match="within double range") as e:
+            load_detections(p)
+        assert e.value.line == 2
+
+    def test_integer_past_digit_limit(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError
+        line = '{"t": 0, "cam": 0, "marker": 0, "corners": 1' + "0" * 5000 + "}"
+        with pytest.raises(ParseError, match="invalid JSON") as e:
+            parse_detection_line(line, 3)
+        assert e.value.line == 3
+
 
 class TestLoadDetections:
     def test_blank_lines_skipped(self, tmp_path):
@@ -119,6 +143,215 @@ class TestLoadDetections:
         with pytest.raises(ParseError) as e:
             load_detections(p)
         assert e.value.line == 2
+
+    def test_corners_read_only(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text(_det_line(t=0) + "\n" + _det_line(t=1) + "\n")
+        for d in load_detections(p):
+            assert d.corners.shape == (4, 2) and not d.corners.flags.writeable
+            with pytest.raises(ValueError):
+                d.corners[0, 0] = 1.0
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text("\n")
+        assert load_detections(p) == []
+        save_detections([], p)
+        assert p.read_bytes() == b""
+
+
+class TestSaveDetections:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_corner_rejected(self, tmp_path, value):
+        # json.dumps would write NaN or Infinity, which no JSON reader takes
+        corners = np.array(CORNERS)
+        corners[3, 1] = value
+        dets = [Detection(0, 0, 0, np.array(CORNERS)), Detection(1, 0, 2, corners)]
+        p = tmp_path / "d.jsonl"
+        with pytest.raises(ValidationError, match=r"\(t=1, cam=0, marker=2\).*non-finite"):
+            save_detections(dets, p)
+        assert not p.exists()
+
+
+def _oracle_parse_line(line, lineno=None):
+    """One detection, checked and converted value by value: the per-line
+    oracle of the file reader's one-pass checks."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", lineno)
+    missing = sorted({"t", "cam", "marker", "corners"} - obj.keys())
+    if missing:
+        raise ParseError(f"missing fields: {', '.join(missing)}", lineno)
+    for name in ("t", "cam", "marker"):
+        if isinstance(obj[name], bool) or not isinstance(obj[name], int):
+            raise ParseError(f"field {name!r} must be an integer", lineno)
+    rows = obj["corners"]
+    if not (isinstance(rows, list) and len(rows) == 4
+            and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+        raise ParseError("corners must be a 4x2 array of numbers", lineno)
+    try:
+        corners = np.array([[json_scalar(v, float, "corners") for v in row] for row in rows])
+    except TypeError as e:
+        raise ParseError(str(e), lineno) from None
+    if not np.all(np.isfinite(corners)):
+        raise ParseError("corners must be a finite 4x2 array", lineno)
+    return Detection(obj["t"], obj["cam"], obj["marker"], corners)
+
+
+def _oracle_load(path):
+    """The detections of a file, one line at a time through the oracle."""
+    dets, first_line = [], {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            d = _oracle_parse_line(raw, lineno)
+            if d.key in first_line:
+                raise ValidationError(
+                    f"duplicate detection (t={d.t}, cam={d.cam}, marker={d.marker})"
+                    f" at lines {first_line[d.key]} and {lineno}"
+                )
+            first_line[d.key] = lineno
+            dets.append(d)
+    return dets
+
+
+def _oracle_text(dets):
+    """The detection file, one json.dumps per line."""
+    lines = [
+        json.dumps(
+            {"t": d.t, "cam": d.cam, "marker": d.marker,
+             "corners": [[float(x), float(y)] for x, y in d.corners]},
+            separators=(",", ":"),
+        )
+        for d in dets
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` raised (type, message, line), or None."""
+    try:
+        fn(*args)
+    except (ParseError, ValidationError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return None
+
+
+def _assert_bit_equal(got, want):
+    assert [d.key for d in got] == [d.key for d in want]
+    for a, b in zip(got, want):
+        assert a.corners.dtype == b.corners.dtype == np.float64
+        assert a.corners.tobytes() == b.corners.tobytes()
+
+
+# every malformed detection line of the dataset and CLI tests
+_MALFORMED_LINES = [
+    "{not json",
+    "[1, 2, 3]",
+    "nonsense",
+    "garbage",
+    "this is not json",
+    json.dumps({"t": 0, "marker": 0, "corners": CORNERS}),
+    *(json.dumps({"t": v, "cam": 0, "marker": 0, "corners": CORNERS})
+      for v in (1.5, "1", True, None)),
+    *(json.dumps({"t": 0, "cam": 0, "marker": 0, "corners": c}) for c in (
+        [[0, 0], [1, 0], [1, 1]],
+        [[0, 0, 0]] * 4,
+        "abcd",
+        [[0, 0], [1, 0], [1, 1], [0, float("nan")]],
+        [[0, 0], [1, 0], [float("inf"), 1], [0, 1]],
+        [["1", "2"], [3, 4], [5, 6], [7, 8]],
+        [[1, 2], [True, 4], [5, 6], [7, 8]],
+        [[1, 2], [3, 4], [5, None], [7, 8]],
+        [[1, 2], [3, 4], [5, 6], [[7], 8]],
+        [[1, float("nan")], [3, 4], [5, "6"], [7, 8]],  # a type error wins over NaN
+    )),
+]
+
+
+class TestDetectionFilesAgainstOracle:
+    """The one-pass reader and writer against the per-line oracle above."""
+
+    @pytest.mark.parametrize("spec", [
+        # the benchmark's scenes, shortened: ambiguity, long_orbit, and
+        # track/reacquire
+        SceneSpec(n_cameras=5, circle_radius=0.20, camera_height=2.0,
+                  intrinsics=CameraIntrinsics(fx=1800.0, fy=1800.0, cx=640.0, cy=480.0,
+                                              width=1280, height=960),
+                  object="flat-grid", marker_side=0.06, n_frames=10, trajectory="orbit",
+                  noise_sigma=0.5, ambiguity_stress=True, seed=0),
+        SceneSpec(n_cameras=5, circle_radius=0.7, object="cube", marker_side=0.04,
+                  n_frames=20, trajectory="orbit", noise_sigma=0.3, seed=1),
+        SceneSpec(n_cameras=5, circle_radius=0.7, object="cube", marker_side=0.04,
+                  n_frames=20, trajectory="fast", noise_sigma=0.2, seed=2),
+    ], ids=["ambiguity", "long_orbit", "track"])
+    def test_scene_files(self, tmp_path, spec):
+        _, dets, _ = generate(spec)
+        p = tmp_path / "d.jsonl"
+        save_detections(dets, p)
+        assert p.read_text() == _oracle_text(dets)
+        _assert_bit_equal(load_detections(p), _oracle_load(p))
+        _assert_bit_equal(load_detections(p), dets)
+
+    def test_edge_values(self, tmp_path):
+        rng = np.random.default_rng(11)
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0 ** 53 + 2, 1e-300,
+                    0.1, 1 / 3, 1e16, 123456789.0]
+        dets = []
+        for i in range(40):
+            corners = rng.normal(scale=10.0 ** rng.integers(-3, 6), size=8)
+            corners[rng.integers(0, 8, size=3)] = rng.choice(specials, size=3)
+            dets.append(Detection(i // 4, i % 4, i, corners.reshape(4, 2)))
+        p = tmp_path / "d.jsonl"
+        save_detections(dets, p)
+        assert p.read_text() == _oracle_text(dets)
+        _assert_bit_equal(load_detections(p), _oracle_load(p))
+        _assert_bit_equal(load_detections(p), dets)
+
+    def test_integer_corner_values(self, tmp_path):
+        # JSON integers, exact and rounded, and floats mixed in one line
+        lines = [
+            _det_line(0, corners=[[100, 2], [3, 4], [5, 6], [7, 8]]),
+            _det_line(1, corners=[[2 ** 53 + 1, -(2 ** 63) - 1], [2 ** 64 + 3, 10 ** 300],
+                                  [-0.0, 5e-324], [1e308, -7]]),
+            _det_line(2, corners=[[-0, 0], [1.5, 2], [3, 4.25], [0, 0]]),
+        ]
+        p = tmp_path / "d.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        got = load_detections(p)
+        _assert_bit_equal(got, _oracle_load(p))
+        _assert_bit_equal([parse_detection_line(line) for line in lines], got)
+        save_detections(got, tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_text() == _oracle_text(got)
+
+    @pytest.mark.parametrize("line", _MALFORMED_LINES)
+    def test_malformed_line(self, tmp_path, line):
+        want = _outcome(_oracle_parse_line, line, 7)
+        assert want is not None
+        assert _outcome(parse_detection_line, line, 7) == want
+        # in a file, after one good line and a blank one
+        p = tmp_path / "d.jsonl"
+        p.write_text(_det_line(t=9) + "\n\n" + line + "\n")
+        want = _outcome(_oracle_load, p)
+        assert want[2] == 3
+        assert _outcome(load_detections, p) == want
+
+    def test_errors_in_file_order(self, tmp_path):
+        # a bad line before a duplicate wins, and so does a duplicate before
+        # a bad line
+        good, bad = _det_line(t=0), "nonsense"
+        p = tmp_path / "d.jsonl"
+        p.write_text("\n".join([good, bad, good]) + "\n")
+        assert _outcome(load_detections, p) == _outcome(_oracle_load, p)
+        assert _outcome(load_detections, p)[::2] == (ParseError, 2)
+        p.write_text("\n".join([good, good, bad]) + "\n")
+        assert _outcome(load_detections, p) == _outcome(_oracle_load, p)
+        kind, message, _ = _outcome(load_detections, p)
+        assert kind is ValidationError and message.endswith("at lines 1 and 2")
 
 
 class TestLoadIntrinsics:
@@ -160,6 +393,18 @@ class TestLoadIntrinsics:
         p = tmp_path / "i.json"
         p.write_text(json.dumps({"0": {"fx": 600, "fy": 600, "cx": 320, "cy": 240, **field}}))
         with pytest.raises(ValidationError, match="camera 0"):
+            load_intrinsics(p)
+
+    def test_integer_beyond_double_range(self, tmp_path):
+        p = tmp_path / "i.json"
+        p.write_text('{"0": {"fx": 1' + "0" * 400 + ', "fy": 600, "cx": 320, "cy": 240}}')
+        with pytest.raises(ValidationError, match="camera 0: fx must be within double range"):
+            load_intrinsics(p)
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        p = tmp_path / "i.json"
+        p.write_text('{"0": {"fx": 1' + "0" * 5000 + ', "fy": 600, "cx": 320, "cy": 240}}')
+        with pytest.raises(ParseError, match="invalid JSON"):
             load_intrinsics(p)
 
     @pytest.mark.parametrize("field", [
@@ -370,6 +615,47 @@ class TestCalibrationRoundTrip:
         doc["report"][field] = value
         p.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=field):
+            load_calibration(p)
+
+    def test_report_field_beyond_double_range_rejected(self, tmp_path):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["report"]["final_rms"] = 10 ** 400
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="final_rms must be within double range"):
+            load_calibration(p)
+
+    @pytest.mark.parametrize("value", [True, "0.04", 10 ** 400], ids=["bool", "string", "huge"])
+    def test_marker_side_of_wrong_type_rejected(self, tmp_path, value):
+        # a bare float() read true as a 1 m marker
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["marker_side"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="marker_side"):
+            load_calibration(p)
+
+    @pytest.mark.parametrize("value", [1.7, "0", True], ids=["fraction", "string", "bool"])
+    def test_reference_of_wrong_type_rejected(self, tmp_path, value):
+        # a bare int() made 1.7 camera 1
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["cameras"]["reference"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="reference must be a JSON int"):
+            load_calibration(p)
+
+    @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+    def test_frame_source_of_wrong_type_rejected(self, tmp_path, value):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["trajectory"]["1"]["source"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="source must be a JSON str"):
             load_calibration(p)
 
     def test_report_loads_as_saved(self, tmp_path):
