@@ -123,7 +123,7 @@ def _print_timing(times: list[float]) -> None:
 
 
 def _track_stream(args) -> int:
-    """Streaming mode: detections on stdin, one JSON line each, frames
+    """Streaming mode: detections on stdin, one UTF-8 JSON line each, frames
     delimited by a change of t, which must increase; each pose row is
     emitted as soon as its frame is complete."""
     import time
@@ -149,7 +149,7 @@ def _track_stream(args) -> int:
         times.append(time.perf_counter() - t0)
         print(dio.trajectory_csv_row(current_t, pose), flush=True)
 
-    for lineno, raw in enumerate(sys.stdin, start=1):
+    for lineno, raw in dio.utf8_lines(sys.stdin.buffer):
         if not raw.strip():
             continue
         d = dio.parse_detection_line(raw, lineno)

@@ -107,6 +107,18 @@ def _detection_fields(line: str, lineno: int | None):
     return obj["t"], obj["cam"], obj["marker"], vals
 
 
+def utf8_lines(binary):
+    """(line number, text) of each line of a binary stream, lines ending at
+    b"\\n"; a line that is not UTF-8 raises ParseError naming it."""
+    for lineno, raw in enumerate(binary, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(
+                f"not UTF-8: byte {raw[e.start]:#04x} at offset {e.start}", lineno
+            ) from None
+
+
 def parse_detection_line(line: str, lineno: int | None = None):
     """One detection from one JSON line; errors carry the line number."""
     return Detection(*_detection_fields(line, lineno))
@@ -120,8 +132,8 @@ def load_detections(path) -> list:
     """
     first_line: dict[tuple[int, int, int], int] = {}
     values = array.array("d")  # flat: 8 doubles per detection, in file order
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in utf8_lines(fh):
             if not raw.strip():
                 continue
             t, cam, marker, vals = _detection_fields(raw, lineno)

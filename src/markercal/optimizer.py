@@ -327,7 +327,8 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k):
     a = np.matmul(y, rg.swapaxes(-1, -2)) + tg[..., None, :] - tc[..., None, :]
     proj = project_arrays(np.matmul(a, rc).reshape(-1, 3), k)
     res = proj.pix - obs
-    res[~proj.front] = BEHIND_RESIDUAL
+    if not proj.front.all():
+        res[~proj.front] = BEHIND_RESIDUAL
     return res.reshape(-1), proj, a
 
 
@@ -335,22 +336,24 @@ def _corner_jacobian(proj) -> np.ndarray:
     """(N,4,2,3) pixel Jacobian of _corner_residuals by the camera-frame
     corner, all zero for a corner behind the camera."""
     jac = projection_jacobian(proj)
-    jac[~proj.front] = 0.0
+    if not proj.front.all():
+        jac[~proj.front] = 0.0
     return jac.reshape(-1, 4, 2, 3)
 
 
-def _frame_columns(pj, rc, rg, y, s_frame):
+def _frame_columns(pj, rc, rg, y8, s_frame):
     """(dw, dy, block) from the pixel Jacobian pj of _corner_jacobian.
 
     dw and dy (N,8,3) are the residuals' derivatives by the corner in the
     reference-camera and in the reference-marker frame, one row per
     residual; block (N,8,6) is their derivative by the frame twist,
-    [-(dy x y) S_g, dw] (v^T [p]x = (v x p)^T). rc, rg and the Rodrigues
-    factor s_frame are (N,3,3) or (1,3,3).
+    [-(dy x y) S_g, dw] (v^T [p]x = (v x p)^T). y8 (N,8,3) is the corners y
+    of _corner_residuals with each repeated for its x and its y row. rc, rg
+    and the Rodrigues factor s_frame are (N,3,3) or (1,3,3).
     """
     dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1))
     dy = np.matmul(dw, rg)
-    rot_part = -np.matmul(cross(dy, np.repeat(y, 2, axis=1)), s_frame)
+    rot_part = -np.matmul(cross(dy, y8), s_frame)
     return dw, dy, np.concatenate([rot_part, dw], axis=-1)
 
 
@@ -429,7 +432,8 @@ class ResidualBuilder:
         # the camera's and the marker's rotation blocks are formed as the
         # frame's, from dw and from du, the derivative by the corner in the
         # marker frame; camera: p_cam = R(-r_c) a, so its sign works out positive
-        dw, dy, frame = _frame_columns(_corner_jacobian(proj), rc, rg, y, s_frame)
+        y8 = np.repeat(y, 2, axis=1)
+        dw, dy, frame = _frame_columns(_corner_jacobian(proj), rc, rg, y8, s_frame)
         du = np.matmul(dy, rm)
         jac = np.concatenate(
             [
@@ -467,9 +471,9 @@ def lm_minimize(
     `builder` provides system(x) -> ResidualSystem and residuals(x). The
     damped solve follows the Jacobian's type: a BlockJacobian's normal
     equations are solved by the Schur complement over its frame blocks
-    (SchurNormal.solve), a dense ndarray's by np.linalg.solve. The normal
-    equations are formed once per Jacobian; a rejected step redoes only the
-    damped solve. A step is accepted only if the cost strictly decreases;
+    (SchurNormal.solve), a dense one's (one 6-block) by np.linalg.solve.
+    The normal equations are formed once per Jacobian; a rejected step
+    redoes only the damped solve. A step is accepted only if the cost strictly decreases;
     lambda shrinks on accept and grows on reject (and on a singular or
     non-finite solve). An accepted x is the trial point as evaluated, so the
     returned x is the point whose residuals gave final_rms; its twists may
@@ -480,7 +484,7 @@ def lm_minimize(
     from, so an accepted step never improves it by a negative amount.
     """
     x = np.array(initial, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericalFailure("non-finite initial parameters")
     system = builder.system(x)
     r = system.residuals
@@ -541,14 +545,13 @@ def _normal(jac, r: np.ndarray):
 
 
 class _DenseNormal:
-    """J^T J and J^T r of a dense Jacobian, solved whole."""
+    """J^T J and J^T r of a dense Jacobian of one 6-block, solved whole."""
 
     def __init__(self, jac: np.ndarray, r: np.ndarray):
         self.jtj, self.jtr = jac.T @ jac, jac.T @ r
-        self._eye = np.eye(len(self.jtr))
 
     def solve(self, lam: float) -> np.ndarray:
-        return np.linalg.solve(self.jtj + lam * self._eye, -self.jtr)
+        return np.linalg.solve(self.jtj + lam * _EYE6, -self.jtr)
 
 
 def _solve_damped(normal, lam):
@@ -557,7 +560,7 @@ def _solve_damped(normal, lam):
         step = normal.solve(lam)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         return None
     return step
 
@@ -627,21 +630,29 @@ def _calibrated_rows(stack: IndexedPoses, ids: list[int], kind: str) -> np.ndarr
 
 class FrameArrays(NamedTuple):
     """One frame's K detections, in their given order, as the tracker's
-    solves take them."""
+    solves take them. All but obs depend only on the ordered (cam, marker)
+    views, and are shared by the frames of one view set: no solve writes
+    to them."""
 
     y: np.ndarray  # (K,4,3) marker corners in the reference-marker frame
     rc: np.ndarray  # (K,3,3) camera rotations
     tc: np.ndarray  # (K,3) camera translations
-    obs: np.ndarray  # (4K,2) observed corners, as corner_arrays builds them
-    k: np.ndarray  # (9,4K) their intrinsics
+    k: np.ndarray  # (9,4K) the corners' intrinsics
     markers: np.ndarray  # (K,) rows of the detections' markers in the marker stack
+    y8: np.ndarray  # (K,8,3) y with each corner repeated for its x and its y residual
+    obs: np.ndarray  # (4K,2) observed corners, as corner_arrays builds them
 
 
 class FrameTracker:
     """Six-parameter pose solver over a fixed calibration.
 
     Splitting construction from solving keeps the per-frame cost low: all
-    camera- and marker-dependent quantities are precomputed once.
+    camera- and marker-dependent quantities are precomputed once, and the
+    arrays of a frame that shows the same ordered (cam, marker) views as the
+    frame before are that frame's, so only its observed corners are
+    stacked. The tracker therefore treats its poses and intrinsics as
+    frozen: it reads them at construction and, per view set, on the first
+    frame that shows it.
     """
 
     def __init__(
@@ -660,6 +671,10 @@ class FrameTracker:
         rm, tm = self._marker_stack.poses.rotations, self._marker_stack.poses.translations
         self._y = np.matmul(template.corners, rm.transpose(0, 2, 1)) + tm[:, None, :]
         self.last_iterations = 0
+        # the last frame's ordered (cam, marker) views and its FrameArrays
+        # but obs; only views that passed every check are kept
+        self._views: tuple | None = None
+        self._view_arrays: tuple = ()
 
     def _frame_arrays(self, dets: list[Detection]) -> FrameArrays:
         """The FrameArrays of a frame's detections. Raises ValidationError
@@ -670,16 +685,21 @@ class FrameTracker:
         frames = {d.t for d in dets}
         if len(frames) > 1:
             raise ValidationError(f"one frame solve got detections of frames {sorted(frames)}")
-        seen = set()
-        for d in dets:
-            if (d.cam, d.marker) in seen:
-                raise ValidationError(f"duplicate detection {d.key}")
-            seen.add((d.cam, d.marker))
-        ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
-        mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
-        stack = self._cam_stack.poses
-        obs, k = corner_arrays(dets, self.intrinsics)
-        return FrameArrays(self._y[mi], stack.rotations[ci], stack.translations[ci], obs, k, mi)
+        views = tuple([(d.cam, d.marker) for d in dets])
+        if views == self._views:
+            obs = np.array([d.corners for d in dets]).reshape(-1, 2)  # as corner_arrays
+        else:
+            if len(set(views)) < len(views):
+                first = next(i for i, v in enumerate(views) if v in views[:i])
+                raise ValidationError(f"duplicate detection {dets[first].key}")
+            ci = _calibrated_rows(self._cam_stack, [d.cam for d in dets], "camera")
+            mi = _calibrated_rows(self._marker_stack, [d.marker for d in dets], "marker")
+            stack = self._cam_stack.poses
+            obs, k = corner_arrays(dets, self.intrinsics)
+            y = self._y[mi]
+            held = (y, stack.rotations[ci], stack.translations[ci], k, mi, np.repeat(y, 2, axis=1))
+            self._views, self._view_arrays = views, held
+        return FrameArrays(*self._view_arrays, obs)
 
     def cold_start(self, dets: list[Detection], arrays: FrameArrays | None = None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
@@ -767,11 +787,11 @@ class _FrameSystem:
             rot, r, proj = last[1:]
         else:
             rot, r, proj = self._forward(x)
-        y, rc = self.arrays[:2]
+        a = self.arrays
         # the one-rvec factor: rotation_jacobian_factors on a batch of one
         # takes about 40 us against 4 us (timeit, 2-vCPU host)
         s_g = rotation_jacobian_factor(x[:3], rot)
-        frame = _frame_columns(_corner_jacobian(proj), rc, rot[None], y, s_g[None])[2]
+        frame = _frame_columns(_corner_jacobian(proj), a.rc, rot[None], a.y8, s_g[None])[2]
         return ResidualSystem(r, frame.reshape(-1, 6))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:

@@ -45,6 +45,20 @@ def workdir(tmp_path_factory):
     return d
 
 
+def _stdin(data: str | bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin over `data`, with the binary buffer that
+    stream mode reads."""
+    return io.TextIOWrapper(io.BytesIO(data.encode() if isinstance(data, str) else data))
+
+
+def _non_utf8(path, row: int) -> bytes:
+    """The lines of a detections file with 0xff 0xfe, which no UTF-8 text
+    holds, put before line row + 1."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[row] = b"\xff\xfe" + lines[row]
+    return b"".join(lines)
+
+
 class TestCalibrateCommand:
     def test_outputs_and_stdout(self, workdir, tmp_path, capsys):
         rc = cli.main([
@@ -98,6 +112,22 @@ class TestCalibrateCommand:
         ])
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_utf8_detection_file_exit_2(self, workdir, tmp_path, capsys, row):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(_non_utf8(workdir / "detections.jsonl", row))
+        rc = cli.main([
+            "calibrate",
+            "--detections", str(bad),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--marker-side", "0.04",
+            "--output", str(tmp_path / "cal.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {row + 1}: not UTF-8: byte 0xff at offset 0\n"
+        assert not (tmp_path / "cal.json").exists()
 
     def test_integer_corner_beyond_double_range_exit_2(self, workdir, tmp_path, capsys):
         # a valid JSON integer that float() overflows on, in the third line
@@ -216,7 +246,7 @@ class TestTrackCommand:
 
     def test_stream_mode(self, workdir, tmp_path, capsys, monkeypatch):
         lines = (workdir / "detections.jsonl").read_text()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        monkeypatch.setattr(sys, "stdin", _stdin(lines))
         track = [
             "track",
             "--calibration", str(workdir / "cal.json"),
@@ -240,7 +270,7 @@ class TestTrackCommand:
         # and write the same rows, file mode an empty one for frame 4
         gap = [line for line in lines.splitlines(keepends=True) if json.loads(line)["t"] != 4]
         (tmp_path / "gap.jsonl").write_text("".join(gap))
-        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(gap)))
+        monkeypatch.setattr(sys, "stdin", _stdin("".join(gap)))
         assert cli.main(track + ["--detections", "-"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert cli.main(track + [
@@ -264,7 +294,7 @@ class TestTrackCommand:
         assert not (tmp_path / "traj.csv").exists()
 
     def test_stream_bad_line_exit_2(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("garbage\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin("garbage\n"))
         rc = cli.main([
             "track",
             "--calibration", str(workdir / "cal.json"),
@@ -274,11 +304,22 @@ class TestTrackCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_stream_non_utf8_line_exit_2(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", _stdin(_non_utf8(workdir / "detections.jsonl", 2)))
+        rc = cli.main([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", "-",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8: byte 0xff at offset 0\n"
+
     def test_stream_integer_corner_beyond_double_range_exit_2(self, workdir, capsys,
                                                               monkeypatch):
         line = json.dumps({"t": 0, "cam": 0, "marker": 0,
                            "corners": [[1, 2], [3, 4], [5, 6], [7, -(10 ** 400)]]})
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\n" + line + "\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin("\n" + line + "\n"))
         rc = cli.main([
             "track",
             "--calibration", str(workdir / "cal.json"),
@@ -315,7 +356,7 @@ class TestTrackCommand:
             "--output", str(tmp_path / "traj.csv"),
         ]
         if stream:
-            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+            monkeypatch.setattr(sys, "stdin", _stdin("\n".join(lines) + "\n"))
             args += ["--detections", "-"]
         else:
             args += ["--detections", str(tmp_path / "detections.jsonl")]
@@ -371,7 +412,7 @@ class TestTrackCommand:
         lines = (workdir / "detections.jsonl").read_text().splitlines()
         frame = {t: [line for line in lines if json.loads(line)["t"] == t] for t in (0, 1)}
         text = "\n".join(frame[0] + frame[1] + frame[0][:1]) + "\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", _stdin(text))
         rc = cli.main([
             "track",
             "--calibration", str(workdir / "cal.json"),

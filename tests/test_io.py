@@ -144,6 +144,22 @@ class TestLoadDetections:
             load_detections(p)
         assert e.value.line == 2
 
+    def test_non_utf8_line_named(self, tmp_path):
+        # line 3 opens with 0xff 0xfe, bytes no UTF-8 text holds; the whole
+        # file fits one read, so the error names the line, not the read
+        lines = [_det_line(t=t).encode() for t in range(4)]
+        lines[2] = b"\xff\xfe" + lines[2]
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8: byte 0xff at offset 0") as e:
+            load_detections(p)
+        assert e.value.line == 3
+
+    def test_crlf_line_ends(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(f"{_det_line(t=0)}\r\n\r\n{_det_line(t=1)}\r\n".encode())
+        assert [d.t for d in load_detections(p)] == [0, 1]
+
     def test_corners_read_only(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text(_det_line(t=0) + "\n" + _det_line(t=1) + "\n")

@@ -30,6 +30,7 @@ from markercal.optimizer import (
     REASON_MIN_IMPROVE,
     REASON_ZERO_RESIDUAL,
     CalibrationResult,
+    FrameArrays,
     FrameTracker,
     BlockJacobian,
     ParamLayout,
@@ -44,6 +45,7 @@ from markercal.optimizer import (
     unpack_params,
     _FrameSystem,
     _solve_damped,
+    _twist,
 )
 from markercal.planar_pose import POSE_OK, Detection, corner_arrays, planar_poses
 from markercal.structure_init import StructureEstimate
@@ -433,6 +435,24 @@ class TestBehindCamera:
         x = np.concatenate([rvec_from_rotation(frames[0].rotation), frames[0].translation])
         system = _FrameSystem(tracker._frame_arrays(dets)).system(x)
         self._check(system.residuals, system.jacobian, len(dets))
+
+    @pytest.mark.parametrize("behind", [True, False], ids=["one behind", "all in front"])
+    def test_front_guards_keep_the_masked_rule(self, behind):
+        # the oracle writes through the front mask unconditionally, as the
+        # kernels did before they skipped the write for an all-front batch
+        cams, markers, frames, dets, intr, template = self._scene()
+        pose = frames[0] if behind else RigidTransform(np.eye(3), frames[0].translation)
+        a = FrameTracker(cams, markers, intr, template)._frame_arrays(dets)
+        r, proj, _ = optimizer._corner_residuals(
+            a.y, pose.rotation[None], pose.translation[None], a.rc, a.tc, a.obs, a.k
+        )
+        assert proj.front.all() != behind
+        expected_r = proj.pix - a.obs
+        expected_r[~proj.front] = BEHIND_RESIDUAL
+        expected_jac = geometry.projection_jacobian(proj)
+        expected_jac[~proj.front] = 0.0
+        assert r.tobytes() == expected_r.tobytes()
+        assert optimizer._corner_jacobian(proj).tobytes() == expected_jac.tobytes()
 
 
 class TestPerCameraIntrinsics:
@@ -1090,3 +1110,87 @@ class TestTracking:
             tracker.cold_start(degenerate)
         with pytest.raises(NoValidPose):
             tracker.solve(degenerate)
+
+
+class TestViewSetCache:
+    """FrameTracker keeps the arrays of the last frame's ordered (cam,
+    marker) views; every frame solves as it would on a fresh tracker."""
+
+    INTR = TestPerCameraIntrinsics.INTR
+
+    def _scene(self):
+        rng = np.random.default_rng(71)
+        cams, markers, frames, _, _, template = _make_scene(rng, n_cams=3, n_markers=3, n_frames=4)
+        dets = _observe(cams, markers, frames, self.INTR, template, rng, noise=0.3)
+        by_frame = {t: [d for d in dets if d.t == t] for t in frames}
+        return cams, markers, frames, by_frame, template
+
+    def _tracker(self, cams, markers, template):
+        return FrameTracker(cams, markers, self.INTR, template)
+
+    @staticmethod
+    def _assert_same_arrays(got, expected):
+        for name, a, b in zip(FrameArrays._fields, got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_view_sets_a_b_a_a_match_fresh_trackers(self):
+        cams, markers, frames, by_frame, template = self._scene()
+        # A: every view in key order; B: the same views in reverse order
+        views = [by_frame[0], by_frame[1][::-1], by_frame[2], by_frame[3]]
+        tracker = self._tracker(cams, markers, template)
+        held = []
+        for t, dets in enumerate(views):
+            got = tracker._frame_arrays(dets)
+            expected = self._tracker(cams, markers, template)._frame_arrays(dets)
+            self._assert_same_arrays(got, expected)
+            x = _twist(_perturb(frames[t], np.random.default_rng(t), 1.0, 0.01))
+            got_system = _FrameSystem(got).system(x)
+            expected_system = _FrameSystem(expected).system(x)
+            assert got_system.residuals.tobytes() == expected_system.residuals.tobytes()
+            assert got_system.jacobian.tobytes() == expected_system.jacobian.tobytes()
+            held.append(got)
+        # frames 2 and 3 show A again: only obs is new
+        assert held[3].y is held[2].y and held[3].k is held[2].k and held[3].y8 is held[2].y8
+        assert held[3].obs is not held[2].obs
+
+    def test_mixed_frames_rejected_with_the_held_views(self):
+        cams, markers, _, by_frame, template = self._scene()
+        tracker = self._tracker(cams, markers, template)
+        tracker._frame_arrays(by_frame[0])
+        # frame 0's views in frame 0's order, the last one from frame 1
+        mixed = by_frame[0][:-1] + by_frame[1][-1:]
+        assert [(d.cam, d.marker) for d in mixed] == [(d.cam, d.marker) for d in by_frame[0]]
+        with pytest.raises(ValidationError, match=r"frames \[0, 1\]"):
+            tracker.solve(mixed, warm=RigidTransform.identity())
+
+    @pytest.mark.parametrize("case", ["duplicate pair", "unknown marker", "missing intrinsics"])
+    def test_bad_view_set_raises_on_every_call(self, case):
+        cams, markers, frames, by_frame, template = self._scene()
+        good, bad = by_frame[0], list(by_frame[1])
+        if case == "duplicate pair":
+            bad.append(bad[0])
+            error, match = ValidationError, "duplicate detection"
+        elif case == "unknown marker":
+            bad.append(Detection(1, 0, 77, bad[0].corners))
+            error, match = ValidationError, r"marker ids \[77\]"
+        else:
+            # camera 9 is calibrated, but has no intrinsics
+            cams = {**cams, 9: cams[2]}
+            bad.append(Detection(1, 9, 0, bad[0].corners))
+            error, match = MissingIntrinsics, "camera 9"
+        warm = _perturb(frames[0], np.random.default_rng(5), 1.0, 0.01)
+        expected, expected_rms = self._tracker(cams, markers, template).solve(good, warm=warm)
+        tracker = self._tracker(cams, markers, template)
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                tracker.solve(bad, warm=frames[1])
+        # after the failures the good frame solves as on a fresh tracker, and
+        # the bad frame still fails after it, twice
+        for _ in range(2):
+            pose, rms = tracker.solve(good, warm=warm)
+            assert pose.as_matrix().tobytes() == expected.as_matrix().tobytes()
+            assert rms == expected_rms
+            for _ in range(2):
+                with pytest.raises(error, match=match):
+                    tracker.solve(bad, warm=frames[1])
