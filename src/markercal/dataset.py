@@ -426,7 +426,10 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
 
 def _quat_to_rotation(x: float, y: float, z: float, w: float) -> np.ndarray:
     q = np.array([w, x, y, z])
-    q /= np.linalg.norm(q)
+    norm = np.linalg.norm(q)
+    if not norm > 0.0:  # all zero, or too small to square
+        raise ValueError("quaternion of zero norm")
+    q /= norm
     w, x, y, z = q
     return np.array(
         [
@@ -438,30 +441,46 @@ def _quat_to_rotation(x: float, y: float, z: float, w: float) -> np.ndarray:
 
 
 def load_trajectory_csv(path) -> Trajectory:
-    """Inverse of save_trajectory_csv; loaded poses are marked as tracked."""
+    """Inverse of save_trajectory_csv; loaded poses are marked as tracked.
+
+    Raises ParseError naming the line for a line that is not UTF-8, a row
+    without 8 fields, a cell that is not a number, a non-finite cell, a
+    quaternion of zero norm, a row with only some of its pose cells empty
+    and a repeated t.
+    """
     traj = Trajectory()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        lines = utf8_lines(fh)
+        header = next(lines, (1, ""))[1].strip()
         if header != TRAJECTORY_HEADER:
             raise ParseError(f"unexpected trajectory header {header!r}", 1)
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, raw in lines:
             raw = raw.strip()
             if not raw:
                 continue
             parts = raw.split(",")
             if len(parts) != 8:
                 raise ParseError("expected 8 comma-separated fields", lineno)
+            empty = parts[1:].count("")
+            if 0 < empty < 7:
+                raise ParseError("some pose cells empty", lineno)
             try:
                 t = int(parts[0])
-                if parts[1] == "":
-                    traj.frames[t] = FrameState(None, SOURCE_TRACKED)
-                    continue
-                tx, ty, tz, qx, qy, qz, qw = (float(v) for v in parts[1:])
+                values = [] if empty else [float(v) for v in parts[1:]]
             except ValueError:
                 raise ParseError("malformed trajectory row", lineno) from None
-            pose = RigidTransform(
-                _quat_to_rotation(qx, qy, qz, qw), np.array([tx, ty, tz])
-            )
+            if t in traj.frames:
+                raise ParseError(f"repeated frame t={t}", lineno)
+            if not all(math.isfinite(v) for v in values):
+                raise ParseError("non-finite pose value", lineno)
+            pose = None
+            if values:
+                tx, ty, tz, qx, qy, qz, qw = values
+                try:
+                    rotation = _quat_to_rotation(qx, qy, qz, qw)
+                except ValueError as e:
+                    raise ParseError(str(e), lineno) from None
+                pose = RigidTransform(rotation, np.array([tx, ty, tz]))
             traj.frames[t] = FrameState(pose, SOURCE_TRACKED)
     return traj
 

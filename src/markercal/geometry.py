@@ -472,7 +472,8 @@ def undistort_arrays(pixels, k) -> np.ndarray:
     parameter, and broadcasts against (9,G,K). Fixed-point iteration, at
     most 30 rounds, run per group of K points: a group stops once its
     largest update falls below 1e-14, and a group without distortion takes
-    no round. Exact inverse of the projection model to ~1e-12 for moderate
+    no round; a batch without distortion returns after the pinhole step.
+    Exact inverse of the projection model to ~1e-12 for moderate
     distortion.
     """
     pix = np.asarray(pixels, dtype=np.float64)
@@ -482,6 +483,8 @@ def undistort_arrays(pixels, k) -> np.ndarray:
     out = np.empty(xd.shape + (2,))
     a, b = out[..., 0], out[..., 1]
     a[...], b[...] = xd, yd
+    if not np.count_nonzero(k[4:]):
+        return out
     dist = np.broadcast_to(k[4:], (5,) + a.shape)
     active = np.flatnonzero(np.any(dist != 0.0, axis=(0, 2)))
     for _ in range(30):

@@ -27,13 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoValidPose, NumericalFailure, ValidationError
-from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
+from .frame_init import SOURCE_REFINED, FrameState, Trajectory
 from .geometry import (
     CameraIntrinsics,
     IndexedPoses,
     MarkerTemplate,
-    PoseStack,
     RigidTransform,
+    _compose,
+    _invert,
     cross,
     project_arrays,
     projection_jacobian,
@@ -316,8 +317,8 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k):
     camera poses (rc, tc), each (N,...) or (1,...), against the observed
     corners obs (4N,2) of cameras with intrinsics k (9,4N), as corner_arrays
     builds them. Object poses rg (P,1,3,3) and tg (P,1,3) score P poses
-    against all N detections at once, pose-major, with obs and k tiled P
-    times.
+    against all N detections at once, pose-major, with k tiled P times; obs
+    broadcasts against each pose's projection.
 
     Returns (r, proj, a): the (8N,) or (8PN,) residuals, the forward
     Projection of the camera-frame corners R_c^T a, which _corner_jacobian
@@ -326,9 +327,9 @@ def _corner_residuals(y, rg, tg, rc, tc, obs, k):
     """
     a = np.matmul(y, rg.swapaxes(-1, -2)) + tg[..., None, :] - tc[..., None, :]
     proj = project_arrays(np.matmul(a, rc).reshape(-1, 3), k)
-    res = proj.pix - obs
+    res = proj.pix.reshape(-1, *obs.shape) - obs
     if not proj.front.all():
-        res[~proj.front] = BEHIND_RESIDUAL
+        res.reshape(-1, 2)[~proj.front] = BEHIND_RESIDUAL
     return res.reshape(-1), proj, a
 
 
@@ -650,7 +651,8 @@ class FrameTracker:
     camera- and marker-dependent quantities are precomputed once, and the
     arrays of a frame that shows the same ordered (cam, marker) views as the
     frame before are that frame's, so only its observed corners are
-    stacked. The tracker therefore treats its poses and intrinsics as
+    stacked; so are the cold start's proposal rows when every detection is
+    usable. The tracker therefore treats its poses and intrinsics as
     frozen: it reads them at construction and, per view set, on the first
     frame that shows it.
     """
@@ -670,11 +672,16 @@ class FrameTracker:
         # frame, formed as ResidualBuilder forms them
         rm, tm = self._marker_stack.poses.rotations, self._marker_stack.poses.translations
         self._y = np.matmul(template.corners, rm.transpose(0, 2, 1)) + tm[:, None, :]
+        # by marker position, the marker's inverse, row-major as
+        # geometry.invert_many forms it
+        rinv, tinv = _invert(rm, tm)
+        self._marker_inv = (np.ascontiguousarray(rinv), tinv)
         self.last_iterations = 0
-        # the last frame's ordered (cam, marker) views and its FrameArrays
-        # but obs; only views that passed every check are kept
-        self._views: tuple | None = None
-        self._view_arrays: tuple = ()
+        # the last frame's view set: its ordered (cam, marker) views, its
+        # FrameArrays but obs, and the cold start's proposal rows or None.
+        # Only views that passed every check are kept. One tuple, replaced
+        # whole, so that no reader pairs one view set with another's arrays.
+        self._view_set: tuple | None = None
 
     def _frame_arrays(self, dets: list[Detection]) -> FrameArrays:
         """The FrameArrays of a frame's detections. Raises ValidationError
@@ -686,7 +693,9 @@ class FrameTracker:
         if len(frames) > 1:
             raise ValidationError(f"one frame solve got detections of frames {sorted(frames)}")
         views = tuple([(d.cam, d.marker) for d in dets])
-        if views == self._views:
+        view_set = self._view_set
+        if view_set is not None and views == view_set[0]:
+            held = view_set[1]
             obs = np.array([d.corners for d in dets]).reshape(-1, 2)  # as corner_arrays
         else:
             if len(set(views)) < len(views):
@@ -698,8 +707,8 @@ class FrameTracker:
             obs, k = corner_arrays(dets, self.intrinsics)
             y = self._y[mi]
             held = (y, stack.rotations[ci], stack.translations[ci], k, mi, np.repeat(y, 2, axis=1))
-            self._views, self._view_arrays = views, held
-        return FrameArrays(*self._view_arrays, obs)
+            self._view_set = (views, held, None)
+        return FrameArrays(*held, obs)
 
     def cold_start(self, dets: list[Detection], arrays: FrameArrays | None = None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
@@ -707,39 +716,60 @@ class FrameTracker:
         The planar poses of all detections come from one planar_poses call
         over the frame's corners. Every usable detection, in sorted key
         order, proposes its best and then its alt pose, mapped into the
-        gauge (frame_init.object_poses) with the camera and marker rows that
-        `arrays` already hold. All proposals are scored in one reprojection
-        of the usable detections' corners, the proposals' poses broadcast
-        against the detections. The first proposal of least finite cost
-        wins; raises NoValidPose when
+        gauge as frame_init.object_poses maps it, G = C T M^-1, with the
+        camera rows that `arrays` already hold and the tracker's marker
+        inverses. All proposals are scored in one reprojection of the
+        frame's corners, the proposals' poses broadcast against the
+        detections, and each costs the sum over the usable detections. The
+        first proposal of least finite cost wins; raises NoValidPose when
         there is none. Scoring both solutions keeps an ambiguous first view
         from starting the track in the flipped basin. `arrays` are the
         frame's _frame_arrays, built here when not given.
+
+        When every detection is usable, the rows of the proposals (their
+        order, camera and marker-inverse rows and tiled intrinsics) depend
+        only on the view set, and are held with it.
         """
         arrays = arrays if arrays is not None else self._frame_arrays(dets)
         poses = planar_poses(arrays.obs, arrays.k, self.template)
         usable = poses.status == POSE_OK
-        flags = usable.tolist()
-        rows = [i for _, i in sorted((d.key, i) for i, d in enumerate(dets)) if flags[i]]
-        if not rows:
-            raise NoValidPose("no usable cold-start candidate in frame")
-        views = np.repeat(rows, 2)  # the detection of each proposal
-        proposals = object_poses(
-            PoseStack(arrays.rc[views], arrays.tc[views]),
-            PoseStack(poses.rotations[rows], poses.translations[rows]),
-            self._marker_stack.poses[arrays.markers[views]],
+        every = bool(usable.all())
+        view_set = self._view_set
+        # whether `arrays` are the held view set's (FrameArrays.k is field 3)
+        own = view_set is not None and view_set[1][3] is arrays.k
+        if every and own and view_set[2] is not None:
+            rows, rc, tc, mr, mt, k = view_set[2]
+        else:
+            flags = usable.tolist()
+            order = sorted((d.key, i) for i, d in enumerate(dets))
+            rows = np.array([i for _, i in order if flags[i]], dtype=np.intp)
+            if not len(rows):
+                raise NoValidPose("no usable cold-start candidate in frame")
+            views = np.repeat(rows, 2)  # the detection of each proposal
+            mi = arrays.markers[views]
+            rc, tc = arrays.rc[views], arrays.tc[views]
+            mr, mt = self._marker_inv[0][mi], self._marker_inv[1][mi]
+            k = np.tile(arrays.k, len(views))
+            if every and own:
+                self._view_set = (*view_set[:2], (rows, rc, tc, mr, mt, k))
+        rg, tg = _compose(
+            *_compose(rc, tc, poses.rotations[rows].reshape(-1, 3, 3),
+                      poses.translations[rows].reshape(-1, 3)),
+            mr, mt,
         )
-        n = len(proposals)
+        n = len(rg)
         r = _corner_residuals(
-            arrays.y, proposals.rotations[:, None], proposals.translations[:, None],
-            arrays.rc, arrays.tc, np.tile(arrays.obs, (n, 1)), np.tile(arrays.k, n),
-        )[0]
-        r = r.reshape(n, len(dets), 8)[:, usable].reshape(n, -1)
+            arrays.y, rg[:, None], tg[:, None], arrays.rc, arrays.tc, arrays.obs, k
+        )[0].reshape(n, len(dets), 8)
+        if not every:
+            r = r[:, usable]
+        r = r.reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():
             raise NoValidPose("no finite-cost cold-start candidate in frame")
-        return proposals[int(np.argmin(np.where(finite, cost, np.inf)))]
+        best = int(np.argmin(np.where(finite, cost, np.inf)))
+        return RigidTransform(rg[best], tg[best])
 
     def solve(
         self,
@@ -800,6 +830,21 @@ class _FrameSystem:
         return r
 
 
+# track_frame's last calibration and the tracker built from it: shallow
+# copies of the cams, markers and intrinsics dicts, the marker side and the
+# FrameTracker. One tuple, replaced whole, so that concurrent calls never
+# pair one calibration with another's tracker.
+_last_tracker: tuple | None = None
+_ABSENT = object()
+
+
+def _same_entries(given: dict, held: dict) -> bool:
+    """Whether `given` maps the keys of `held` to the very same objects."""
+    return len(given) == len(held) and all(
+        held.get(key, _ABSENT) is value for key, value in given.items()
+    )
+
+
 def track_frame(
     dets_t: list[Detection],
     cams: dict[int, RigidTransform],
@@ -809,6 +854,24 @@ def track_frame(
     warm: RigidTransform | None = None,
     opts: SolverOptions = SolverOptions(),
 ) -> tuple[RigidTransform | None, float | None]:
-    """One-shot frame solve; see FrameTracker for the reusable fast path."""
-    tracker = FrameTracker(cams, markers, intrinsics, template)
-    return tracker.solve(dets_t, warm, opts)
+    """One-frame solve, as FrameTracker(cams, markers, intrinsics,
+    template).solve(dets_t, warm, opts) returns it.
+
+    The tracker of the last call is reused while the calibration is the
+    same: each of the three dicts holds the same keys mapped to the same
+    objects (`is`) and the marker side is equal; otherwise a new tracker
+    replaces it. Like FrameTracker, it takes the calibration as frozen: a
+    pose or intrinsics array changed in place goes unseen, one replaced in
+    its dict does not.
+    """
+    global _last_tracker
+    last = _last_tracker
+    if (
+        last is None
+        or last[3] != template.side
+        or not all(map(_same_entries, (cams, markers, intrinsics), last[:3]))
+    ):
+        held = (dict(cams), dict(markers), dict(intrinsics))
+        last = (*held, template.side, FrameTracker(*held, template))
+        _last_tracker = last
+    return last[4].solve(dets_t, warm, opts)

@@ -742,6 +742,36 @@ class TestTrajectoryCsv:
         with pytest.raises(ParseError):
             load_trajectory_csv(p)
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("0,nan,0,1,0,0,0,1", "non-finite"),
+            ("0,0,0,1,0,0,inf,1", "non-finite"),
+            ("0,0,0,1,0,0,0,0", "zero norm"),
+            ("0,0,0,1,0,0,1e-200,0", "zero norm"),  # its square underflows
+            ("0,0,0,1,,,,", "some pose cells empty"),
+            ("0,,0,1,0,0,0,1", "some pose cells empty"),
+            ("1,0,0,1,0,0,0,1", "repeated frame t=1"),
+            ("1,,,,,,,", "repeated frame t=1"),
+            ("x,0,0,1,0,0,0,1", "malformed trajectory row"),
+            (",,,,,,,", "malformed trajectory row"),
+        ],
+    )
+    def test_bad_row_named(self, tmp_path, row, match):
+        # line 2 is good; the bad row is line 3 and nothing loads silently
+        p = tmp_path / "t.csv"
+        p.write_text(f"t,tx,ty,tz,qx,qy,qz,qw\n1,0.5,0,2,0,0,0,1\n{row}\n")
+        with pytest.raises(ParseError, match=match) as e:
+            load_trajectory_csv(p)
+        assert e.value.line == 3
+
+    def test_non_utf8_line_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"t,tx,ty,tz,qx,qy,qz,qw\n0,,,,,,,\n1,\xff,0,1,0,0,0,1\n")
+        with pytest.raises(ParseError, match="not UTF-8: byte 0xff at offset 2") as e:
+            load_trajectory_csv(p)
+        assert e.value.line == 3
+
 
 class TestGroundTruthRoundTrip:
     def test_round_trip(self, tmp_path):

@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from markercal import geometry, optimizer
 from markercal.errors import MissingIntrinsics, NoValidPose, NumericalFailure, ValidationError
-from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
+from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory, object_poses
 from markercal.geometry import (
     CameraIntrinsics,
+    IndexedPoses,
     MarkerTemplate,
+    PoseStack,
     RigidTransform,
     compose,
     invert,
@@ -1194,3 +1198,258 @@ class TestViewSetCache:
             for _ in range(2):
                 with pytest.raises(error, match=match):
                     tracker.solve(bad, warm=frames[1])
+
+
+def _cold_start_oracle(cams, markers, intr, template, dets):
+    """The cold start built from PoseStacks: frame_init.object_poses over the
+    gathered camera, planar and marker rows of the usable detections in key
+    order, every proposal scored against the observed corners and the
+    intrinsics tiled once per proposal, and the unusable detections' columns
+    gathered out of the residuals."""
+    arrays = FrameTracker(cams, markers, intr, template)._frame_arrays(dets)
+    poses = planar_poses(arrays.obs, arrays.k, template)
+    usable = poses.status == POSE_OK
+    flags = usable.tolist()
+    rows = [i for _, i in sorted((d.key, i) for i, d in enumerate(dets)) if flags[i]]
+    if not rows:
+        raise NoValidPose("no usable cold-start candidate in frame")
+    views = np.repeat(rows, 2)
+    proposals = object_poses(
+        PoseStack(arrays.rc[views], arrays.tc[views]),
+        PoseStack(poses.rotations[rows], poses.translations[rows]),
+        IndexedPoses.of(markers).poses[arrays.markers[views]],
+    )
+    n = len(proposals)
+    rg, tg = proposals.rotations[:, None], proposals.translations[:, None]
+    a = np.matmul(arrays.y, rg.swapaxes(-1, -2)) + tg[..., None, :] - arrays.tc[..., None, :]
+    proj = geometry.project_arrays(np.matmul(a, arrays.rc).reshape(-1, 3), np.tile(arrays.k, n))
+    r = proj.pix - np.tile(arrays.obs, (n, 1))
+    r[~proj.front] = BEHIND_RESIDUAL
+    r = r.reshape(n, len(dets), 8)[:, usable].reshape(n, -1)
+    cost = np.einsum("pi,pi->p", r, r)
+    finite = np.isfinite(cost)
+    if not finite.any():
+        raise NoValidPose("no finite-cost cold-start candidate in frame")
+    return proposals[int(np.argmin(np.where(finite, cost, np.inf)))]
+
+
+_LINE = np.array([[300.0, 200.0], [310.0, 210.0], [320.0, 220.0], [330.0, 230.0]])
+
+
+class TestColdStartOracle:
+    """cold_start gives the PoseStack cold start's pose bit for bit."""
+
+    def _scene(self, seed, dist=None, n_frames=1):
+        rng = np.random.default_rng(seed)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=5, n_markers=4, n_frames=n_frames, noise=0.4, dist=dist
+        )
+        by_frame = {t: [d for d in dets if d.t == t] for t in frames}
+        return cams, markers, intr, template, by_frame, rng
+
+    @staticmethod
+    def _check(tracker, calibration, dets):
+        got = tracker.cold_start(dets)
+        expected = _cold_start_oracle(*calibration, dets)
+        assert np.array_equal(got.rotation, expected.rotation)
+        assert np.array_equal(got.translation, expected.translation)
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_every_detection_usable(self, seed, dist):
+        cams, markers, intr, template, by_frame, _ = self._scene(seed, dist)
+        calibration = (cams, markers, intr, template)
+        self._check(FrameTracker(*calibration), calibration, by_frame[0])
+
+    def test_ambiguous_frames(self):
+        # criterion-5 geometry: most detections keep both planar poses
+        spec = SceneSpec(
+            n_cameras=5, circle_radius=0.20, camera_height=2.0,
+            intrinsics=CameraIntrinsics(
+                fx=1800.0, fy=1800.0, cx=640.0, cy=480.0, width=1280, height=960
+            ),
+            object="flat-grid", marker_side=0.06, n_frames=4, trajectory="orbit",
+            noise_sigma=0.5, ambiguity_stress=True, seed=5,
+        )
+        gt, dets, intr = generate(spec)
+        calibration = (gt.cams_gt.poses, gt.markers_gt.poses, intr, MarkerTemplate(spec.marker_side))
+        tracker = FrameTracker(*calibration)
+        for t in range(spec.n_frames):
+            self._check(tracker, calibration, [d for d in dets if d.t == t])
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_one_degenerate_quad(self, dist):
+        cams, markers, intr, template, by_frame, _ = self._scene(64, dist)
+        dets = list(by_frame[0])
+        dets[3] = Detection(0, dets[3].cam, dets[3].marker, _LINE)
+        calibration = (cams, markers, intr, template)
+        self._check(FrameTracker(*calibration), calibration, dets)
+
+    def test_one_detection_behind_the_camera(self):
+        # camera 9 sits on camera 2 but looks the other way, so the object
+        # is behind it; its detection has camera 2's corners of marker 1
+        cams, markers, intr, template, by_frame, _ = self._scene(65)
+        turn = RigidTransform(rotation_from_rvec(np.array([0.0, math.pi, 0.0])), np.zeros(3))
+        cams = {**cams, 9: compose(cams[2], turn)}
+        intr = {**intr, 9: intr[2]}
+        seen = next(d for d in by_frame[0] if (d.cam, d.marker) == (2, 1))
+        dets = [*by_frame[0], Detection(0, 9, 1, seen.corners)]
+        calibration = (cams, markers, intr, template)
+        tracker = FrameTracker(*calibration)
+        arrays = tracker._frame_arrays(dets)
+        truth_pose = tracker.solve(dets)[0]
+        r = optimizer._corner_residuals(
+            arrays.y, truth_pose.rotation[None], truth_pose.translation[None],
+            arrays.rc, arrays.tc, arrays.obs, arrays.k,
+        )[0]
+        assert (r.reshape(len(dets), 8)[-1] == BEHIND_RESIDUAL).all()
+        self._check(tracker, calibration, dets)
+
+    def test_shuffled_detection_order(self):
+        cams, markers, intr, template, by_frame, rng = self._scene(66)
+        calibration = (cams, markers, intr, template)
+        tracker = FrameTracker(*calibration)
+        for _ in range(3):
+            dets = list(by_frame[0])
+            rng.shuffle(dets)
+            self._check(tracker, calibration, dets)
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_repeated_and_changed_view_sets(self, dist):
+        # frames 0-2 show every view in key order (A), frame 3 drops two (B);
+        # then A again, and A with a degenerate quad, which the rows held
+        # for A must not serve
+        cams, markers, intr, template, by_frame, _ = self._scene(67, dist, n_frames=4)
+        calibration = (cams, markers, intr, template)
+        tracker = FrameTracker(*calibration)
+        b = by_frame[3][1:-1]
+        degenerate = list(by_frame[2])
+        degenerate[5] = Detection(2, degenerate[5].cam, degenerate[5].marker, _LINE)
+        for dets in (by_frame[0], by_frame[1], b, by_frame[2], degenerate, by_frame[0]):
+            self._check(tracker, calibration, dets)
+        held = tracker._view_set[2]
+        self._check(tracker, calibration, by_frame[1])
+        assert tracker._view_set[2] is held  # frame 1 reused A's proposal rows
+
+
+class TestTrackFrameMemo:
+    """track_frame reuses its tracker while the calibration is the same, and
+    every call returns what a new FrameTracker's solve returns."""
+
+    @pytest.fixture(autouse=True)
+    def _no_memo(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_last_tracker", None)
+
+    def _scene(self, seed=81):
+        rng = np.random.default_rng(seed)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=5, n_markers=4, n_frames=8, noise=0.3
+        )
+        by_frame = {t: [d for d in dets if d.t == t] for t in frames}
+        return cams, markers, intr, template, by_frame, rng
+
+    @staticmethod
+    def _solve_both(dets, cams, markers, intr, template, warm=None):
+        got, got_rms = track_frame(dets, cams, markers, intr, template, warm=warm)
+        expected, rms = FrameTracker(cams, markers, intr, template).solve(dets, warm=warm)
+        assert got.as_matrix().tobytes() == expected.as_matrix().tobytes()
+        assert got_rms == rms
+        return got
+
+    def test_changing_view_sets_match_new_trackers(self):
+        cams, markers, intr, template, by_frame, rng = self._scene()
+        for t, dets in sorted(by_frame.items()):
+            # frames 0-1 every view; later frames drop some and shuffle
+            dets = list(dets)
+            if t >= 2:
+                keep = rng.random(len(dets)) < 0.7
+                dets = [d for d, k in zip(dets, keep) if k]
+            if t % 3 == 2:
+                rng.shuffle(dets)
+            for _ in range(2):
+                self._solve_both(dets, cams, markers, intr, template)
+        tracker = optimizer._last_tracker[4]
+        track_frame(by_frame[0], cams, markers, intr, template)
+        assert optimizer._last_tracker[4] is tracker
+
+    @pytest.mark.parametrize("change", ["pose replaced in place", "new pose dict",
+                                        "new intrinsics dict", "marker side"])
+    def test_changed_calibration_gives_the_new_trackers_result(self, change):
+        cams, markers, intr, template, by_frame, rng = self._scene()
+        dets = by_frame[0]
+        before = self._solve_both(dets, cams, markers, intr, template)
+        tracker = optimizer._last_tracker[4]
+        moved = _perturb(markers[2], rng, 2.0, 0.005)
+        if change == "pose replaced in place":
+            markers[2] = moved
+        elif change == "new pose dict":
+            markers = {**markers, 2: moved}
+        elif change == "new intrinsics dict":
+            intr = {c: dataclasses.replace(i, fx=i.fx * 1.01) for c, i in intr.items()}
+        else:
+            template = MarkerTemplate(template.side * 1.01)
+        after = self._solve_both(dets, cams, markers, intr, template)
+        assert optimizer._last_tracker[4] is not tracker
+        assert after.as_matrix().tobytes() != before.as_matrix().tobytes()
+
+    def test_equal_side_and_entries_reuse_the_tracker(self):
+        cams, markers, intr, template, by_frame, _ = self._scene()
+        self._solve_both(by_frame[0], cams, markers, intr, template)
+        tracker = optimizer._last_tracker[4]
+        self._solve_both(by_frame[1], dict(cams), dict(markers), dict(intr),
+                         MarkerTemplate(template.side))
+        assert optimizer._last_tracker[4] is tracker
+
+    def test_alternating_calibrations(self):
+        cams, markers, intr, template, by_frame, rng = self._scene()
+        other = {c: (p if c == 0 else _perturb(p, rng, 1.0, 0.003)) for c, p in cams.items()}
+        results = {}
+        for _ in range(2):
+            for name, calibration in (("a", cams), ("b", other)):
+                for t in (0, 1):
+                    pose = self._solve_both(by_frame[t], calibration, markers, intr, template)
+                    results.setdefault((name, t), pose.as_matrix().tobytes())
+                    assert results[(name, t)] == pose.as_matrix().tobytes()
+        assert results[("a", 0)] != results[("b", 0)]
+
+    def test_concurrent_calls_match_new_trackers(self):
+        # four threads on two cores, switching every microsecond, over two
+        # calibrations and view sets that change from call to call
+        cams, markers, intr, template, by_frame, rng = self._scene()
+        other = {c: (p if c == 0 else _perturb(p, rng, 1.0, 0.003)) for c, p in cams.items()}
+        calls = []
+        for t, dets in sorted(by_frame.items()):
+            for calibration in (cams, other):
+                calls += [(dets, calibration), (dets[t % 3 :], calibration)]
+        expected = []
+        for dets, calibration in calls:
+            pose, rms = FrameTracker(calibration, markers, intr, template).solve(dets)
+            expected.append((pose.as_matrix().tobytes(), rms))
+
+        def solve(call):
+            pose, rms = track_frame(call[0], call[1], markers, intr, template)
+            return pose.as_matrix().tobytes(), rms
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(solve, calls * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+
+    def test_bad_input_raises_with_a_held_tracker(self):
+        cams, markers, intr, template, by_frame, _ = self._scene()
+        dets = by_frame[0]
+        track_frame(dets, cams, markers, intr, template)
+        cam = dets[-1].cam
+        no_intr = {c: i for c, i in intr.items() if c != cam}
+        for _ in range(2):
+            with pytest.raises(MissingIntrinsics) as e:
+                track_frame(dets, cams, markers, no_intr, template)
+            assert e.value.cam == cam
+            with pytest.raises(ValidationError, match=r"camera ids \[77\]"):
+                track_frame([*dets, Detection(0, 77, 0, dets[0].corners)],
+                            cams, markers, intr, template)
+        self._solve_both(dets, cams, markers, intr, template)
