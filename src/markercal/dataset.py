@@ -150,11 +150,20 @@ def load_detections(path) -> list:
     return [Detection(*key, c) for key, c in zip(first_line, corners)]
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def read_json(path):
-    """The document in a JSON file; a syntax error becomes ParseError with its line."""
+    """The document in a JSON file; a syntax error or an object that repeats
+    a key becomes ParseError, a syntax error with its line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
             raise ParseError(
                 f"invalid JSON: {getattr(e, 'msg', e)}", getattr(e, "lineno", None)
@@ -177,6 +186,27 @@ def json_scalar(val, kind: type, name: str):
         raise ValueError(
             f"{name} must be within double range, got a {len(str(abs(val)))}-digit integer"
         ) from None
+
+
+def parse_id(key: str, name: str) -> int:
+    """The integer id that `key` spells in the form the writers write,
+    str(id) == key; ValueError naming `name` otherwise. int() alone would
+    also read "01", " 2 ", "1_0" and non-ASCII digits."""
+    try:
+        n = int(key)
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise ValueError(f"{name} {key!r} is not a canonical integer id")
+    return n
+
+
+def id_items(obj, name: str) -> list:
+    """The (id, value) entries of `obj`, a JSON object keyed by ids, each key
+    read by parse_id; TypeError naming `name` when obj is not an object."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{name} must be a JSON object keyed by id")
+    return [(parse_id(key, f"{name} key"), val) for key, val in obj.items()]
 
 
 def parse_intrinsics(val, where: str) -> CameraIntrinsics:
@@ -204,14 +234,11 @@ def load_intrinsics(path) -> dict[int, CameraIntrinsics]:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("intrinsics file must be a JSON object keyed by camera id")
-    out = {}
-    for key, val in doc.items():
-        try:
-            cam = int(key)
-        except ValueError:
-            raise ValidationError(f"camera id {key!r} is not an integer") from None
-        out[cam] = parse_intrinsics(val, f"camera {key}")
-    return out
+    try:
+        items = id_items(doc, "intrinsics")
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
+    return {cam: parse_intrinsics(val, f"camera {cam}") for cam, val in items}
 
 
 def load_dataset(detections_path, intrinsics_path, marker_side: float,
@@ -331,7 +358,7 @@ def _structure_to_json(s: StructureEstimate) -> dict:
 
 
 def _structure_from_json(obj, kind: str) -> StructureEstimate:
-    poses = {int(i): _transform_from_json(p) for i, p in obj["poses"].items()}
+    poses = {i: _transform_from_json(p) for i, p in id_items(obj["poses"], f"{kind}s.poses")}
     edges = tuple(PairKey(a, b, kind) for a, b in obj.get("tree_edges", []))
     return StructureEstimate(json_scalar(obj["reference"], int, "reference"), poses, edges)
 
@@ -370,9 +397,9 @@ def load_calibration(path) -> CalibrationResult:
         cams = _structure_from_json(doc["cameras"], "camera")
         markers = _structure_from_json(doc["markers"], "marker")
         traj = Trajectory()
-        for t, entry in doc["trajectory"].items():
+        for t, entry in id_items(doc["trajectory"], "trajectory"):
             pose = entry["pose"]
-            traj.frames[int(t)] = FrameState(
+            traj.frames[t] = FrameState(
                 None if pose is None else _transform_from_json(pose),
                 json_scalar(entry["source"], str, "source"),
             )
@@ -384,8 +411,8 @@ def load_calibration(path) -> CalibrationResult:
                 final_rms=json_scalar(rep["final_rms"], float, "final_rms"),
                 iterations=json_scalar(rep["iterations"], int, "iterations"),
                 per_frame_rms={
-                    int(t): json_scalar(v, float, "per_frame_rms")
-                    for t, v in rep["per_frame_rms"].items()
+                    t: json_scalar(v, float, "per_frame_rms")
+                    for t, v in id_items(rep["per_frame_rms"], "report.per_frame_rms")
                 },
                 reason=json_scalar(rep.get("reason", ""), str, "reason"),
                 # files written before the count was saved load as 0
@@ -444,9 +471,10 @@ def load_trajectory_csv(path) -> Trajectory:
     """Inverse of save_trajectory_csv; loaded poses are marked as tracked.
 
     Raises ParseError naming the line for a line that is not UTF-8, a row
-    without 8 fields, a cell that is not a number, a non-finite cell, a
-    quaternion of zero norm, a row with only some of its pose cells empty
-    and a repeated t.
+    without 8 fields, a t that parse_id rejects, a pose cell that is not a
+    number as the writer writes it (ASCII, no "_", no surrounding space), a
+    non-finite cell, a quaternion of zero norm, a row with only some of its
+    pose cells empty and a repeated t.
     """
     traj = Trajectory()
     with open(path, "rb") as fh:
@@ -455,8 +483,8 @@ def load_trajectory_csv(path) -> Trajectory:
         if header != TRAJECTORY_HEADER:
             raise ParseError(f"unexpected trajectory header {header!r}", 1)
         for lineno, raw in lines:
-            raw = raw.strip()
-            if not raw:
+            raw = raw.rstrip("\r\n")
+            if not raw.strip():
                 continue
             parts = raw.split(",")
             if len(parts) != 8:
@@ -465,10 +493,12 @@ def load_trajectory_csv(path) -> Trajectory:
             if 0 < empty < 7:
                 raise ParseError("some pose cells empty", lineno)
             try:
-                t = int(parts[0])
+                t = parse_id(parts[0], "t")
+                if any("_" in v or not v.isascii() or v != v.strip() for v in parts[1:]):
+                    raise ValueError("pose cell not written as a plain number")
                 values = [] if empty else [float(v) for v in parts[1:]]
-            except ValueError:
-                raise ParseError("malformed trajectory row", lineno) from None
+            except ValueError as e:
+                raise ParseError(f"malformed trajectory row: {e}", lineno) from None
             if t in traj.frames:
                 raise ParseError(f"repeated frame t={t}", lineno)
             if not all(math.isfinite(v) for v in values):
@@ -505,8 +535,8 @@ def load_ground_truth(path):
     doc = read_json(path)
     try:
         traj = Trajectory()
-        for t, pose in doc["trajectory"].items():
-            traj.frames[int(t)] = FrameState(_transform_from_json(pose))
+        for t, pose in id_items(doc["trajectory"], "trajectory"):
+            traj.frames[t] = FrameState(_transform_from_json(pose))
         return GroundTruth(
             cams_gt=_structure_from_json(doc["cameras"], "camera"),
             markers_gt=_structure_from_json(doc["markers"], "marker"),

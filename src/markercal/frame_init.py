@@ -2,14 +2,14 @@
 
 Every detection of marker m in camera c proposes the object pose
 G = C_c * T * M_m^-1 (reference marker to reference camera) for each of its
-candidate marker poses T. object_poses forms them as one PoseStack from
-row-aligned stacks of camera, marker and marker-to-camera poses: the whole
-candidate table at once in calibration, one frame's proposals in the
-tracker's cold start. Within each frame, the proposal that best
-agrees with the rest, by the same summed probe-point distance used for
-pairwise selection, becomes the frame's initial pose: the proposal whose
-probe-point images lie nearest their frame's mean. All frames are selected
-in one batch, by one segmented pairwise.argmin_summed_distance call with one
+candidate marker poses T. object_poses, the one place that forms it, takes
+row-aligned arrays: the whole candidate table at once in calibration, one
+frame's proposals in FrameTracker.cold_start (which scores them by
+reprojection instead). Within each frame, the proposal that best agrees
+with the rest, by the same summed probe-point distance used for pairwise
+selection, becomes the frame's initial pose: the proposal whose probe-point
+images lie nearest their frame's mean. All frames are selected in one
+batch, by one segmented pairwise.argmin_summed_distance call with one
 segment per frame (O(n) overall); ties go to the first minimum of the
 closed-form totals, so exact duplicates resolve to the lowest proposal
 index.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PoseStack, RigidTransform, compose_many, invert_many
+from .geometry import PoseStack, RigidTransform, _compose, invert_many
 from .pairwise import argmin_summed_distance
 from .planar_pose import CandidateSet
 from .structure_init import StructureEstimate
@@ -60,11 +60,12 @@ class Trajectory:
         return len(self.frames)
 
 
-def object_poses(cams: PoseStack, poses: PoseStack, markers: PoseStack) -> PoseStack:
-    """G = C * T * M^-1, row by row: the object pose (reference marker to
-    reference camera) that a marker pose T, seen by camera C of marker M,
-    implies. The callers gather the camera and marker poses of each row."""
-    return compose_many(compose_many(cams, poses), invert_many(markers))
+def object_poses(rc, tc, rt, tt, rmi, tmi):
+    """G = C * T * M^-1, row by row, as (rotations, translations): the object
+    poses (reference marker to reference camera) that marker poses (rt, tt),
+    seen by cameras (rc, tc) of markers with inverses (rmi, tmi), imply. The
+    arrays are row-aligned; the inverses row-major, as invert_many forms them."""
+    return _compose(*_compose(rc, tc, rt, tt), rmi, tmi)
 
 
 def frame_candidates(
@@ -80,8 +81,10 @@ def frame_candidates(
     frames = np.repeat(table.keys[:, 0], table.counts)
     views = np.repeat(table.keys[:, 1:], table.counts, axis=0)
     c, m = cams.stacked, markers.stacked
-    cam_poses, marker_poses = c.poses[c.rows(views[:, 0])], m.poses[m.rows(views[:, 1])]
-    return FramePoseCandidates(frames, object_poses(cam_poses, table.poses, marker_poses))
+    cam, inv = c.poses[c.rows(views[:, 0])], invert_many(m.poses[m.rows(views[:, 1])])
+    g = object_poses(cam.rotations, cam.translations, table.poses.rotations,
+                     table.poses.translations, inv.rotations, inv.translations)
+    return FramePoseCandidates(frames, PoseStack(*g))
 
 
 def build_trajectory(proposals: FramePoseCandidates, probe: np.ndarray, n_frames: int) -> Trajectory:

@@ -27,15 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoValidPose, NumericalFailure, ValidationError
-from .frame_init import SOURCE_REFINED, FrameState, Trajectory
+from .frame_init import SOURCE_REFINED, FrameState, Trajectory, object_poses
 from .geometry import (
     CameraIntrinsics,
     IndexedPoses,
     MarkerTemplate,
     RigidTransform,
-    _compose,
-    _invert,
     cross,
+    invert_many,
     project_arrays,
     projection_jacobian,
     rotation_from_rvec,
@@ -631,9 +630,10 @@ def _calibrated_rows(stack: IndexedPoses, ids: list[int], kind: str) -> np.ndarr
 
 class FrameArrays(NamedTuple):
     """One frame's K detections, in their given order, as the tracker's
-    solves take them. All but obs depend only on the ordered (cam, marker)
-    views, and are shared by the frames of one view set: no solve writes
-    to them."""
+    solves take them. All but obs are the frame's view-set record: they
+    depend only on the ordered (cam, marker) views, are shared by the frames
+    of one view set, and no solve writes to them but the first cold start,
+    which fills `cold`."""
 
     y: np.ndarray  # (K,4,3) marker corners in the reference-marker frame
     rc: np.ndarray  # (K,3,3) camera rotations
@@ -641,6 +641,8 @@ class FrameArrays(NamedTuple):
     k: np.ndarray  # (9,4K) the corners' intrinsics
     markers: np.ndarray  # (K,) rows of the detections' markers in the marker stack
     y8: np.ndarray  # (K,8,3) y with each corner repeated for its x and its y residual
+    order: np.ndarray  # (K,) the detections in sorted key order
+    cold: list  # the cold start's (rc, tc, rmi, tmi, k) of all 2K proposals at [0], once formed
     obs: np.ndarray  # (4K,2) observed corners, as corner_arrays builds them
 
 
@@ -648,13 +650,12 @@ class FrameTracker:
     """Six-parameter pose solver over a fixed calibration.
 
     Splitting construction from solving keeps the per-frame cost low: all
-    camera- and marker-dependent quantities are precomputed once, and the
-    arrays of a frame that shows the same ordered (cam, marker) views as the
-    frame before are that frame's, so only its observed corners are
-    stacked; so are the cold start's proposal rows when every detection is
-    usable. The tracker therefore treats its poses and intrinsics as
-    frozen: it reads them at construction and, per view set, on the first
-    frame that shows it.
+    camera- and marker-dependent quantities are precomputed once, and a
+    frame that shows the same ordered (cam, marker) views as the frame
+    before shares that frame's view-set record (its FrameArrays but obs),
+    so only its observed corners are stacked. The tracker therefore treats
+    its poses and intrinsics as frozen: it reads them at construction and,
+    per view set, on the first frame that shows it.
     """
 
     def __init__(
@@ -672,15 +673,12 @@ class FrameTracker:
         # frame, formed as ResidualBuilder forms them
         rm, tm = self._marker_stack.poses.rotations, self._marker_stack.poses.translations
         self._y = np.matmul(template.corners, rm.transpose(0, 2, 1)) + tm[:, None, :]
-        # by marker position, the marker's inverse, row-major as
-        # geometry.invert_many forms it
-        rinv, tinv = _invert(rm, tm)
-        self._marker_inv = (np.ascontiguousarray(rinv), tinv)
+        self._marker_inv = invert_many(self._marker_stack.poses)  # by marker position
         self.last_iterations = 0
-        # the last frame's view set: its ordered (cam, marker) views, its
-        # FrameArrays but obs, and the cold start's proposal rows or None.
-        # Only views that passed every check are kept. One tuple, replaced
-        # whole, so that no reader pairs one view set with another's arrays.
+        # the last frame's ordered (cam, marker) views and its view-set
+        # record; only views that passed every check are kept. One tuple,
+        # replaced whole, so that no reader pairs one view set with
+        # another's record.
         self._view_set: tuple | None = None
 
     def _frame_arrays(self, dets: list[Detection]) -> FrameArrays:
@@ -695,7 +693,7 @@ class FrameTracker:
         views = tuple([(d.cam, d.marker) for d in dets])
         view_set = self._view_set
         if view_set is not None and views == view_set[0]:
-            held = view_set[1]
+            record = view_set[1]
             obs = np.array([d.corners for d in dets]).reshape(-1, 2)  # as corner_arrays
         else:
             if len(set(views)) < len(views):
@@ -706,9 +704,12 @@ class FrameTracker:
             stack = self._cam_stack.poses
             obs, k = corner_arrays(dets, self.intrinsics)
             y = self._y[mi]
-            held = (y, stack.rotations[ci], stack.translations[ci], k, mi, np.repeat(y, 2, axis=1))
-            self._view_set = (views, held, None)
-        return FrameArrays(*held, obs)
+            # one frame's keys differ only in (cam, marker)
+            order = np.array(sorted(range(len(views)), key=views.__getitem__), dtype=np.intp)
+            record = (y, stack.rotations[ci], stack.translations[ci], k, mi,
+                      np.repeat(y, 2, axis=1), order, [])
+            self._view_set = (views, record)
+        return FrameArrays(*record, obs)
 
     def cold_start(self, dets: list[Detection], arrays: FrameArrays | None = None) -> RigidTransform:
         """Initial pose chosen by whole-frame cost.
@@ -716,54 +717,42 @@ class FrameTracker:
         The planar poses of all detections come from one planar_poses call
         over the frame's corners. Every usable detection, in sorted key
         order, proposes its best and then its alt pose, mapped into the
-        gauge as frame_init.object_poses maps it, G = C T M^-1, with the
-        camera rows that `arrays` already hold and the tracker's marker
-        inverses. All proposals are scored in one reprojection of the
+        gauge by frame_init.object_poses. The rows of all 2K proposals
+        (camera and marker-inverse rows, intrinsics tiled 2K times) depend
+        only on the view set: the first cold start of a view set forms them
+        into its record, and each frame takes those of its usable
+        detections. All proposals are scored in one reprojection of the
         frame's corners, the proposals' poses broadcast against the
         detections, and each costs the sum over the usable detections. The
         first proposal of least finite cost wins; raises NoValidPose when
         there is none. Scoring both solutions keeps an ambiguous first view
         from starting the track in the flipped basin. `arrays` are the
         frame's _frame_arrays, built here when not given.
-
-        When every detection is usable, the rows of the proposals (their
-        order, camera and marker-inverse rows and tiled intrinsics) depend
-        only on the view set, and are held with it.
         """
         arrays = arrays if arrays is not None else self._frame_arrays(dets)
         poses = planar_poses(arrays.obs, arrays.k, self.template)
         usable = poses.status == POSE_OK
-        every = bool(usable.all())
-        view_set = self._view_set
-        # whether `arrays` are the held view set's (FrameArrays.k is field 3)
-        own = view_set is not None and view_set[1][3] is arrays.k
-        if every and own and view_set[2] is not None:
-            rows, rc, tc, mr, mt, k = view_set[2]
-        else:
-            flags = usable.tolist()
-            order = sorted((d.key, i) for i, d in enumerate(dets))
-            rows = np.array([i for _, i in order if flags[i]], dtype=np.intp)
-            if not len(rows):
-                raise NoValidPose("no usable cold-start candidate in frame")
-            views = np.repeat(rows, 2)  # the detection of each proposal
-            mi = arrays.markers[views]
-            rc, tc = arrays.rc[views], arrays.tc[views]
-            mr, mt = self._marker_inv[0][mi], self._marker_inv[1][mi]
-            k = np.tile(arrays.k, len(views))
-            if every and own:
-                self._view_set = (*view_set[:2], (rows, rc, tc, mr, mt, k))
-        rg, tg = _compose(
-            *_compose(rc, tc, poses.rotations[rows].reshape(-1, 3, 3),
-                      poses.translations[rows].reshape(-1, 3)),
-            mr, mt,
+        if not arrays.cold:
+            views = np.repeat(arrays.order, 2)  # the detection of each proposal
+            inv = self._marker_inv[arrays.markers[views]]
+            arrays.cold.append((arrays.rc[views], arrays.tc[views], inv.rotations,
+                                inv.translations, np.tile(arrays.k, len(views))))
+        rc, tc, rmi, tmi, k = arrays.cold[0]
+        kept = usable[arrays.order]
+        rows = arrays.order[kept]
+        if not len(rows):
+            raise NoValidPose("no usable cold-start candidate in frame")
+        pick = np.repeat(kept, 2)
+        rg, tg = object_poses(
+            rc[pick], tc[pick], poses.rotations[rows].reshape(-1, 3, 3),
+            poses.translations[rows].reshape(-1, 3), rmi[pick], tmi[pick],
         )
         n = len(rg)
         r = _corner_residuals(
-            arrays.y, rg[:, None], tg[:, None], arrays.rc, arrays.tc, arrays.obs, k
+            arrays.y, rg[:, None], tg[:, None], arrays.rc, arrays.tc, arrays.obs,
+            k[:, : n * len(arrays.obs)],
         )[0].reshape(n, len(dets), 8)
-        if not every:
-            r = r[:, usable]
-        r = r.reshape(n, -1)
+        r = r[:, usable].reshape(n, -1)
         cost = np.einsum("pi,pi->p", r, r)
         finite = np.isfinite(cost)
         if not finite.any():

@@ -406,6 +406,42 @@ class TestTrackCommand:
         assert err.startswith("error: ") and f"{field} must be a JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["cameras.poses", "trajectory", "report.per_frame_rms"])
+    def test_structure_array_exit_2(self, workdir, tmp_path, capsys, where):
+        # each was an AttributeError traceback and exit 1
+        doc = json.loads((workdir / "cal.json").read_text())
+        *path, last = where.split(".")
+        parent = doc[path[0]] if path else doc
+        parent[last] = list(parent[last].values())
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "track",
+            "--calibration", str(tmp_path / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{where} must be a JSON object" in err
+        assert "Traceback" not in err
+
+    def test_non_canonical_camera_id_exit_2(self, workdir, tmp_path, capsys):
+        # camera 1 given again as "01" with another fx
+        doc = json.loads((workdir / "intrinsics.json").read_text())
+        doc["01"] = {**doc["1"], "fx": doc["1"]["fx"] + 300.0}
+        (tmp_path / "intrinsics.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(tmp_path / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: intrinsics key '01' is not a canonical integer id\n"
+
     def test_stream_frame_index_going_back_exit_2(self, workdir, capsys, monkeypatch):
         # frames 0, 1, then 0 again: the repeated frame is rejected, naming
         # its line, after frame 0's row

@@ -386,6 +386,23 @@ class TestLoadIntrinsics:
         with pytest.raises(ValidationError, match="left"):
             load_intrinsics(p)
 
+    @pytest.mark.parametrize("key", ["01", " 2 ", "1_0", "\u0663", "+1", "-0"])
+    def test_non_canonical_camera_id(self, tmp_path, key):
+        # int() reads each of these; "01" beside "1" replaced camera 1's fx
+        p = tmp_path / "i.json"
+        cam = {"fy": 600, "cx": 320, "cy": 240}
+        p.write_text(json.dumps({"1": {"fx": 600, **cam}, key: {"fx": 900, **cam}}))
+        with pytest.raises(ValidationError, match="intrinsics key") as e:
+            load_intrinsics(p)
+        assert repr(key) in str(e.value)
+
+    def test_repeated_camera_id(self, tmp_path):
+        p = tmp_path / "i.json"
+        cam = '{"fx": %d, "fy": 600, "cx": 320, "cy": 240}'
+        p.write_text('{"1": %s, "1": %s}' % (cam % 600, cam % 900))
+        with pytest.raises(ParseError, match="repeated key '1'"):
+            load_intrinsics(p)
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "i.json"
         p.write_text(json.dumps({"0": {"fx": 600, "cx": 320, "cy": 240}}))
@@ -674,6 +691,46 @@ class TestCalibrationRoundTrip:
         with pytest.raises(ValidationError, match="source must be a JSON str"):
             load_calibration(p)
 
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "\u0661"])
+    @pytest.mark.parametrize("where", ["cameras.poses", "markers.poses", "trajectory",
+                                       "report.per_frame_rms"])
+    def test_non_canonical_id_rejected(self, tmp_path, where, key):
+        # int() read each key as an id; "01" beside "1" replaced entry 1
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        first, second = where.split(".") if "." in where else (where, None)
+        obj = doc[first] if second is None else doc[first][second]
+        obj[key] = next(iter(obj.values()))
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{where} key") as e:
+            load_calibration(p)
+        assert repr(key) in str(e.value)
+
+    @pytest.mark.parametrize("where", ["cameras.poses", "trajectory", "report.per_frame_rms"])
+    def test_structure_of_wrong_json_type_rejected(self, tmp_path, where):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        first, second = where.split(".") if "." in where else (where, None)
+        if second is None:
+            doc[first] = list(doc[first].values())
+        else:
+            doc[first][second] = list(doc[first][second].values())
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{where} must be a JSON object"):
+            load_calibration(p)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # json.load kept the last of two marker_side keys
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        text = p.read_text()
+        assert text.count('"marker_side": 0.04,') == 1
+        p.write_text(text.replace('"marker_side": 0.04,', '"marker_side": 0.04, "marker_side": 0.05,'))
+        with pytest.raises(ParseError, match="repeated key 'marker_side'"):
+            load_calibration(p)
+
     def test_report_loads_as_saved(self, tmp_path):
         # integral rms values are JSON numbers too; a file without `reason`
         # loads with the empty reason
@@ -755,6 +812,13 @@ class TestTrajectoryCsv:
             ("1,,,,,,,", "repeated frame t=1"),
             ("x,0,0,1,0,0,0,1", "malformed trajectory row"),
             (",,,,,,,", "malformed trajectory row"),
+            ("01,0,0,1,0,0,0,1", "t '01' is not a canonical integer id"),
+            ("1_0,0_1,0,1,0,0,0,1", "t '1_0' is not a canonical integer id"),
+            ("\u0663,0,0,1,0,0,0,1", "t '\u0663' is not a canonical integer id"),
+            ("3,0_1,0,1,0,0,0,1", "pose cell not written as a plain number"),
+            ("3, 1,0,1,0,0,0,1", "pose cell not written as a plain number"),
+            ("3,0,0,1,0,0,0,1 ", "pose cell not written as a plain number"),
+            ("3,\u0663,0,1,0,0,0,1", "pose cell not written as a plain number"),
         ],
     )
     def test_bad_row_named(self, tmp_path, row, match):
@@ -792,3 +856,24 @@ class TestGroundTruthRoundTrip:
             assert np.allclose(
                 st.pose.as_matrix(), g2.traj_gt.frames[t].pose.as_matrix(), atol=1e-12
             )
+
+    @pytest.mark.parametrize("key", ["00", "0_1"])
+    def test_non_canonical_frame_rejected(self, tmp_path, key):
+        gt, _, _ = generate(SceneSpec(n_cameras=3, n_frames=2, trajectory="orbit"))
+        p = tmp_path / "gt.json"
+        save_ground_truth(gt, p)
+        doc = json.loads(p.read_text())
+        doc["trajectory"][key] = doc["trajectory"].pop("1")
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"trajectory key '{key}'"):
+            load_ground_truth(p)
+
+    def test_trajectory_array_rejected(self, tmp_path):
+        gt, _, _ = generate(SceneSpec(n_cameras=3, n_frames=2, trajectory="orbit"))
+        p = tmp_path / "gt.json"
+        save_ground_truth(gt, p)
+        doc = json.loads(p.read_text())
+        doc["trajectory"] = list(doc["trajectory"].values())
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="trajectory must be a JSON object"):
+            load_ground_truth(p)

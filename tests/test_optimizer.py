@@ -10,7 +10,7 @@ import pytest
 
 from markercal import geometry, optimizer
 from markercal.errors import MissingIntrinsics, NoValidPose, NumericalFailure, ValidationError
-from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory, object_poses
+from markercal.frame_init import SOURCE_INIT, SOURCE_REFINED, FrameState, Trajectory
 from markercal.geometry import (
     CameraIntrinsics,
     IndexedPoses,
@@ -18,7 +18,9 @@ from markercal.geometry import (
     PoseStack,
     RigidTransform,
     compose,
+    compose_many,
     invert,
+    invert_many,
     project,
     rotation_angle,
     rotation_from_rvec,
@@ -1134,9 +1136,15 @@ class TestViewSetCache:
 
     @staticmethod
     def _assert_same_arrays(got, expected):
+        # every field; the arrays of the cold start's rows once both hold them
         for name, a, b in zip(FrameArrays._fields, got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+            if name == "cold":
+                a, b = (a[0], b[0]) if a and b else ((), ())
+            else:
+                a, b = [a], [b]
+            for x, z in zip(a, b):
+                assert x.dtype == z.dtype and x.shape == z.shape, name
+                assert x.tobytes() == z.tobytes(), name
 
     def test_view_sets_a_b_a_a_match_fresh_trackers(self):
         cams, markers, frames, by_frame, template = self._scene()
@@ -1146,17 +1154,28 @@ class TestViewSetCache:
         held = []
         for t, dets in enumerate(views):
             got = tracker._frame_arrays(dets)
-            expected = self._tracker(cams, markers, template)._frame_arrays(dets)
+            fresh = self._tracker(cams, markers, template)
+            expected = fresh._frame_arrays(dets)
             self._assert_same_arrays(got, expected)
             x = _twist(_perturb(frames[t], np.random.default_rng(t), 1.0, 0.01))
             got_system = _FrameSystem(got).system(x)
             expected_system = _FrameSystem(expected).system(x)
             assert got_system.residuals.tobytes() == expected_system.residuals.tobytes()
             assert got_system.jacobian.tobytes() == expected_system.jacobian.tobytes()
-            held.append(got)
-        # frames 2 and 3 show A again: only obs is new
-        assert held[3].y is held[2].y and held[3].k is held[2].k and held[3].y8 is held[2].y8
-        assert held[3].obs is not held[2].obs
+            cold = list(got.cold)  # the rows held before this frame's cold start
+            pose, expected_pose = tracker.cold_start(dets, got), fresh.cold_start(dets, expected)
+            assert pose.as_matrix().tobytes() == expected_pose.as_matrix().tobytes()
+            assert len(got.cold) == len(expected.cold) == 1
+            self._assert_same_arrays(got, expected)
+            held.append((got, cold))
+        # B reversed A's order: its record, rows and all, is its own
+        assert held[1][1] == [] and held[2][1] == []
+        # frames 2 and 3 show A again: only obs is new, and frame 3's cold
+        # start took the rows that frame 2's formed
+        (a2, _), (a3, cold3) = held[2], held[3]
+        assert a3.y is a2.y and a3.k is a2.k and a3.y8 is a2.y8 and a3.cold is a2.cold
+        assert a3.obs is not a2.obs
+        assert len(a3.cold) == 1 and a3.cold[0] is cold3[0]
 
     def test_mixed_frames_rejected_with_the_held_views(self):
         cams, markers, _, by_frame, template = self._scene()
@@ -1201,7 +1220,7 @@ class TestViewSetCache:
 
 
 def _cold_start_oracle(cams, markers, intr, template, dets):
-    """The cold start built from PoseStacks: frame_init.object_poses over the
+    """The cold start built from PoseStacks: G = C T M^-1 composed over the
     gathered camera, planar and marker rows of the usable detections in key
     order, every proposal scored against the observed corners and the
     intrinsics tiled once per proposal, and the unusable detections' columns
@@ -1214,10 +1233,12 @@ def _cold_start_oracle(cams, markers, intr, template, dets):
     if not rows:
         raise NoValidPose("no usable cold-start candidate in frame")
     views = np.repeat(rows, 2)
-    proposals = object_poses(
-        PoseStack(arrays.rc[views], arrays.tc[views]),
-        PoseStack(poses.rotations[rows], poses.translations[rows]),
-        IndexedPoses.of(markers).poses[arrays.markers[views]],
+    proposals = compose_many(
+        compose_many(
+            PoseStack(arrays.rc[views], arrays.tc[views]),
+            PoseStack(poses.rotations[rows], poses.translations[rows]),
+        ),
+        invert_many(IndexedPoses.of(markers).poses[arrays.markers[views]]),
     )
     n = len(proposals)
     rg, tg = proposals.rotations[:, None], proposals.translations[:, None]
@@ -1317,19 +1338,50 @@ class TestColdStartOracle:
     @pytest.mark.parametrize("dist", [None, DIST])
     def test_repeated_and_changed_view_sets(self, dist):
         # frames 0-2 show every view in key order (A), frame 3 drops two (B);
-        # then A again, and A with a degenerate quad, which the rows held
-        # for A must not serve
+        # then A again, and A with a degenerate quad, which takes the usable
+        # rows of those held for A
         cams, markers, intr, template, by_frame, _ = self._scene(67, dist, n_frames=4)
         calibration = (cams, markers, intr, template)
         tracker = FrameTracker(*calibration)
         b = by_frame[3][1:-1]
         degenerate = list(by_frame[2])
         degenerate[5] = Detection(2, degenerate[5].cam, degenerate[5].marker, _LINE)
+        formed = []
         for dets in (by_frame[0], by_frame[1], b, by_frame[2], degenerate, by_frame[0]):
             self._check(tracker, calibration, dets)
-        held = tracker._view_set[2]
-        self._check(tracker, calibration, by_frame[1])
-        assert tracker._view_set[2] is held  # frame 1 reused A's proposal rows
+            cold = tracker._view_set[1][-1]
+            assert len(cold) == 1
+            formed.append(cold[0])
+        # the rows are formed once per view set: A, B, then A again
+        a, b, a_again = formed[0], formed[2], formed[3]
+        assert formed[1] is a and formed[4] is a_again and formed[5] is a_again
+        assert len({id(a), id(b), id(a_again)}) == 3
+
+    @pytest.mark.parametrize("dist", [None, DIST])
+    def test_one_view_set_over_four_frames(self, dist):
+        # one view set whose usable detections change from frame to frame:
+        # one degenerate quad, then none, then another one, then all
+        cams, markers, intr, template, by_frame, _ = self._scene(68, dist, n_frames=4)
+        calibration = (cams, markers, intr, template)
+        views = [(d.cam, d.marker) for d in by_frame[0]]
+        frames = []
+        for t in range(4):
+            dets = {(d.cam, d.marker): d for d in by_frame[t]}
+            frames.append([dets[v] for v in views])
+        frames[0][2] = Detection(0, *views[2], _LINE)
+        frames[2][4] = Detection(2, *views[4], _LINE)
+        frames[3] = [Detection(3, *v, _LINE) for v in views]
+        tracker = FrameTracker(*calibration)
+        for dets in frames[:3]:
+            self._check(tracker, calibration, dets)
+        cold = tracker._view_set[1][-1]
+        with pytest.raises(NoValidPose, match="no usable"):
+            tracker.cold_start(frames[3])
+        with pytest.raises(NoValidPose, match="no usable"):
+            _cold_start_oracle(*calibration, frames[3])
+        # the first frame formed the rows of all proposals; the rest took them
+        assert tracker._view_set[1][-1] is cold and len(cold) == 1
+        assert len(cold[0][0]) == 2 * len(views)
 
 
 class TestTrackFrameMemo:
