@@ -323,11 +323,17 @@ def _transform_to_json(p: RigidTransform) -> dict:
     }
 
 
+def _json_floats(val, n: int, name: str) -> list:
+    """A JSON array of n numbers, each read by json_scalar; ValidationError
+    naming `name` when val is not an array of n entries."""
+    if not isinstance(val, list) or len(val) != n:
+        raise ValidationError(f"transform {name} must be an array of {n} numbers")
+    return [json_scalar(v, float, name) for v in val]
+
+
 def _transform_from_json(obj) -> RigidTransform:
-    rvec = np.asarray(obj["rvec"], dtype=np.float64)
-    tvec = np.asarray(obj["tvec"], dtype=np.float64)
-    if rvec.shape != (3,) or tvec.shape != (3,):
-        raise ValidationError("transform rvec/tvec must be 3-vectors")
+    rvec = np.array(_json_floats(obj["rvec"], 3, "rvec"))
+    tvec = np.array(_json_floats(obj["tvec"], 3, "tvec"))
     if not (np.isfinite(rvec).all() and np.isfinite(tvec).all()):
         raise ValidationError("transform rvec/tvec must be finite")
     if "matrix" not in obj:
@@ -335,9 +341,10 @@ def _transform_from_json(obj) -> RigidTransform:
     # The matrix stores the rotation exactly (rvec -> rotation is lossy in
     # the last ulps), so prefer it; rvec stays as the readable form and is
     # cross-checked so inconsistent hand edits fail loudly.
-    mat = np.asarray(obj["matrix"], dtype=np.float64)
-    if mat.shape != (4, 4):
+    rows = obj["matrix"]
+    if not isinstance(rows, list) or len(rows) != 4:
         raise ValidationError("transform matrix must be 4x4")
+    mat = np.array([_json_floats(row, 4, "matrix row") for row in rows])
     rot = mat[:3, :3]
     if not np.abs(rot.T @ rot - np.eye(3)).max() <= _ORTHONORMAL_TOL:  # NaN fails too
         raise ValidationError("transform matrix rotation is not orthonormal")
@@ -358,9 +365,26 @@ def _structure_to_json(s: StructureEstimate) -> dict:
 
 
 def _structure_from_json(obj, kind: str) -> StructureEstimate:
-    poses = {i: _transform_from_json(p) for i, p in id_items(obj["poses"], f"{kind}s.poses")}
-    edges = tuple(PairKey(a, b, kind) for a, b in obj.get("tree_edges", []))
-    return StructureEstimate(json_scalar(obj["reference"], int, "reference"), poses, edges)
+    """A structure whose reference and every tree-edge end is one of its
+    pose ids; ValueError or TypeError naming what is not."""
+    where = f"{kind}s"
+    poses = {i: _transform_from_json(p) for i, p in id_items(obj["poses"], f"{where}.poses")}
+    reference = json_scalar(obj["reference"], int, f"{where}.reference")
+    if reference not in poses:
+        raise ValueError(f"{where}.reference {reference} is not one of its poses")
+    edges = obj.get("tree_edges", [])
+    if not isinstance(edges, list):
+        raise TypeError(f"{where}.tree_edges must be a JSON array")
+    keys = []
+    for edge in edges:
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise TypeError(f"{where}.tree_edges entry must be a pair of ids, got {edge!r}")
+        ids = [json_scalar(v, int, f"{where}.tree_edges id") for v in edge]
+        unknown = [i for i in ids if i not in poses]
+        if unknown:
+            raise ValueError(f"{where}.tree_edges id {unknown[0]} is not one of its poses")
+        keys.append(PairKey(*ids, kind))
+    return StructureEstimate(reference, poses, tuple(keys))
 
 
 def save_calibration(result: CalibrationResult, path) -> None:

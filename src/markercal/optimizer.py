@@ -15,7 +15,8 @@ the dense camera-and-marker system of size 6 (C + M - 2) is solved.
 Tracking is the same refinement with the cameras and markers frozen: the
 same LM loop over one frame's six parameters, with a dense Jacobian. Both
 solvers take their residuals from `_corner_residuals` and their frame-twist
-derivatives from `_frame_columns`.
+derivatives from `_frame_columns`, and both keep the forward pass of the
+last point they projected, so that each LM point is projected once.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .geometry import (
     rotations_from_rvecs,
     rvec_from_rotation,
 )
-from .planar_pose import POSE_OK, Detection, corner_arrays, planar_poses
+from .planar_pose import POSE_OK, Detection, corner_arrays, intrinsics_columns, planar_poses
 from .structure_init import StructureEstimate
 
 # perfbench/tracing.py looks these names up to wrap them; nothing calls them
@@ -222,7 +223,9 @@ class _BlockPattern:
         fc = cols[:, 12:] - n_struct  # 6 * frame + coordinate
         # C-ordered (row, observation, column), so that ravel() is a view
         rows = np.ascontiguousarray(sc.T)[:, :, None]
-        aw_index = np.concatenate([rows * s1 + sc, s1 * s1 + rows * n_frame + fc], axis=2)
+        aw_index = np.empty((12, len(cols), 18), dtype=np.int64)
+        np.add(rows * s1, sc, out=aw_index[..., :12])
+        np.add(s1 * s1 + rows * n_frame, fc, out=aw_index[..., 12:])
         v_index = 6 * np.ascontiguousarray(fc.T)[:, :, None] + np.arange(6)
         return _BlockPattern(
             cols, n_struct, n_params, aw_index, v_index, np.where(cols < 0, n_params, cols)
@@ -341,23 +344,48 @@ def _corner_jacobian(proj) -> np.ndarray:
     return jac.reshape(-1, 4, 2, 3)
 
 
-def _frame_columns(pj, rc, rg, y8, s_frame):
-    """(dw, dy, block) from the pixel Jacobian pj of _corner_jacobian.
+def _frame_columns(pj, rc, rg, y8, s_frame, out):
+    """(dw, dy) from the pixel Jacobian pj of _corner_jacobian; writes the
+    residuals' derivatives by the frame twist into `out` (N,8,6), dw as a
+    view of its last three columns.
 
     dw and dy (N,8,3) are the residuals' derivatives by the corner in the
     reference-camera and in the reference-marker frame, one row per
-    residual; block (N,8,6) is their derivative by the frame twist,
-    [-(dy x y) S_g, dw] (v^T [p]x = (v x p)^T). y8 (N,8,3) is the corners y
-    of _corner_residuals with each repeated for its x and its y row. rc, rg
-    and the Rodrigues factor s_frame are (N,3,3) or (1,3,3).
+    residual; the frame columns are [-(dy x y) S_g, dw] (v^T [p]x =
+    (v x p)^T). y8 (N,8,3) is the corners y of _corner_residuals with each
+    repeated for its x and its y row. rc, rg and the Rodrigues factor
+    s_frame are (N,3,3) or (1,3,3).
     """
-    dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1))
+    dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1), out=out[..., 3:])
     dy = np.matmul(dw, rg)
-    rot_part = -np.matmul(cross(dy, y8), s_frame)
-    return dw, dy, np.concatenate([rot_part, dw], axis=-1)
+    rot_part = out[..., :3]
+    np.matmul(cross(dy, y8), s_frame, out=rot_part)
+    np.negative(rot_part, out=rot_part)
+    return dw, dy
 
 
-class ResidualBuilder:
+class _KeptForward:
+    """Keeps the forward pass of the last point it projected, keyed by the
+    bytes of that x: system(x) at the point that residuals(x) just evaluated
+    only adds the Jacobian, and residuals(x) there returns the kept
+    residuals. A caller may change x in place between the calls; the changed
+    x has other bytes and is projected again. The kept arrays are handed
+    out, not copied, so callers only read them. Each subclass defines
+    _forward(x), and system and residuals on itself (perfbench/tracing.py
+    wraps them by the owning class's own attributes).
+    """
+
+    _last: tuple | None = None  # (x bytes, forward pass)
+
+    def _kept(self, x: np.ndarray):
+        key = x.tobytes()
+        last = self._last
+        if last is None or last[0] != key:
+            last = self._last = (key, self._forward(x))
+        return last[1]
+
+
+class ResidualBuilder(_KeptForward):
     """Vectorized residual and block-Jacobian assembly over all detections.
 
     Observation order is fixed to sorted (t, cam, marker), the rows of
@@ -375,36 +403,40 @@ class ResidualBuilder:
         template: MarkerTemplate,
         layout: ParamLayout,
     ):
-        dets = sorted(detections, key=lambda d: d.key)
+        keys = np.array([d.key for d in detections], dtype=np.int64).reshape(-1, 3)
+        order = np.lexsort(keys.T[::-1])  # stable, as sorting the detections by key
         self.layout = layout
         self.template = template
-        self.keys = np.array([d.key for d in dets], dtype=np.int64).reshape(-1, 3)
-        self.n_obs = len(dets)
+        self.keys = keys[order]
+        self.n_obs = len(order)
         # camera, marker and frame offset of each observation; -6 for a reference
         offsets = layout.block_offsets(self.keys)
         self._rows = offsets // 6 + 1
         cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
         n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
         self._pattern = _BlockPattern.build(np.where(cols < 0, -1, cols), n_struct, layout.total)
-        self.obs_pix, self._k = corner_arrays(dets, intrinsics)
+        corners = np.array([d.corners for d in detections]).reshape(-1, 4, 2)
+        self.obs_pix = corners[order].reshape(-1, 2)  # as corner_arrays builds them
+        self._k = intrinsics_columns(self.keys[:, 1], intrinsics)
         self._u8 = np.repeat(template.corners, 2, axis=0)  # each corner's x and y row
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        _, rot, trans = self._pose_table(x)
-        return self._assemble_core(rot, trans)[0]
+        return self._kept(x)[1]
 
     def _pose_table(self, x: np.ndarray):
-        """x's (K,6) blocks, and rotations (K+1,3,3) and translations (K+1,3)
+        """Rotations (K+1,3,3) and translations (K+1,3) of x's K 6-blocks,
         with the reference identity in row 0."""
         blocks = x.reshape(-1, 6)
         rot = np.concatenate([np.eye(3)[None], rotations_from_rvecs(blocks[:, :3])])
         trans = np.concatenate([np.zeros((1, 3)), blocks[:, 3:]])
-        return blocks, rot, trans
+        return rot, trans
 
     # -- assembly -----------------------------------------------------------
 
-    def _assemble_core(self, rot, trans):
-        # one row per observation
+    def _forward(self, x: np.ndarray):
+        """The pose table's rotations, the residuals and the parts of the
+        forward pass that system() finishes, one row per observation."""
+        rot, trans = self._pose_table(x)
         rows = self._rows
         rc, tc = rot[rows[:, 0]], trans[rows[:, 0]]  # (N,3,3), (N,3)
         rm, tm = rot[rows[:, 1]], trans[rows[:, 1]]
@@ -413,38 +445,36 @@ class ResidualBuilder:
         u = self.template.corners  # (4,3)
         y = np.matmul(u, rm.transpose(0, 2, 1)) + tm[:, None, :]  # (N,4,3) marker pts in ref-marker frame
         r, proj, a = _corner_residuals(y, rg, tg, rc, tc, self.obs_pix, self._k)
-        return r, (rc, rg, rm, y, a, proj)
+        return rot, r, (rc, rg, rm, y, a, proj)
 
     def system(self, x: np.ndarray) -> ResidualSystem:
-        blocks, rot, trans = self._pose_table(x)
-        r, (rc, rg, rm, y, a, proj) = self._assemble_core(rot, trans)
+        rot, r, (rc, rg, rm, y, a, proj) = self._kept(x)
 
         # Rodrigues factors of every block, a camera's taken at -rvec (whose
         # rotation is R_c^T) since p_cam = R(-r_c) a; row 0 (references)
         # only fills columns that the pattern drops
         n_cam = len(self.layout.camera_ids)
-        rvecs, rots = blocks[:, :3].copy(), rot[1:].copy()
+        rvecs, rots = x.reshape(-1, 6)[:, :3].copy(), rot[1:].copy()
         rvecs[:n_cam] *= -1.0
         rots[:n_cam] = rots[:n_cam].transpose(0, 2, 1)
         factors = np.concatenate([np.zeros((1, 3, 3)), rotation_jacobian_factors(rvecs, rots)])
         s_cam, s_marker, s_frame = (factors[i] for i in self._rows.T)
 
-        # the camera's and the marker's rotation blocks are formed as the
-        # frame's, from dw and from du, the derivative by the corner in the
-        # marker frame; camera: p_cam = R(-r_c) a, so its sign works out positive
+        # the (N,8,18) blocks, camera | marker | frame, each column group
+        # written in place; a new array per call, since a caller may hold two
+        # systems. The camera's and the marker's rotation blocks are formed
+        # as the frame's, from dw and from du, the derivative by the corner
+        # in the marker frame; camera: p_cam = R(-r_c) a, so its sign works
+        # out positive
+        jac = np.empty((self.n_obs, 8, 18))
         y8 = np.repeat(y, 2, axis=1)
-        dw, dy, frame = _frame_columns(_corner_jacobian(proj), rc, rg, y8, s_frame)
-        du = np.matmul(dy, rm)
-        jac = np.concatenate(
-            [
-                np.matmul(cross(dw, np.repeat(a, 2, axis=1)), s_cam),
-                -dw,
-                -np.matmul(cross(du, self._u8), s_marker),
-                dy,
-                frame,
-            ],
-            axis=-1,
-        )  # (N,8,18)
+        dw, dy = _frame_columns(_corner_jacobian(proj), rc, rg, y8, s_frame, jac[..., 12:])
+        np.matmul(cross(dw, np.repeat(a, 2, axis=1)), s_cam, out=jac[..., :3])
+        np.negative(dw, out=jac[..., 3:6])
+        marker_rot = jac[..., 6:9]
+        np.matmul(cross(np.matmul(dy, rm), self._u8), s_marker, out=marker_rot)
+        np.negative(marker_rot, out=marker_rot)
+        jac[..., 9:12] = dy
         return ResidualSystem(r, BlockJacobian(jac, self._pattern))
 
     def per_frame_rms(self, residuals: np.ndarray) -> dict[int, float]:
@@ -780,19 +810,13 @@ class FrameTracker:
         return _pose(x), report.final_rms
 
 
-class _FrameSystem:
+class _FrameSystem(_KeptForward):
     """One frame's residuals and dense (8K,6) Jacobian, as lm_minimize takes
-    them: the refinement's kernels with the cameras and markers frozen.
-
-    It keeps the forward projection of its last residuals(x), keyed by the
-    bytes of that x, so that system(x) at an accepted point only adds the
-    Jacobian. A caller may change x between residuals(x) and system(x); the
-    changed x has other bytes and is projected again.
-    """
+    them: the refinement's kernels with the cameras and markers frozen, and
+    its forward pass kept as the refinement's is."""
 
     def __init__(self, arrays: FrameArrays):
         self.arrays = arrays
-        self._last = None  # (x bytes, rotation, residuals, projection)
 
     def _forward(self, x: np.ndarray):
         a = self.arrays
@@ -801,22 +825,17 @@ class _FrameSystem:
         return rot, r, proj
 
     def system(self, x: np.ndarray) -> ResidualSystem:
-        last = self._last
-        if last is not None and last[0] == x.tobytes():
-            rot, r, proj = last[1:]
-        else:
-            rot, r, proj = self._forward(x)
+        rot, r, proj = self._kept(x)
         a = self.arrays
         # the one-rvec factor: rotation_jacobian_factors on a batch of one
         # takes about 40 us against 4 us (timeit, 2-vCPU host)
         s_g = rotation_jacobian_factor(x[:3], rot)
-        frame = _frame_columns(_corner_jacobian(proj), a.rc, rot[None], a.y8, s_g[None])[2]
+        frame = np.empty((len(a.y), 8, 6))
+        _frame_columns(_corner_jacobian(proj), a.rc, rot[None], a.y8, s_g[None], frame)
         return ResidualSystem(r, frame.reshape(-1, 6))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        rot, r, proj = self._forward(x)
-        self._last = (x.tobytes(), rot, r, proj)
-        return r
+        return self._kept(x)[1]
 
 
 # track_frame's last calibration and the tracker built from it: shallow

@@ -406,6 +406,28 @@ class TestTrackCommand:
         assert err.startswith("error: ") and f"{field} must be a JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [([True, 2.5], "cameras.tree_edges id must be a JSON int, got True"),
+         ([7, 9], "cameras.tree_edges id 7 is not one of its poses")],
+        ids=["bool and fraction", "unknown cameras"],
+    )
+    def test_bad_tree_edge_exit_2(self, workdir, tmp_path, capsys, edge, message):
+        # each loaded, and tracking ran on the calibration
+        doc = json.loads((workdir / "cal.json").read_text())
+        doc["cameras"]["tree_edges"] = [edge]
+        (tmp_path / "cal.json").write_text(json.dumps(doc))
+        rc = cli.main([
+            "track",
+            "--calibration", str(tmp_path / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad calibration file: {message}\n"
+
     @pytest.mark.parametrize("where", ["cameras.poses", "trajectory", "report.per_frame_rms"])
     def test_structure_array_exit_2(self, workdir, tmp_path, capsys, where):
         # each was an AttributeError traceback and exit 1

@@ -746,6 +746,72 @@ class TestCalibrationRoundTrip:
         assert report.final_rms == 0.0 and isinstance(report.final_rms, float)
         assert report.reason == ""
 
+    @pytest.mark.parametrize("edge", [[True, 2.5], [0, "1"], [0.0, 1]],
+                             ids=["bool and fraction", "string", "float"])
+    def test_tree_edge_id_of_wrong_type_rejected(self, tmp_path, edge):
+        # [[true, 2.5]] loaded as PairKey(a=True, b=2.5) and saved back
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["cameras"]["tree_edges"] = [edge]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="cameras.tree_edges id must be a JSON int"):
+            load_calibration(p)
+
+    @pytest.mark.parametrize("where, edge, unknown", [("cameras", [7, 9], 7), ("markers", [0, 1], 1)])
+    def test_tree_edge_outside_poses_rejected(self, tmp_path, where, edge, unknown):
+        # cameras 7 and 9, and marker 1, are not in the file
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc[where]["tree_edges"] = [edge]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{where}.tree_edges id {unknown} is not one"):
+            load_calibration(p)
+
+    def test_tree_edge_not_a_pair_rejected(self, tmp_path):
+        # the string "01" unpacked into the ids "0" and "1"
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["cameras"]["tree_edges"] = ["01"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="tree_edges entry must be a pair of ids"):
+            load_calibration(p)
+
+    def test_reference_outside_poses_rejected(self, tmp_path):
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        doc["markers"]["reference"] = 5
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="markers.reference 5 is not one of its poses"):
+            load_calibration(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rvec", [True, False, False]),
+            ("tvec", ["0", 0.0, 0.0]),
+            ("matrix", [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, True]]),
+        ],
+    )
+    def test_transform_entry_of_wrong_type_rejected(self, tmp_path, field, value):
+        # each loaded: true as 1, the string "0" as 0.0, and the matrix's
+        # bottom row was never read
+        p = tmp_path / "cal.json"
+        save_calibration(self._result(), p)
+        doc = json.loads(p.read_text())
+        pose = doc["cameras"]["poses"]["0"]
+        if field == "rvec":
+            del pose["matrix"]
+        pose[field] = value
+        p.write_text(json.dumps(doc))
+        name = "matrix row" if field == "matrix" else field
+        with pytest.raises(ValidationError, match=f"{name} must be a JSON float"):
+            load_calibration(p)
+
     def test_rvec_only_transform_accepted(self, tmp_path):
         p = tmp_path / "cal.json"
         r1 = self._result()

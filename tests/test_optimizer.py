@@ -528,7 +528,7 @@ class TestFrameSystem:
         # the tracker gets the builder's own camera and marker poses, and its
         # one-rvec Rodrigues routines are swapped for the batched ones that
         # the builder uses, so both solvers see the same bits of every input
-        _, rot, trans = builder._pose_table(x)
+        rot, trans = builder._pose_table(x)
         n_cam, n_marker = len(layout.camera_ids), len(layout.marker_ids)
 
         def poses(ref, ids, first):
@@ -593,6 +593,185 @@ class TestFrameSystem:
         assert analytic.shape == (8 * len(dets), 6)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)
         assert rel.max() < 1e-4
+
+
+def _concatenated_frame_columns(pj, rc, rg, y8, s_frame):
+    """_frame_columns as it returned the frame columns: a new array joined
+    by np.concatenate after a negated copy."""
+    dw = np.matmul(pj.reshape(-1, 8, 3), rc.transpose(0, 2, 1))
+    dy = np.matmul(dw, rg)
+    rot_part = -np.matmul(geometry.cross(dy, y8), s_frame)
+    return dw, dy, np.concatenate([rot_part, dw], axis=-1)
+
+
+def _concatenated_system(builder, x):
+    """ResidualBuilder.system as it formed the (N,8,18) blocks: a forward
+    pass of its own, each column group a new array, joined by
+    np.concatenate. Returns (residuals, blocks)."""
+    rot, trans = builder._pose_table(x)
+    rows = builder._rows
+    rc, tc = rot[rows[:, 0]], trans[rows[:, 0]]
+    rm, tm = rot[rows[:, 1]], trans[rows[:, 1]]
+    rg, tg = rot[rows[:, 2]], trans[rows[:, 2]]
+    u = builder.template.corners
+    y = np.matmul(u, rm.transpose(0, 2, 1)) + tm[:, None, :]
+    r, proj, a = optimizer._corner_residuals(y, rg, tg, rc, tc, builder.obs_pix, builder._k)
+    n_cam = len(builder.layout.camera_ids)
+    rvecs, rots = x.reshape(-1, 6)[:, :3].copy(), rot[1:].copy()
+    rvecs[:n_cam] *= -1.0
+    rots[:n_cam] = rots[:n_cam].transpose(0, 2, 1)
+    factors = np.concatenate([np.zeros((1, 3, 3)), rotation_jacobian_factors(rvecs, rots)])
+    s_cam, s_marker, s_frame = (factors[i] for i in rows.T)
+    y8 = np.repeat(y, 2, axis=1)
+    dw, dy, frame = _concatenated_frame_columns(
+        optimizer._corner_jacobian(proj), rc, rg, y8, s_frame
+    )
+    du = np.matmul(dy, rm)
+    jac = np.concatenate(
+        [
+            np.matmul(geometry.cross(dw, np.repeat(a, 2, axis=1)), s_cam),
+            -dw,
+            -np.matmul(geometry.cross(du, np.repeat(u, 2, axis=0)), s_marker),
+            dy,
+            frame,
+        ],
+        axis=-1,
+    )
+    return r, jac
+
+
+class TestRefinementPasses:
+    """The refinement projects each LM point once and writes its blocks in
+    place; every array equals the one that the joined, twice-projected
+    assembly formed, byte for byte."""
+
+    SCENES = ["plain", "distorted", "behind"]
+
+    def _scene(self, name):
+        rng = np.random.default_rng(71)
+        if name == "behind":
+            cams, markers, frames, dets, intr, template = TestBehindCamera()._scene()
+        else:
+            dist = DIST if name == "distorted" else None
+            cams, markers, frames, dets, intr, template = _make_scene(
+                rng, n_cams=3, n_markers=3, n_frames=5, noise=0.3, dist=dist
+            )
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        x = pack_params(cams, markers, frames, layout)
+        if name != "behind":
+            x = x + rng.normal(scale=1e-3, size=x.size)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        assert (builder.residuals(x) == BEHIND_RESIDUAL).any() == (name == "behind")
+        return dets, intr, template, layout, x
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_in_place_blocks_equal_concatenated_blocks(self, scene):
+        dets, intr, template, layout, x = self._scene(scene)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        r, blocks = _concatenated_system(builder, x)
+        system = builder.system(x)
+        assert system.residuals.tobytes() == r.tobytes()
+        assert system.jacobian.blocks.tobytes() == blocks.tobytes()
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_tracker_frame_columns_equal_concatenated_columns(self, scene):
+        dets, intr, template, layout, x = self._scene(scene)
+        cams, markers, frames = unpack_params(x, layout)
+        tracker = FrameTracker(cams, markers, intr, template)
+        t = layout.frame_ids[0]
+        arrays = tracker._frame_arrays([d for d in dets if d.t == t])
+        frame_x = _twist(frames[t])
+        rot = rotation_from_rvec(frame_x[:3])
+        _, proj, _ = optimizer._corner_residuals(
+            arrays.y, rot[None], frame_x[None, 3:], arrays.rc, arrays.tc, arrays.obs, arrays.k
+        )
+        s_g = optimizer.rotation_jacobian_factor(frame_x[:3], rot)
+        frame = _concatenated_frame_columns(
+            optimizer._corner_jacobian(proj), arrays.rc, rot[None], arrays.y8, s_g[None]
+        )[2]
+        got = _FrameSystem(arrays).system(frame_x).jacobian
+        assert got.tobytes() == frame.reshape(-1, 6).tobytes()
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_system_after_residuals_makes_no_projection(self, scene, monkeypatch):
+        dets, intr, template, layout, x = self._scene(scene)
+        fresh = ResidualBuilder(dets, intr, template, layout).system(x)
+        builder = ResidualBuilder(dets, intr, template, layout)
+        r = builder.residuals(x.copy())
+        calls = _count_projections(monkeypatch)
+        got = builder.system(x)
+        again = builder.residuals(x)
+        assert calls == [0]
+        assert again is r
+        assert got.residuals.tobytes() == fresh.residuals.tobytes()
+        assert got.jacobian.blocks.tobytes() == fresh.jacobian.blocks.tobytes()
+
+    def test_x_changed_in_place_is_projected_again(self, monkeypatch):
+        dets, intr, template, layout, x = self._scene("distorted")
+        builder = ResidualBuilder(dets, intr, template, layout)
+        builder.residuals(x)
+        x[-4] += 1e-3  # a frame translation, changed in place
+        calls = _count_projections(monkeypatch)
+        got = builder.system(x)
+        assert calls == [1]
+        fresh = ResidualBuilder(dets, intr, template, layout).system(x)
+        assert got.residuals.tobytes() == fresh.residuals.tobytes()
+        assert got.jacobian.blocks.tobytes() == fresh.jacobian.blocks.tobytes()
+
+    def test_two_systems_held_at_once_keep_their_blocks(self):
+        dets, intr, template, layout, x = self._scene("plain")
+        builder = ResidualBuilder(dets, intr, template, layout)
+        first = builder.system(x)
+        kept = first.jacobian.blocks.copy()
+        builder.system(x + 1e-3)
+        assert first.jacobian.blocks.tobytes() == kept.tobytes()
+
+    def test_refine_all_projects_once_per_lm_point(self, monkeypatch):
+        # the first system and each LM trial project; the Jacobian at an
+        # accepted trial and the final per-frame rms reuse that trial's pass
+        rng = np.random.default_rng(33)
+        cams, markers, frames, dets, intr, template = _make_scene(rng, n_frames=10, noise=0.3)
+        init = TestRefineAll()._init_result(*_perturb_all(cams, markers, frames, rng))
+        projections = _count_projections(monkeypatch)
+        residual_calls = _count_calls(monkeypatch, ResidualBuilder, "residuals")
+        out = refine_all(init, dets, intr)
+        assert out.report.reason == REASON_MIN_IMPROVE
+        trials = residual_calls[0] - 1  # the last call reads the per-frame rms
+        assert trials == out.report.iterations >= 2
+        assert projections == [1 + trials]
+
+    def test_set_up_matches_sorted_detections(self):
+        # keys sorted by np.lexsort and intrinsics gathered per camera, against
+        # the detections sorted by key and stacked one by one
+        dets, template, layout, _ = TestPerCameraIntrinsics()._scene()
+        intr = TestPerCameraIntrinsics.INTR
+        shuffled = [dets[i] for i in np.random.default_rng(72).permutation(len(dets))]
+        builder = ResidualBuilder(shuffled, intr, template, layout)
+        ordered = sorted(shuffled, key=lambda d: d.key)
+        obs, k = corner_arrays(ordered, intr)
+        keys = np.array([d.key for d in ordered], dtype=np.int64)
+        assert builder.keys.tobytes() == keys.tobytes()
+        assert builder.obs_pix.tobytes() == obs.tobytes()
+        assert builder._k.tobytes() == k.tobytes()
+        # the joined camera/marker and camera/marker x frame indices
+        pattern = builder._pattern
+        n_struct, n_frame = pattern.n_struct, pattern.n_params - pattern.n_struct
+        s1 = n_struct + 1
+        sc = np.where(pattern.cols[:, :12] < 0, n_struct, pattern.cols[:, :12])
+        fc = pattern.cols[:, 12:] - n_struct
+        rows = np.ascontiguousarray(sc.T)[:, :, None]
+        aw_index = np.concatenate([rows * s1 + sc, s1 * s1 + rows * n_frame + fc], axis=2)
+        assert pattern.aw_index.tobytes() == aw_index.tobytes()
+
+    def test_missing_intrinsics_names_the_first_sorted_detections_camera(self):
+        # cameras 5 and 3 lack intrinsics; the first detection in key order
+        # is camera 5's, in frame 0
+        corners = np.array([[300.0, 220.0], [340.0, 220.0], [340.0, 260.0], [300.0, 260.0]])
+        dets = [Detection(1, 3, 0, corners), Detection(0, 5, 0, corners), Detection(0, 0, 0, corners)]
+        layout = ParamLayout.build([0, 3, 5], [0], [0, 1], 0, 0)
+        with pytest.raises(MissingIntrinsics) as e:
+            ResidualBuilder(dets, {0: _intr()}, MarkerTemplate(0.04), layout)
+        assert e.value.cam == 5
 
 
 class TestLmMinimize:

@@ -353,6 +353,24 @@ def _first_min(totals) -> int:
     return best
 
 
+def _argmin_stacked_images(poses, starts, probe):
+    """argmin_summed_distance with its probe images formed as a broadcast
+    stacked product p @ R^T, each pose's 3x3 product on its own."""
+    p = np.asarray(probe, dtype=np.float64).reshape(3, 3)
+    n = len(poses)
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    sizes = np.diff(starts, append=n)
+    seg = np.repeat(np.arange(len(starts)), sizes)
+    images = (p @ poses.rotations.transpose(0, 2, 1) + poses.translations[:, None, :]).reshape(n, 9)
+    sums = np.bincount((9 * seg[:, None] + np.arange(9)).ravel(), images.ravel(), 9 * len(starts))
+    centred = images - (sums.reshape(-1, 9) / sizes[:, None])[seg]
+    spread = np.sum(centred * centred, axis=1)
+    totals = sizes[seg] * spread + np.bincount(seg, spread)[seg]
+    first = (totals == np.minimum.reduceat(totals, starts)[seg]) | np.isnan(totals)
+    best = np.minimum.reduceat(np.where(first, np.arange(n), n), starts)
+    return best, totals[best]
+
+
 class TestSegmentedArgmin:
     def test_one_call_matches_brute_force_per_segment(self):
         rng = np.random.default_rng(211)
@@ -382,6 +400,26 @@ class TestSegmentedArgmin:
             expect = _first_min(oracle)
             assert rows[k] == starts[k] + expect, k
             assert totals[k] == pytest.approx(oracle[expect], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("probe", ["axis", "random"])
+    @pytest.mark.parametrize("segmented", [False, True], ids=["one segment", "segmented"])
+    def test_probe_images_in_one_product_match_stacked_images(self, probe, segmented):
+        # the probe images once came from a broadcast stacked product
+        # p @ R^T; forming them in one (3n,3) x (3,3) product gives the same
+        # rows and totals, byte for byte
+        rng = np.random.default_rng(229 + segmented)
+        p = PROBE if probe == "axis" else rng.normal(scale=0.05, size=(3, 3))
+        for n in (1, 2, 7, 500, 4096):
+            rvecs = rng.normal(size=(n, 3))
+            stack = PoseStack(rotations_from_rvecs(rvecs), rng.uniform(-1.0, 1.0, (n, 3)))
+            starts = [0]
+            if segmented and n > 1:
+                cuts = rng.choice(np.arange(1, n), size=min(n - 1, n // 5 + 1), replace=False)
+                starts = np.sort(np.append(cuts, 0))
+            rows, totals = argmin_summed_distance(stack, starts, p)
+            old_rows, old_totals = _argmin_stacked_images(stack, starts, p)
+            assert rows.tobytes() == old_rows.tobytes()
+            assert totals.tobytes() == old_totals.tobytes()
 
     @pytest.mark.parametrize("starts", [[], [1, 3], [0, 3, 2], [0, 2, 2], [0, 5], [-1, 2]])
     def test_bad_starts_raise(self, starts):
