@@ -44,7 +44,7 @@ from .geometry import (
     rotations_from_rvecs,
     rvec_from_rotation,
 )
-from .planar_pose import POSE_OK, Detection, corner_arrays, intrinsics_columns, planar_poses
+from .planar_pose import POSE_OK, Detection, corner_arrays, planar_poses
 from .structure_init import StructureEstimate
 
 # perfbench/tracing.py looks these names up to wrap them; nothing calls them
@@ -415,9 +415,7 @@ class ResidualBuilder(_KeptForward):
         cols = np.repeat(offsets, 6, axis=1) + np.tile(np.arange(6), 3)
         n_struct = 6 * (len(layout.camera_ids) + len(layout.marker_ids))
         self._pattern = _BlockPattern.build(np.where(cols < 0, -1, cols), n_struct, layout.total)
-        corners = np.array([d.corners for d in detections]).reshape(-1, 4, 2)
-        self.obs_pix = corners[order].reshape(-1, 2)  # as corner_arrays builds them
-        self._k = intrinsics_columns(self.keys[:, 1], intrinsics)
+        self.obs_pix, self._k = corner_arrays([detections[i] for i in order.tolist()], intrinsics)
         self._u8 = np.repeat(template.corners, 2, axis=0)  # each corner's x and y row
 
     def residuals(self, x: np.ndarray) -> np.ndarray:

@@ -143,35 +143,23 @@ class PlanarPoses:
 def corner_arrays(dets: list[Detection], intrinsics: dict[int, CameraIntrinsics]):
     """Observed corners (4N,2) of N detections and their intrinsics k (9,4N):
     one row per parameter (fx, fy, cx, cy, k1, k2, p1, p2, k3), one column
-    per corner, as project_arrays takes them. Raises MissingIntrinsics for
-    a detection whose camera has none."""
-    rows = _intrinsics_rows(intrinsics)
+    per corner, as project_arrays takes them. Raises MissingIntrinsics
+    naming the camera of the first detection whose camera has none."""
+    cams = [d.cam for d in dets]
+    # each distinct camera's row, in the order the detections first show it,
+    # so a missing one is met at its first detection. Python floats: np.array
+    # converts them far faster than np.float64s
+    pos = {c: i for i, c in enumerate(dict.fromkeys(cams))}
     try:
-        k = np.array([rows[d.cam] for d in dets], dtype=np.float64).reshape(-1, 9)
+        table = np.array(
+            [(i.fx, i.fy, i.cx, i.cy, *i.dist.tolist()) for i in map(intrinsics.__getitem__, pos)],
+            dtype=np.float64,
+        ).reshape(-1, 9)
     except KeyError as e:
         raise MissingIntrinsics(e.args[0]) from None
+    index = np.fromiter(map(pos.__getitem__, cams), np.intp, len(cams))
     obs = np.array([d.corners for d in dets]).reshape(-1, 2)
-    return obs, np.repeat(k.T, 4, axis=1)
-
-
-def _intrinsics_rows(intrinsics: dict[int, CameraIntrinsics]) -> dict:
-    """Each camera's (fx, fy, cx, cy, k1, k2, p1, p2, k3)."""
-    # Python floats throughout: np.array converts them far faster than np.float64s
-    return {c: (i.fx, i.fy, i.cx, i.cy, *i.dist.tolist()) for c, i in intrinsics.items()}
-
-
-def intrinsics_columns(cams: np.ndarray, intrinsics: dict[int, CameraIntrinsics]) -> np.ndarray:
-    """The (9,4N) intrinsics that corner_arrays builds for N detections of
-    the cameras `cams` (N,), gathered from one row per distinct camera.
-    Raises MissingIntrinsics naming the camera of the first detection whose
-    camera has none."""
-    ids, index = np.unique(cams, return_inverse=True)
-    rows = _intrinsics_rows(intrinsics)
-    missing = [c for c in ids.tolist() if c not in rows]
-    if missing:
-        raise MissingIntrinsics(cams[np.isin(cams, missing)][0].item())
-    table = np.array([rows[c] for c in ids.tolist()], dtype=np.float64).reshape(-1, 9)
-    return np.repeat(table[index].T, 4, axis=1)
+    return obs, np.repeat(table[index].T, 4, axis=1)
 
 
 def _fail(status: np.ndarray, ok: np.ndarray, bad: np.ndarray, code: int) -> np.ndarray:
