@@ -742,13 +742,16 @@ class TestRefinementPasses:
 
     def test_set_up_matches_sorted_detections(self):
         # keys sorted by np.lexsort and intrinsics gathered per camera, against
-        # the detections sorted by key and stacked one by one
+        # the detections sorted by key and stacked one by one, each with its
+        # camera's intrinsics row
         dets, template, layout, _ = TestPerCameraIntrinsics()._scene()
         intr = TestPerCameraIntrinsics.INTR
         shuffled = [dets[i] for i in np.random.default_rng(72).permutation(len(dets))]
         builder = ResidualBuilder(shuffled, intr, template, layout)
         ordered = sorted(shuffled, key=lambda d: d.key)
-        obs, k = corner_arrays(ordered, intr)
+        obs = np.array([d.corners for d in ordered]).reshape(-1, 2)
+        rows = [(i.fx, i.fy, i.cx, i.cy, *i.dist.tolist()) for i in (intr[d.cam] for d in ordered)]
+        k = np.repeat(np.array(rows, dtype=np.float64).T, 4, axis=1)
         keys = np.array([d.key for d in ordered], dtype=np.int64)
         assert builder.keys.tobytes() == keys.tobytes()
         assert builder.obs_pix.tobytes() == obs.tobytes()

@@ -22,6 +22,7 @@ from markercal.geometry import (
     undistort_arrays,
 )
 from markercal import planar_pose
+from markercal.errors import MissingIntrinsics
 from markercal.planar_pose import (
     DEGENERATE_QUAD,
     NO_VALID_POSE,
@@ -260,6 +261,30 @@ class TestPlanarPosesBatch:
     def test_empty_batch(self):
         poses = _batch([], {0: INTR})
         assert poses.rotations.shape == (0, 2, 3, 3) and poses.status.shape == (0,)
+
+
+class TestCornerArrays:
+    def test_per_camera_gather_equals_per_detection_rows(self):
+        # cameras shown out of order and repeated: every detection's columns
+        # carry its own camera's row, as stacking one row per detection does
+        rng = np.random.default_rng(101)
+        intrinsics = {0: INTR, 1: DISTORTED, 7: DISTORTED, 4: INTR}
+        cams = [7, 0, 7, 4, 1, 0, 0, 4]
+        dets = [Detection(0, c, m, rng.uniform(0.0, 600.0, (4, 2))) for m, c in enumerate(cams)]
+        obs, k = corner_arrays(dets, intrinsics)
+        rows = [(i.fx, i.fy, i.cx, i.cy, *i.dist.tolist()) for i in (intrinsics[c] for c in cams)]
+        assert k.tobytes() == np.repeat(np.array(rows).T, 4, axis=1).tobytes()
+        assert obs.tobytes() == np.array([d.corners for d in dets]).reshape(-1, 2).tobytes()
+        obs, k = corner_arrays([], intrinsics)
+        assert obs.shape == (0, 2) and k.shape == (9, 0)
+
+    def test_missing_intrinsics_names_the_first_detections_camera(self):
+        # cameras 3 and 5 lack intrinsics; camera 5's detection comes first
+        corners = _detect(RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.0]))).corners
+        dets = [Detection(0, c, m, corners) for m, c in enumerate([0, 5, 3, 5])]
+        with pytest.raises(MissingIntrinsics) as e:
+            corner_arrays(dets, {0: INTR})
+        assert e.value.cam == 5
 
 
 def _status_quads(n: int, seed: int = 2027):
