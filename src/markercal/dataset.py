@@ -1,4 +1,5 @@
-"""File formats: detections (JSON lines), intrinsics, calibration, trajectories.
+"""File formats: detections (JSON lines), intrinsics, calibration, and the
+trajectory CSV, which is written only (no program path reads it back).
 
 All writers are atomic (write to a temp file in the target directory, then
 rename), so a crashed run never leaves a half-written file, and all output
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingIntrinsics, ParseError, ValidationError
-from .frame_init import SOURCE_TRACKED, FrameState, Trajectory
+from .frame_init import FrameState, Trajectory
 from .geometry import (
     CameraIntrinsics,
     MarkerTemplate,
@@ -473,70 +474,6 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
     lines = [TRAJECTORY_HEADER]
     lines += [trajectory_csv_row(t, st.pose) for t, st in sorted(traj.frames.items())]
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _quat_to_rotation(x: float, y: float, z: float, w: float) -> np.ndarray:
-    q = np.array([w, x, y, z])
-    norm = np.linalg.norm(q)
-    if not norm > 0.0:  # all zero, or too small to square
-        raise ValueError("quaternion of zero norm")
-    q /= norm
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def load_trajectory_csv(path) -> Trajectory:
-    """Inverse of save_trajectory_csv; loaded poses are marked as tracked.
-
-    Raises ParseError naming the line for a line that is not UTF-8, a row
-    without 8 fields, a t that parse_id rejects, a pose cell that is not a
-    number as the writer writes it (ASCII, no "_", no surrounding space), a
-    non-finite cell, a quaternion of zero norm, a row with only some of its
-    pose cells empty and a repeated t.
-    """
-    traj = Trajectory()
-    with open(path, "rb") as fh:
-        lines = utf8_lines(fh)
-        header = next(lines, (1, ""))[1].strip()
-        if header != TRAJECTORY_HEADER:
-            raise ParseError(f"unexpected trajectory header {header!r}", 1)
-        for lineno, raw in lines:
-            raw = raw.rstrip("\r\n")
-            if not raw.strip():
-                continue
-            parts = raw.split(",")
-            if len(parts) != 8:
-                raise ParseError("expected 8 comma-separated fields", lineno)
-            empty = parts[1:].count("")
-            if 0 < empty < 7:
-                raise ParseError("some pose cells empty", lineno)
-            try:
-                t = parse_id(parts[0], "t")
-                if any("_" in v or not v.isascii() or v != v.strip() for v in parts[1:]):
-                    raise ValueError("pose cell not written as a plain number")
-                values = [] if empty else [float(v) for v in parts[1:]]
-            except ValueError as e:
-                raise ParseError(f"malformed trajectory row: {e}", lineno) from None
-            if t in traj.frames:
-                raise ParseError(f"repeated frame t={t}", lineno)
-            if not all(math.isfinite(v) for v in values):
-                raise ParseError("non-finite pose value", lineno)
-            pose = None
-            if values:
-                tx, ty, tz, qx, qy, qz, qw = values
-                try:
-                    rotation = _quat_to_rotation(qx, qy, qz, qw)
-                except ValueError as e:
-                    raise ParseError(str(e), lineno) from None
-                pose = RigidTransform(rotation, np.array([tx, ty, tz]))
-            traj.frames[t] = FrameState(pose, SOURCE_TRACKED)
-    return traj
 
 
 def save_ground_truth(gt, path) -> None:

@@ -9,11 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from markercal import cli
 from markercal.dataset import (
     load_calibration,
-    load_trajectory_csv,
     save_detections,
     save_intrinsics,
 )
@@ -238,11 +238,16 @@ class TestTrackCommand:
         err = capsys.readouterr().err
         assert "tracked 10/10 frames" in err
         assert "solve time" in err
-        traj = load_trajectory_csv(tmp_path / "traj.csv")
+        rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
         cal = load_calibration(workdir / "cal.json")
-        for t, st in cal.traj.frames.items():
-            d = np.abs(traj.frames[t].pose.as_matrix() - st.pose.as_matrix()).max()
-            assert d < 1e-5
+        assert [int(row.split(",")[0]) for row in rows] == sorted(cal.traj.frames)
+        for row in rows:
+            t, *values = row.split(",")
+            st = cal.traj.frames[int(t)]
+            tx, ty, tz, *quat = (float(v) for v in values)
+            assert np.abs(np.array([tx, ty, tz]) - st.pose.translation).max() < 1e-5
+            d = Rotation.from_quat(quat).as_matrix() - st.pose.rotation
+            assert np.abs(d).max() < 1e-5
 
     def test_stream_mode(self, workdir, tmp_path, capsys, monkeypatch):
         lines = (workdir / "detections.jsonl").read_text()
