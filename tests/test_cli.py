@@ -656,3 +656,67 @@ class TestImports:
         )
         assert "numpy" in loaded
         assert "scipy" not in loaded
+
+
+def _run_without_scipy(args: list[str]) -> subprocess.CompletedProcess:
+    """`markercal args` in a fresh interpreter in which `import scipy` fails."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from markercal import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestWithoutScipy:
+    """Each command runs on numpy alone, the one runtime dependency; these
+    reach the imports made inside functions, which TestImports does not."""
+
+    def test_synth(self, tmp_path):
+        run = _run_without_scipy(["synth", "--output-dir", str(tmp_path / "o")])
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "o" / "detections.jsonl").stat().st_size > 0
+
+    def test_calibrate(self, workdir, tmp_path):
+        run = _run_without_scipy([
+            "calibrate",
+            "--detections", str(workdir / "detections.jsonl"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--marker-side", "0.04",
+            "--output", str(tmp_path / "cal.json"),
+        ])
+        assert run.returncode == 0, run.stderr
+        got, want = load_calibration(tmp_path / "cal.json"), load_calibration(workdir / "cal.json")
+        assert sorted(got.traj.frames) == sorted(want.traj.frames)
+        for t, st in want.traj.frames.items():
+            d = np.abs(got.traj.frames[t].pose.as_matrix() - st.pose.as_matrix()).max()
+            assert d < 1e-9
+
+    def test_eval(self, workdir, tmp_path):
+        run = _run_without_scipy([
+            "eval",
+            "--calibration", str(workdir / "cal.json"),
+            "--ground-truth", str(workdir / "ground_truth.json"),
+            "--output", str(tmp_path / "report.json"),
+        ])
+        assert run.returncode == 0, run.stderr
+        values = list(json.loads((tmp_path / "report.json").read_text()).values())
+        assert len(values) == 4
+        assert all(type(v) is float and math.isfinite(v) for v in values)
+
+    def test_track(self, workdir, tmp_path):
+        run = _run_without_scipy([
+            "track",
+            "--calibration", str(workdir / "cal.json"),
+            "--intrinsics", str(workdir / "intrinsics.json"),
+            "--detections", str(workdir / "detections.jsonl"),
+            "--output", str(tmp_path / "traj.csv"),
+        ])
+        assert run.returncode == 0, run.stderr
+        rows = (tmp_path / "traj.csv").read_text().splitlines()
+        assert rows[0] == "t,tx,ty,tz,qx,qy,qz,qw"
+        assert [row.split(",")[0] for row in rows[1:]] == [str(t) for t in range(10)]

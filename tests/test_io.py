@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from markercal.dataset import (
     save_ground_truth,
     save_intrinsics,
     save_trajectory_csv,
+    trajectory_csv_row,
 )
 from markercal.errors import MissingIntrinsics, ParseError, ValidationError
 from markercal.frame_init import SOURCE_INIT, FrameState, Trajectory
@@ -508,6 +510,19 @@ class TestAtomicWrite:
         atomic_write(tmp_path / "out.txt", "data")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt"]
 
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "out.txt"
+        p.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write(p, "new")
+        assert p.read_text() == "old"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt"]
+
 
 class TestDetectionRoundTrip:
     def test_byte_identical(self, tmp_path):
@@ -850,6 +865,64 @@ class TestTrajectoryCsv:
             np.testing.assert_allclose(
                 Rotation.from_quat(quat).as_matrix(), pose.rotation, rtol=0, atol=1e-12
             )
+
+    _HALF_TURN_XY = (math.pi * math.sqrt(0.5), math.pi * math.sqrt(0.5), 0.0)
+    _HALF_TURN_XYZ = (math.pi / math.sqrt(3.0),) * 3
+
+    @pytest.mark.parametrize(
+        "rvec",
+        [
+            (0.0, 0.0, 0.0),  # identity
+            (1e-9, 0.0, 0.0),  # a tiny angle
+            (0.3, -0.2, 0.1),  # positive trace
+            (math.pi, 0.0, 0.0),  # half turns: w = 0, one branch per axis
+            (0.0, math.pi, 0.0),
+            (0.0, 0.0, math.pi),
+            _HALF_TURN_XY,  # m00 = m11 tie
+            _HALF_TURN_XYZ,  # three-way diagonal tie
+            (3.0, 0.0, 0.0),  # negative trace
+            (-3.0, 0.0, 0.0),  # negative trace and w < 0 before the sign flip,
+            (0.0, -3.0, 0.0),  # one per axis branch
+            (0.0, 0.0, -3.0),
+        ],
+    )
+    def test_row_quaternion_gives_back_rotation(self, rvec):
+        pose = RigidTransform(rotation_from_rvec(np.array(rvec)), np.array([0.05, 0.2, 1.0]))
+        cells = trajectory_csv_row(4, pose).split(",")
+        assert len(cells) == 8 and cells[0] == "4"
+        x, y, z, w = (float(v) for v in cells[4:])
+        assert w >= 0.0
+        assert abs(math.sqrt(x * x + y * y + z * z + w * w) - 1.0) < 1e-15
+        np.testing.assert_allclose(
+            Rotation.from_quat([x, y, z, w]).as_matrix(), pose.rotation, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "translation",
+        [(0.1, 0.2, 0.3), (-0.0, 1e-300, -1e300), (5e-324, 123456789.0123456, -2.5)],
+    )
+    def test_row_translation_reads_back_bit_for_bit(self, translation):
+        row = trajectory_csv_row(0, RigidTransform(np.eye(3), np.array(translation)))
+        cells = row.split(",")[1:4]
+        # packed, so that -0.0 and 0.0 differ
+        assert [struct.pack("<d", float(c)) for c in cells] == [
+            struct.pack("<d", v) for v in translation
+        ]
+
+    def test_rows_in_t_order(self, tmp_path):
+        traj = Trajectory()
+        for t in (12, 0, 2**53 + 1, 3):
+            traj.frames[t] = FrameState(None if t == 3 else _pose())
+        p = tmp_path / "t.csv"
+        save_trajectory_csv(traj, p)
+        rows = p.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "3", "12", str(2**53 + 1)]
+        assert rows[1] == "3,,,,,,,"
+
+    def test_empty_trajectory_writes_header_only(self, tmp_path):
+        p = tmp_path / "t.csv"
+        save_trajectory_csv(Trajectory(), p)
+        assert p.read_bytes() == b"t,tx,ty,tz,qx,qy,qz,qw\n"
 
 
 class TestGroundTruthRoundTrip:
