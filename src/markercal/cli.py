@@ -13,6 +13,7 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import MISSING, fields
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -190,20 +191,6 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-_SYNTH_SCALAR_FIELDS = {
-    "n_cameras": int,
-    "circle_radius": float,
-    "camera_height": float,
-    "object": str,
-    "marker_side": float,
-    "n_frames": int,
-    "trajectory": str,
-    "noise_sigma": float,
-    "ambiguity_stress": bool,
-    "seed": int,
-}
-
-
 def _load_scene_spec(path: str | None):
     from .dataset import json_scalar, parse_intrinsics, read_json
     from .errors import ValidationError
@@ -214,13 +201,16 @@ def _load_scene_spec(path: str | None):
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("scene spec must be a JSON object")
+    # each scalar field takes the JSON type of its default; intrinsics, the
+    # one field with a default factory, is parsed on its own
+    scalars = {f.name: type(f.default) for f in fields(SceneSpec) if f.default is not MISSING}
     kwargs = {}
     for key, val in doc.items():
         if key == "intrinsics":
             kwargs["intrinsics"] = parse_intrinsics(val, "scene spec")
-        elif key in _SYNTH_SCALAR_FIELDS:
+        elif key in scalars:
             try:
-                kwargs[key] = json_scalar(val, _SYNTH_SCALAR_FIELDS[key], key)
+                kwargs[key] = json_scalar(val, scalars[key], key)
             except (TypeError, ValueError) as e:
                 raise ValidationError(f"bad scene spec field {key!r}: {e}") from None
         else:

@@ -6,13 +6,13 @@ candidate marker poses T. object_poses, the one place that forms it, takes
 row-aligned arrays: the whole candidate table at once in calibration, one
 frame's proposals in FrameTracker.cold_start (which scores them by
 reprojection instead). Within each frame, the proposal that best agrees
-with the rest, by the same summed probe-point distance used for pairwise
-selection, becomes the frame's initial pose: the proposal whose probe-point
-images lie nearest their frame's mean. All frames are selected in one
-batch, by one segmented pairwise.argmin_summed_distance call with one
-segment per frame (O(n) overall); ties go to the first minimum of the
-closed-form totals, so exact duplicates resolve to the lowest proposal
-index.
+with the rest, by the summed distance over the images of the three axis tips
+at 1 m that pairwise selection uses too, becomes the frame's initial pose:
+the proposal whose axis-tip images lie nearest their frame's mean. All
+frames are selected in one batch, by one segmented
+pairwise.argmin_summed_distance call with one segment per frame (O(n)
+overall); ties go to the first minimum of the closed-form totals, so exact
+duplicates resolve to the lowest proposal index.
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ def frame_candidates(
     return FramePoseCandidates(frames, PoseStack(*g))
 
 
-def build_trajectory(proposals: FramePoseCandidates, probe: np.ndarray, n_frames: int) -> Trajectory:
+def build_trajectory(proposals: FramePoseCandidates, n_frames: int) -> Trajectory:
     """One pose for each of frames 0 to n_frames - 1, every frame's picked in
     one segmented argmin_summed_distance call (one segment per frame);
     frames without proposals come out untracked."""
     traj = Trajectory({t: FrameState(None, SOURCE_INIT) for t in range(n_frames)})
     if len(proposals.candidates):
         frames, starts = np.unique(proposals.t, return_index=True)
-        best, _ = argmin_summed_distance(proposals.candidates, starts, probe)
+        best, _ = argmin_summed_distance(proposals.candidates, starts)
         for t, row in zip(frames.tolist(), best.tolist()):
             traj.frames[t] = FrameState(proposals.candidates[row], SOURCE_INIT)
     return traj

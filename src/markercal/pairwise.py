@@ -5,13 +5,13 @@ their candidate poses yields one sample of the camera-to-camera transform
 (likewise for two markers seen by one camera). A collector forms all of its
 samples in one batched product over the pose stack of the candidate table,
 and each pair keeps its samples as a PoseStack. Samples are never averaged: the
-one that best agrees with the rest, by summed squared distance over three
-probe points, is selected.
+one that best agrees with the rest, by summed squared distance over the
+images of the three axis tips at 1 m, is selected.
 
-With a_i the 9-vector of probe-point images of sample i and a-bar their mean,
+With a_i the 9-vector of axis-tip images of sample i and a-bar their mean,
 sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 + sum_k |a_k - a-bar|^2, so the
-selected sample is the one whose probe images lie nearest the mean, found in
-O(n). Ties go to the first minimum of these closed-form totals. The kernel
+selected sample is the one whose axis-tip images lie nearest the mean, found
+in O(n). Ties go to the first minimum of these closed-form totals. The kernel
 (argmin_summed_distance) is segmented: a pair selects over one segment, and
 frame initialization selects every frame's pose in one call with one segment
 per frame.
@@ -63,54 +63,38 @@ class PairAccumulator:
     selected: SelectedTransform | None = None
 
 
-def probe_points(scale: float) -> np.ndarray:
-    """The three axis probe points (s,0,0), (0,s,0), (0,0,s)."""
-    if scale <= 0:
-        raise ValueError("probe scale must be positive")
-    return np.eye(3) * scale
+# the probe points, in m: the axis tips (1,0,0), (0,1,0), (0,0,1), whose
+# images under a pose are its rotation's columns plus its translation
+AXIS_TIPS = np.eye(3)
 
 
-def _check_probe(probe: np.ndarray) -> np.ndarray:
-    p = np.asarray(probe, dtype=np.float64).reshape(3, 3)
-    if np.any(np.linalg.norm(p, axis=1) < 1e-15):
-        raise ValueError("probe points must be nonzero")
-    if np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])) < 1e-15:
-        raise ValueError("probe points must not be collinear")
-    return p
-
-
-def transform_distance(a: RigidTransform, b: RigidTransform, probe: np.ndarray) -> float:
-    """Sum over the probe points of the squared distance between images."""
-    p = _check_probe(probe)
-    diff = a.apply(p) - b.apply(p)
+def transform_distance(a: RigidTransform, b: RigidTransform) -> float:
+    """Sum over the axis tips of the squared distance between their images."""
+    diff = a.apply(AXIS_TIPS) - b.apply(AXIS_TIPS)
     return float(np.sum(diff * diff, axis=1).sum())
 
 
-def argmin_summed_distance(
-    poses: PoseStack, starts, probe: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment, the row minimizing the summed probe-point distance to the
+def argmin_summed_distance(poses: PoseStack, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the row minimizing the summed axis-tip distance to the
     other rows of its segment, and that total.
 
     Segment k holds rows starts[k] to starts[k+1] (the last runs to the end
     of the stack); starts must begin at 0, rise strictly and stay below
     len(poses). Uses the identity sum_k |a_i - a_k|^2 = n |a_i - a-bar|^2 +
-    sum_k |a_k - a-bar|^2 over the stacked probe images a, so the cost is
+    sum_k |a_k - a-bar|^2 over the stacked axis-tip images a, so the cost is
     O(n); np.bincount sums each segment in row order. Returns the stack row
     of each segment's first minimum of these totals (or of its first NaN):
     exact duplicates break toward the lowest row, while near-ties within
     float rounding may resolve differently from an O(n^2) double loop.
     """
-    p = _check_probe(probe)
     n = len(poses)
     starts = np.asarray(starts, dtype=np.int64).reshape(-1)
     if not len(starts) or starts[0] != 0 or starts[-1] >= n or (np.diff(starts) <= 0).any():
         raise ValueError(f"segment starts must rise strictly from 0 to below {n}, got {starts}")
     sizes = np.diff(starts, append=n)
     seg = np.repeat(np.arange(len(starts)), sizes)
-    # every R p_j in one (3n,3) x (3,3) product, laid out as (n, probe, axis)
-    images = (poses.rotations.reshape(-1, 3) @ p.T).reshape(n, 3, 3).transpose(0, 2, 1)
-    images = (images + poses.translations[:, None, :]).reshape(n, 9)
+    # tip j's image is column j of R plus t, laid out as (n, tip, axis)
+    images = (np.swapaxes(poses.rotations, 1, 2) + poses.translations[:, None, :]).reshape(n, 9)
     sums = np.bincount((9 * seg[:, None] + np.arange(9)).ravel(), images.ravel(), 9 * len(starts))
     centred = images - (sums.reshape(-1, 9) / sizes[:, None])[seg]
     spread = np.sum(centred * centred, axis=1)
@@ -120,7 +104,7 @@ def argmin_summed_distance(
     return best, totals[best]
 
 
-def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransform, float]:
+def select_optimal(acc: PairAccumulator) -> tuple[RigidTransform, float]:
     """Pick the sample with the smallest summed distance to all others.
 
     Ties follow argmin_summed_distance (exact duplicates go to the lowest
@@ -129,7 +113,7 @@ def select_optimal(acc: PairAccumulator, probe: np.ndarray) -> tuple[RigidTransf
     """
     if not acc.samples:
         raise EmptyCandidateSet(f"no samples for pair {acc.key}")
-    rows, totals = argmin_summed_distance(acc.samples, [0], probe)
+    rows, totals = argmin_summed_distance(acc.samples, [0])
     best_idx, d_total = int(rows[0]), float(totals[0])
     best = acc.samples[best_idx]
     acc.selected = SelectedTransform(best, d_total, d_total / len(acc.samples), best_idx)

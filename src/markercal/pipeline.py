@@ -1,10 +1,12 @@
 """End-to-end drivers: offline calibration and online tracking.
 
 calibrate() runs the full offline chain on a validated dataset: per-detection
-pose candidates, pairwise relative-pose voting, spanning-tree initialization
-of both camera and marker structures, the object poses of all frames (one
-batched selection over every frame's proposals, not a loop per frame), and
-the joint refinement (Levenberg-Marquardt with the frame poses eliminated
+pose candidates, pairwise relative-pose voting (each pair keeps the sample
+whose images of the three axis tips at 1 m agree best with the others'),
+spanning-tree initialization of both camera and marker structures, the
+object poses of all frames (one batched selection over every frame's
+proposals by the same distance, not a loop per frame), and the joint
+refinement (Levenberg-Marquardt with the frame poses eliminated
 blockwise).
 track_sequence() replays a detection stream against a finished calibration,
 starting each frame from the motion of the frames before it.
@@ -34,7 +36,6 @@ from .optimizer import (
 from .pairwise import (
     collect_camera_pairs,
     collect_marker_pairs,
-    probe_points,
     select_optimal,
 )
 from .planar_pose import (
@@ -52,9 +53,6 @@ from .structure_init import (
     chain_poses,
     minimum_spanning_tree,
 )
-
-# m; the axis probe points used to compare transforms sit this far out
-PROBE_SCALE = 1.0
 
 # perfbench/tracing.py looks this name up to wrap it; nothing calls it
 estimate_two_poses = None
@@ -124,9 +122,8 @@ def _pick_reference(requested: int | None, vertices, kind: str) -> int:
 def _structure_side(
     accumulators: dict, config: CalibrationConfig, vertices, reference: int
 ) -> tuple[StructureEstimate, PoseGraph, list]:
-    probe = probe_points(PROBE_SCALE)
     for acc in accumulators.values():
-        select_optimal(acc, probe)
+        select_optimal(acc)
     graph = build_graph(list(accumulators.values()), config.tau_n, vertices=vertices)
     tree = minimum_spanning_tree(graph)
     return chain_poses(graph, tree, reference), graph, tree
@@ -166,7 +163,7 @@ def calibrate(
     )
 
     proposals = frame_candidates(candidates, cams, markers)
-    traj = build_trajectory(proposals, probe_points(PROBE_SCALE), dataset.n_frames)
+    traj = build_trajectory(proposals, dataset.n_frames)
 
     init = CalibrationResult(
         cams=cams, markers=markers, traj=traj, marker_side=dataset.marker_side

@@ -70,7 +70,7 @@ def build_graph(
     co-observations at all still show up (and fail connectivity loudly);
     otherwise vertices are taken from the edges.
     """
-    if tau_n < 1.0:
+    if not tau_n >= 1.0:  # written so that NaN fails too
         raise ValueError(f"tau_n must be >= 1, got {tau_n}")
     kinds = {acc.key.kind for acc in accumulators}
     if len(kinds) > 1:

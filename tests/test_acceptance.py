@@ -44,7 +44,6 @@ from markercal.optimizer import (
 from markercal.pairwise import (
     PairAccumulator,
     PairKey,
-    probe_points,
     select_optimal,
     transform_distance,
 )
@@ -221,11 +220,10 @@ def test_criterion_4_selection_matches_brute_force():
     brute-force argmin on 100 random candidate sets (exact index, ties to
     the lowest index)."""
     rng = np.random.default_rng(4)
-    probe = probe_points(1.0)
 
     def brute_force(transforms) -> int:
         totals = [
-            sum(transform_distance(transforms[k], t, probe) for t in transforms)
+            sum(transform_distance(transforms[k], t) for t in transforms)
             for k in range(len(transforms))
         ]
         best = 0
@@ -246,11 +244,11 @@ def test_criterion_4_selection_matches_brute_force():
         if case % 2 == 0:
             acc = PairAccumulator(PairKey(0, 1, "camera"))
             acc.samples = PoseStack.of(transforms)
-            select_optimal(acc, probe)
+            select_optimal(acc)
             assert acc.selected.index == expect
         else:
             cands = FramePoseCandidates(t=np.full(n, case), candidates=PoseStack.of(transforms))
-            chosen = build_trajectory(cands, probe, case + 1).frames[case].pose
+            chosen = build_trajectory(cands, case + 1).frames[case].pose
             assert np.array_equal(chosen.rotation, transforms[expect].rotation)
             assert np.array_equal(chosen.translation, transforms[expect].translation)
     print("\nselection oracle: 100/100 candidate sets matched exactly")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from markercal.dataset import (
     save_detections,
     save_intrinsics,
 )
+from markercal.optimizer import SolverOptions
+from markercal.pipeline import CalibrationConfig
 from markercal.synthetic import SceneSpec, generate
 
 
@@ -562,6 +565,21 @@ class TestSynthCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_every_scalar_field_loads_with_its_json_type(self, tmp_path):
+        # one valid value of each scalar field, none of them its default
+        values = {
+            "n_cameras": 2, "circle_radius": 0.8, "camera_height": 0.5, "object": "pentagon",
+            "marker_side": 0.05, "n_frames": 3, "trajectory": "orbit", "noise_sigma": 0.1,
+            "ambiguity_stress": True, "seed": 9,
+        }
+        assert set(values) == {f.name for f in fields(SceneSpec)} - {"intrinsics"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(values))
+        spec = cli._load_scene_spec(str(spec_path))
+        for name, value in values.items():
+            got = getattr(spec, name)
+            assert got == value and type(got) is type(value), name
+
     def test_same_seed_identical(self, tmp_path):
         for sub in ("a", "b"):
             assert cli.main(["synth", "--output-dir", str(tmp_path / sub)]) == 0
@@ -598,6 +616,20 @@ class TestEvalCommand:
             "--ground-truth", str(workdir / "ground_truth.json"),
         ])
         assert rc == 2
+
+
+class TestFlagDefaults:
+    def test_match_the_library_defaults(self):
+        # the CLI parses its arguments before numpy loads, so it spells these
+        # defaults out again instead of reading them from the library
+        config, solver = CalibrationConfig(), SolverOptions()
+        inputs = ["--detections", "d.jsonl", "--intrinsics", "i.json"]
+        calibrate = cli.build_parser().parse_args(
+            ["calibrate", *inputs, "--marker-side", "0.04", "--output", "c.json"])
+        track = cli.build_parser().parse_args(["track", *inputs, "--calibration", "c.json"])
+        assert (calibrate.tau_ratio, calibrate.tau_n) == (config.tau_ratio, config.tau_n)
+        for args in (calibrate, track):
+            assert (args.max_iters, args.min_improve) == (solver.max_iters, solver.min_improve)
 
 
 class TestThreadFlag:

@@ -24,7 +24,7 @@ from markercal.geometry import (
     rotation_angle,
     rotation_from_rvec,
 )
-from markercal.pairwise import PairKey, probe_points
+from markercal.pairwise import PairKey
 from markercal.planar_pose import (
     CandidateSet,
     Detection,
@@ -36,7 +36,8 @@ from markercal.structure_init import StructureEstimate
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 TPL = MarkerTemplate(side=0.04)
-PROBE = probe_points(0.04)
+# the axis tips at 1 m whose images the selection distance compares
+AXES = np.eye(3)
 
 
 def _structure(poses: dict[int, RigidTransform], reference: int) -> StructureEstimate:
@@ -59,7 +60,7 @@ def _table(sets: dict) -> CandidateSet:
 def _frame_pose(stack: PoseStack) -> RigidTransform:
     """The pose build_trajectory selects from one frame's proposals."""
     proposals = FramePoseCandidates(np.zeros(len(stack), dtype=np.int64), stack)
-    return build_trajectory(proposals, PROBE, 1).frames[0].pose
+    return build_trajectory(proposals, 1).frames[0].pose
 
 
 def _random_transform(rng, t_scale=0.5) -> RigidTransform:
@@ -199,12 +200,12 @@ class TestSelectFramePose:
 
 
 def _brute_force_index(cands) -> int:
-    """First minimum of the summed probe distance, as an explicit double loop."""
+    """First minimum of the summed axis-tip distance, as an explicit double loop."""
     totals = []
     for k in range(len(cands)):
         total = 0.0
         for other in cands:
-            diff = cands[k].apply(PROBE) - other.apply(PROBE)
+            diff = cands[k].apply(AXES) - other.apply(AXES)
             total += float((diff ** 2).sum())
         totals.append(total)
     return min(range(len(totals)), key=lambda i: (totals[i], i))
@@ -212,7 +213,7 @@ def _brute_force_index(cands) -> int:
 
 class TestBuildTrajectory:
     def test_empty_sequence(self):
-        traj = build_trajectory(FramePoseCandidates(np.zeros(0, dtype=np.int64), PoseStack.of(())), PROBE, 0)
+        traj = build_trajectory(FramePoseCandidates(np.zeros(0, dtype=np.int64), PoseStack.of(())), 0)
         assert len(traj) == 0
         assert traj.tracked_items() == []
 
@@ -220,7 +221,7 @@ class TestBuildTrajectory:
         rng = np.random.default_rng(193)
         g = _random_transform(rng)
         proposals = FramePoseCandidates(np.array([0, 2]), PoseStack.of([g, g]))
-        traj = build_trajectory(proposals, PROBE, 3)
+        traj = build_trajectory(proposals, 3)
         assert len(traj) == 3
         assert traj.frames[1].pose is None
         assert traj.frames[1].source == SOURCE_INIT
@@ -241,7 +242,7 @@ class TestBuildTrajectory:
             if (t + c + m) % 4
         }
         table = _table(sets)
-        traj = build_trajectory(frame_candidates(table, cams, markers), PROBE, 7)
+        traj = build_trajectory(frame_candidates(table, cams, markers), 7)
         assert sorted(traj.frames) == list(range(7))
         assert [t for t, _ in traj.tracked_items()] == [0, 1, 3, 4]
         for t in (2, 5, 6):

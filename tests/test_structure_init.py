@@ -85,6 +85,9 @@ class TestBuildGraph:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             build_graph([], tau_n=0.5)
+        # NaN compares false both ways: it must fail too, not give NaN weights
+        with pytest.raises(ValueError):
+            build_graph([_acc(0, 1, 0.02, 20)], tau_n=float("nan"))
         with pytest.raises(ValueError):
             build_graph([_acc(0, 1, 0.1, 5), _acc(0, 1, 0.1, 5, kind=MARKER_PAIR)])
         unselected = PairAccumulator(PairKey(0, 1), PoseStack.of([RigidTransform.identity()]))
