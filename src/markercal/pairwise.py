@@ -64,7 +64,9 @@ class PairAccumulator:
 
 
 # the probe points, in m: the axis tips (1,0,0), (0,1,0), (0,0,1), whose
-# images under a pose are its rotation's columns plus its translation
+# images under a pose are its rotation's columns plus its translation. Not a
+# setting: argmin_summed_distance reads those images straight from R's
+# columns; transform_distance and the tests apply the tips as points.
 AXIS_TIPS = np.eye(3)
 
 

@@ -24,7 +24,7 @@ from markercal.geometry import (
     rotation_angle,
     rotation_from_rvec,
 )
-from markercal.pairwise import PairKey
+from markercal.pairwise import AXIS_TIPS, PairKey
 from markercal.planar_pose import (
     CandidateSet,
     Detection,
@@ -36,8 +36,6 @@ from markercal.structure_init import StructureEstimate
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 TPL = MarkerTemplate(side=0.04)
-# the axis tips at 1 m whose images the selection distance compares
-AXES = np.eye(3)
 
 
 def _structure(poses: dict[int, RigidTransform], reference: int) -> StructureEstimate:
@@ -205,7 +203,7 @@ def _brute_force_index(cands) -> int:
     for k in range(len(cands)):
         total = 0.0
         for other in cands:
-            diff = cands[k].apply(AXES) - other.apply(AXES)
+            diff = cands[k].apply(AXIS_TIPS) - other.apply(AXIS_TIPS)
             total += float((diff ** 2).sum())
         totals.append(total)
     return min(range(len(totals)), key=lambda i: (totals[i], i))

@@ -24,6 +24,7 @@ from markercal.geometry import (
     rotations_from_rvecs,
 )
 from markercal.pairwise import (
+    AXIS_TIPS,
     CAMERA_PAIR,
     MARKER_PAIR,
     PairAccumulator,
@@ -44,8 +45,6 @@ from markercal.planar_pose import (
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 TPL = MarkerTemplate(side=0.04)
-# the axis tips at 1 m whose images the selection distance compares
-AXES = np.eye(3)
 
 
 def _random_transform(rng, t_scale=1.0) -> RigidTransform:
@@ -114,7 +113,7 @@ class TestTransformDistance:
         for _ in range(20):
             a, b = _random_transform(rng), _random_transform(rng)
             expected = 0.0
-            for v in AXES:
+            for v in AXIS_TIPS:
                 expected += float(
                     np.linalg.norm(
                         (a.rotation @ v + a.translation) - (b.rotation @ v + b.translation)
@@ -325,7 +324,7 @@ class TestSelectOptimal:
 
 def _brute_force_totals(transforms) -> np.ndarray:
     """Summed distance of each transform to all, as an explicit n x n sum."""
-    images = np.stack([t.apply(AXES) for t in transforms])
+    images = np.stack([t.apply(AXIS_TIPS) for t in transforms])
     diff = images[:, None, :, :] - images[None, :, :, :]
     return (diff ** 2).sum(axis=(2, 3)).sum(axis=1)
 
@@ -337,7 +336,7 @@ def _brute_force_argmin(samples):
         tk = samples[k]
         total = 0.0
         for s in samples:
-            diff = tk.apply(AXES) - s.apply(AXES)
+            diff = tk.apply(AXIS_TIPS) - s.apply(AXIS_TIPS)
             total += float((diff ** 2).sum())
         totals.append(total)
     best = min(range(len(totals)), key=lambda i: (totals[i], i))
@@ -398,13 +397,16 @@ class TestSegmentedArgmin:
         for k, seg in enumerate(segments):
             oracle = _brute_force_totals(seg)
             expect = _first_min(oracle)
-            # distinct rows whose totals tie within rounding (the two rows of
-            # a two-row segment tie in exact arithmetic) may resolve either
-            # way; a unique minimum must be picked exactly, and of exact
-            # duplicates always the lowest row
-            near = np.flatnonzero(oracle <= oracle[expect] * (1 + 1e-12))
+            # distinct rows whose oracle totals are bit-equal (the two rows of
+            # a two-row segment: a0 - a1 and a1 - a0 square to the same sum)
+            # may resolve either way; any other minimum must be picked
+            # exactly, and of exact duplicates always the lowest row
+            tied = np.flatnonzero(oracle == oracle[expect])
             got = int(rows[k] - starts[k])
-            assert got in near, k
+            if len(tied) == 1:
+                assert got == expect, k
+            else:
+                assert got in tied, k
             assert not any(_same(seg[j], seg[got]) for j in range(got)), k
             assert totals[k] == pytest.approx(oracle[expect], rel=1e-9, abs=1e-12)
 
