@@ -102,10 +102,8 @@ def cmd_calibrate(args) -> int:
     if args.dump_graph:
         cam_path = args.dump_graph + ".cameras.dot"
         marker_path = args.dump_graph + ".markers.dot"
-        dio.atomic_write(cam_path, to_dot(artifacts.camera_graph, artifacts.camera_tree))
-        dio.atomic_write(
-            marker_path, to_dot(artifacts.marker_graph, artifacts.marker_tree)
-        )
+        dio.atomic_write(cam_path, to_dot(artifacts.camera_graph, result.cams.tree_edges))
+        dio.atomic_write(marker_path, to_dot(artifacts.marker_graph, result.markers.tree_edges))
         print(f"wrote {cam_path} and {marker_path}")
     return EXIT_OK
 

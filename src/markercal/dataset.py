@@ -384,7 +384,7 @@ def _structure_from_json(obj, kind: str) -> StructureEstimate:
         unknown = [i for i in ids if i not in poses]
         if unknown:
             raise ValueError(f"{where}.tree_edges id {unknown[0]} is not one of its poses")
-        keys.append(PairKey(*ids, kind))
+        keys.append(PairKey(*ids))
     return StructureEstimate(reference, poses, tuple(keys))
 
 

@@ -33,17 +33,15 @@ MARKER_PAIR = "marker"
 
 @dataclass(frozen=True, order=True)
 class PairKey:
-    """Unordered pair of camera ids or marker ids, stored with a < b."""
+    """Unordered pair of camera ids or marker ids, stored with a < b. Which
+    side it joins is a fact of the graph that holds it (PoseGraph.kind)."""
 
     a: int
     b: int
-    kind: str = CAMERA_PAIR
 
     def __post_init__(self):
         if self.a >= self.b:
             raise ValueError(f"pair ids must satisfy a < b, got ({self.a}, {self.b})")
-        if self.kind not in (CAMERA_PAIR, MARKER_PAIR):
-            raise ValueError(f"unknown pair kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,6 @@ def _collect_pairs(table: CandidateSet, member_slot: int) -> dict[PairKey, PairA
     pairings are stably sorted by pair, and one batched product forms every
     sample, so each pair's samples are one slice, in (bridge, product) order.
     """
-    kind = CAMERA_PAIR if member_slot == 1 else MARKER_PAIR
     rows = np.flatnonzero(table.counts > 0)
     if not len(rows):
         return {}
@@ -164,7 +161,7 @@ def _collect_pairs(table: CandidateSet, member_slot: int) -> dict[PairKey, PairA
     a_rows, b_rows = rows[first[by_pair]], rows[second[by_pair]]
 
     # each pairing's 1, 2 or 4 products, outer candidate slowest
-    outer, inner = (a_rows, b_rows) if kind == CAMERA_PAIR else (b_rows, a_rows)
+    outer, inner = (a_rows, b_rows) if member_slot == 1 else (b_rows, a_rows)
     n_inner = table.counts[inner]
     per = table.counts[outer] * n_inner
     pairing = np.repeat(np.arange(len(per)), per)
@@ -173,14 +170,14 @@ def _collect_pairs(table: CandidateSet, member_slot: int) -> dict[PairKey, PairA
     inner = table.offsets[inner][pairing] + k % n_inner[pairing]
 
     poses = table.poses
-    if kind == CAMERA_PAIR:
+    if member_slot == 1:
         samples = compose_many(poses[outer], invert_many(poses[inner]))
     else:
         samples = compose_many(invert_many(poses[inner]), poses[outer])
     ends = np.cumsum(per)[np.searchsorted(pair_of[by_pair], np.arange(len(seen)), side="right") - 1]
     accs = {}
     for j, lo, hi in zip(np.sort(seen).tolist(), [0, *ends[:-1].tolist()], ends.tolist()):
-        key = PairKey(int(ids[first[j]]), int(ids[second[j]]), kind)
+        key = PairKey(int(ids[first[j]]), int(ids[second[j]]))
         accs[key] = PairAccumulator(key, samples[lo:hi])
     return accs
 

@@ -34,6 +34,8 @@ from .optimizer import (
     refine_all,
 )
 from .pairwise import (
+    CAMERA_PAIR,
+    MARKER_PAIR,
     collect_camera_pairs,
     collect_marker_pairs,
     select_optimal,
@@ -87,13 +89,12 @@ class CalibrationConfig:
 
 @dataclass
 class CalibrationArtifacts:
-    """Intermediate products kept for diagnostics and graph export."""
+    """Intermediate products kept for diagnostics and graph export. Each graph
+    names its side; the spanning trees live on the result's cams and markers."""
 
     candidates: CandidateSet
     camera_graph: PoseGraph
     marker_graph: PoseGraph
-    camera_tree: list
-    marker_tree: list
 
 
 def detection_candidates(
@@ -120,13 +121,12 @@ def _pick_reference(requested: int | None, vertices, kind: str) -> int:
 
 
 def _structure_side(
-    accumulators: dict, config: CalibrationConfig, vertices, reference: int
-) -> tuple[StructureEstimate, PoseGraph, list]:
+    accumulators: dict, kind: str, config: CalibrationConfig, vertices, reference: int
+) -> tuple[StructureEstimate, PoseGraph]:
     for acc in accumulators.values():
         select_optimal(acc)
-    graph = build_graph(list(accumulators.values()), config.tau_n, vertices=vertices)
-    tree = minimum_spanning_tree(graph)
-    return chain_poses(graph, tree, reference), graph, tree
+    graph = build_graph(list(accumulators.values()), kind, config.tau_n, vertices)
+    return chain_poses(graph, minimum_spanning_tree(graph), reference), graph
 
 
 def calibrate(
@@ -134,13 +134,13 @@ def calibrate(
 ) -> tuple[CalibrationResult, CalibrationArtifacts]:
     """Full offline calibration from detections alone.
 
-    Returns the refined result plus the intermediate artifacts (candidate
-    table, co-observation graphs, spanning trees). Cameras and markers with
-    no usable detection (none at all, or only degenerate ones) are left out
-    of the estimate; detections without a pose candidate are left out of the
-    refinement and counted in its report's left_out. Raises NoValidPose when
-    no detection is usable, and DisconnectedGraph when the remaining cameras
-    (or markers) do not form one connected component.
+    Returns the refined result, whose cams and markers hold the spanning
+    trees, plus the candidate table and co-observation graphs. Cameras and
+    markers with no usable detection (none at all, or only degenerate ones)
+    are left out of the estimate; detections without a pose candidate are
+    left out of the refinement and counted in its report's left_out. Raises
+    NoValidPose when no detection is usable, and DisconnectedGraph when the
+    remaining cameras (or markers) do not form one connected component.
     """
     if not dataset.detections:
         raise ValidationError("dataset contains no detections")
@@ -155,11 +155,11 @@ def calibrate(
     ref_cam = _pick_reference(config.ref_camera, cam_vertices, "camera")
     ref_marker = _pick_reference(config.ref_marker, marker_vertices, "marker")
 
-    cam_pairs = collect_camera_pairs(candidates)
-    marker_pairs = collect_marker_pairs(candidates)
-    cams, cam_graph, cam_tree = _structure_side(cam_pairs, config, cam_vertices, ref_cam)
-    markers, marker_graph, marker_tree = _structure_side(
-        marker_pairs, config, marker_vertices, ref_marker
+    cams, cam_graph = _structure_side(
+        collect_camera_pairs(candidates), CAMERA_PAIR, config, cam_vertices, ref_cam
+    )
+    markers, marker_graph = _structure_side(
+        collect_marker_pairs(candidates), MARKER_PAIR, config, marker_vertices, ref_marker
     )
 
     proposals = frame_candidates(candidates, cams, markers)
@@ -173,14 +173,7 @@ def calibrate(
     result = refine_all(init, posed, dataset.intrinsics, opts=config.solver)
     left_out = result.report.left_out + len(dataset.detections) - len(posed)
     result = replace(result, report=replace(result.report, left_out=left_out))
-    artifacts = CalibrationArtifacts(
-        candidates=candidates,
-        camera_graph=cam_graph,
-        marker_graph=marker_graph,
-        camera_tree=cam_tree,
-        marker_tree=marker_tree,
-    )
-    return result, artifacts
+    return result, CalibrationArtifacts(candidates, cam_graph, marker_graph)
 
 
 class TrackSession:

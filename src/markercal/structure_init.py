@@ -9,6 +9,7 @@ reference marker).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +32,7 @@ class GraphEdge:
 class PoseGraph:
     """Undirected weighted graph over camera ids or marker ids."""
 
-    kind: str
+    kind: str  # the side, "camera" or "marker", as build_graph's caller named it
     vertices: set[int] = field(default_factory=set)
     edges: dict[PairKey, GraphEdge] = field(default_factory=dict)
 
@@ -61,10 +62,12 @@ def edge_weight(d_mean: float, s: int, tau_n: float) -> float:
 
 def build_graph(
     accumulators: list[PairAccumulator],
+    kind: str,
     tau_n: float = DEFAULT_TAU_N,
     vertices: set[int] | None = None,
 ) -> PoseGraph:
-    """Graph with one edge per selected pair.
+    """Graph with one edge per selected pair, on the side `kind` names
+    (CAMERA_PAIR or MARKER_PAIR): the caller knows it, the keys do not.
 
     `vertices` may list every id that appears in the data so that ids with no
     co-observations at all still show up (and fail connectivity loudly);
@@ -72,10 +75,7 @@ def build_graph(
     """
     if not tau_n >= 1.0:  # written so that NaN fails too
         raise ValueError(f"tau_n must be >= 1, got {tau_n}")
-    kinds = {acc.key.kind for acc in accumulators}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed pair kinds in one graph: {sorted(kinds)}")
-    g = PoseGraph(kind=kinds.pop() if kinds else "camera")
+    g = PoseGraph(kind)
     if vertices is not None:
         g.vertices |= set(vertices)
     for acc in accumulators:
@@ -172,9 +172,9 @@ def chain_poses(g: PoseGraph, tree: list[PairKey], reference: int) -> StructureE
     return StructureEstimate(reference, poses, tuple(tree))
 
 
-def to_dot(g: PoseGraph, tree: list[PairKey] | None = None) -> str:
+def to_dot(g: PoseGraph, tree: Iterable[PairKey] = ()) -> str:
     """DOT-format text for graph diagnostics; tree edges drawn bold."""
-    in_tree = set(tree or [])
+    in_tree = set(tree)
     lines = [f'graph {g.kind}_pairs {{']
     for v in sorted(g.vertices):
         lines.append(f"  {v};")

@@ -93,6 +93,8 @@ class SceneSpec:
             raise InvalidSpec(
                 f"noise_sigma must be non-negative and finite, got {self.noise_sigma}"
             )
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ def test_criterion_4_selection_matches_brute_force():
         expect = brute_force(transforms)
 
         if case % 2 == 0:
-            acc = PairAccumulator(PairKey(0, 1, "camera"))
+            acc = PairAccumulator(PairKey(0, 1))
             acc.samples = PoseStack.of(transforms)
             select_optimal(acc)
             assert acc.selected.index == expect
@@ -324,10 +324,10 @@ def test_criterion_6_mst_weight_oracle():
         edges = {}
         for v in range(1, n):  # random spanning tree keeps the graph connected
             u = int(rng.integers(0, v))
-            edges[PairKey(min(u, v), max(u, v), "camera")] = None
+            edges[PairKey(min(u, v), max(u, v))] = None
         for _ in range(int(rng.integers(0, n))):
             u, v = rng.choice(n, size=2, replace=False)
-            edges[PairKey(int(min(u, v)), int(max(u, v)), "camera")] = None
+            edges[PairKey(int(min(u, v)), int(max(u, v)))] = None
         dense = np.zeros((n, n))
         for key in edges:
             w = float(rng.uniform(0.1, 10.0))

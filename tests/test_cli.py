@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -78,8 +79,14 @@ class TestCalibrateCommand:
         assert "rms" in out and "camera graph" in out
         assert (tmp_path / "cal.json").exists()
         assert (tmp_path / "traj.csv").exists()
-        assert (tmp_path / "graph.cameras.dot").read_text().startswith("graph")
-        assert (tmp_path / "graph.markers.dot").exists()
+        cal = json.loads((tmp_path / "cal.json").read_text())
+        for side in ("camera", "marker"):
+            lines = (tmp_path / f"graph.{side}s.dot").read_text().splitlines()
+            assert lines[0] == f"graph {side}_pairs {{"
+            bold = [re.match(r"  (\d+) -- (\d+) \[", line).groups()
+                    for line in lines if "style=bold" in line]
+            tree = sorted(cal[f"{side}s"]["tree_edges"])
+            assert tree and sorted([int(a), int(b)] for a, b in bold) == tree
 
     def test_rerun_byte_identical(self, workdir, tmp_path):
         args = [
@@ -550,11 +557,12 @@ class TestSynthCommand:
         '{"circle_radius": 1' + "0" * 400 + "}",
         '{"intrinsics": {"fx": 1' + "0" * 400 + ', "fy": 500, "cx": 320, "cy": 240}}',
         '{"seed": 1' + "0" * 5000 + "}",
+        json.dumps({"seed": -1}),
     ], ids=["missing_intrinsics_field", "zero_focal_length", "non_integer_count",
             "invalid_json", "string_bool", "fractional_count", "bool_seed",
             "string_intrinsics_bool", "fractional_width", "nan_marker_side", "nan_noise_sigma",
             "infinite_circle_radius", "nan_camera_height", "huge_integer_radius",
-            "huge_integer_focal_length", "integer_past_digit_limit"])
+            "huge_integer_focal_length", "integer_past_digit_limit", "negative_seed"])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

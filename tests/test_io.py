@@ -560,12 +560,12 @@ class TestCalibrationRoundTrip:
         cams = StructureEstimate(
             0,
             {0: RigidTransform.identity(), 1: _pose(0.2, 0.1)},
-            (PairKey(0, 1, "camera"),),
+            (PairKey(0, 1),),
         )
         markers = StructureEstimate(
             0,
             {0: RigidTransform.identity(), 2: _pose(-0.4, 0.3)},
-            (PairKey(0, 2, "marker"),),
+            (PairKey(0, 2),),
         )
         traj = Trajectory()
         traj.frames[0] = FrameState(_pose(0.7, -0.2))

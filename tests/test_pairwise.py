@@ -83,10 +83,6 @@ class TestPairKey:
     def test_lexicographic_order(self):
         assert PairKey(0, 1) < PairKey(0, 2) < PairKey(1, 2)
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PairKey(0, 1, "object")
-
 
 class TestTransformDistance:
     def test_identical_transforms(self):
@@ -175,7 +171,7 @@ class TestCameraPairSamples:
 
 
 class TestMarkerPairSamples:
-    KEY = PairKey(0, 1, MARKER_PAIR)
+    KEY = PairKey(0, 1)
 
     def test_recovers_ground_truth_relative_pose(self):
         cam = RigidTransform(rotation_from_rvec([0.0, 0.2, 0.0]), [0.0, 0.0, 1.0])
@@ -470,7 +466,6 @@ class TestCollectors:
         accs = collect_camera_pairs(_table(xi))
         assert set(accs) == {PairKey(0, 1), PairKey(0, 2), PairKey(1, 2)}
         for key, acc in accs.items():
-            assert acc.key.kind == CAMERA_PAIR
             # 3 frames x 2 markers bridges, possibly more if ambiguous
             assert len(acc.samples) >= 6
             best, _ = select_optimal(acc)
@@ -481,8 +476,8 @@ class TestCollectors:
     def test_marker_pairs_store_b_to_a(self):
         xi, cams, markers = self._scene_candidate_sets()
         accs = collect_marker_pairs(_table(xi))
-        assert set(accs) == {PairKey(0, 1, MARKER_PAIR)}
-        acc = accs[PairKey(0, 1, MARKER_PAIR)]
+        assert set(accs) == {PairKey(0, 1)}
+        acc = accs[PairKey(0, 1)]
         assert len(acc.samples) >= 9  # 3 frames x 3 cameras
         best, _ = select_optimal(acc)
         truth = compose(invert(markers[0]), markers[1])  # marker-1 -> marker-0
@@ -572,7 +567,7 @@ def _listing_oracle(table: CandidateSet, member_slot: int) -> dict[PairKey, Pose
         for a, b in combinations(sorted(members), 2):
             outer, inner = (members[a], members[b]) if kind == CAMERA_PAIR else (members[b], members[a])
             pairings += product(outer, inner)
-            owner += [keys.setdefault(PairKey(a, b, kind), len(keys))] * (len(outer) * len(inner))
+            owner += [keys.setdefault(PairKey(a, b), len(keys))] * (len(outer) * len(inner))
     outer, inner = np.array(pairings, dtype=np.int64).reshape(-1, 2).T
     poses = table.poses
     if kind == CAMERA_PAIR:
@@ -600,5 +595,5 @@ def _reference_pairs(xi, member_slot) -> dict[PairKey, list[RigidTransform]]:
                 samples = [compose(ta, invert(tb)) for ta, tb in product(xa, xb)]
             else:
                 samples = [compose(invert(ta), tb) for tb, ta in product(xb, xa)]
-            ref.setdefault(PairKey(a, b, kind), []).extend(samples)
+            ref.setdefault(PairKey(a, b), []).extend(samples)
     return ref

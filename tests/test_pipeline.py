@@ -25,6 +25,7 @@ from markercal.pipeline import (
     track_sequence,
 )
 from markercal.planar_pose import Detection
+from markercal.structure_init import to_dot
 from markercal.synthetic import SceneSpec, evaluate, generate, result_from_ground_truth
 
 
@@ -164,10 +165,10 @@ class TestCalibrate:
 
     def test_artifacts_cover_all_detections(self):
         _, ds = _dataset()
-        _, artifacts = calibrate(ds)
+        result, artifacts = calibrate(ds)
         assert _keys(artifacts.candidates) == {d.key for d in ds.detections}
-        assert len(artifacts.camera_tree) == len(artifacts.camera_graph.vertices) - 1
-        assert len(artifacts.marker_tree) == len(artifacts.marker_graph.vertices) - 1
+        assert len(result.cams.tree_edges) == len(artifacts.camera_graph.vertices) - 1
+        assert len(result.markers.tree_edges) == len(artifacts.marker_graph.vertices) - 1
 
     def test_deterministic_output(self, tmp_path):
         _, ds = _dataset(noise_sigma=0.3)
@@ -192,6 +193,26 @@ class TestCalibrate:
             calibrate(sliced)
         assert e.value.kind == "camera"
         assert len(e.value.components) > 1
+
+    def test_disconnected_markers(self):
+        # keep only marker t % 4 in frame t: the cameras co-observe it, but
+        # no camera ever sees two markers at once, so no marker pair exists
+        _, ds = _dataset()
+        dets = [d for d in ds.detections if d.marker == d.t % 4]
+        sliced = Dataset(dets, ds.intrinsics, ds.marker_side, ds.n_frames)
+        with pytest.raises(DisconnectedGraph, match="^marker graph is disconnected") as e:
+            calibrate(sliced)
+        assert e.value.kind == "marker"
+        assert e.value.components == [[0], [1], [2], [3]]
+
+    def test_one_marker_object(self):
+        # a lone marker has no marker pair, and its graph is still the marker graph
+        _, ds = _dataset(object={0: RigidTransform.identity()})
+        result, artifacts = calibrate(ds)
+        assert result.report.final_rms < 1e-8
+        assert set(result.markers.poses) == {0} and result.markers.tree_edges == ()
+        dot = to_dot(artifacts.marker_graph, result.markers.tree_edges)
+        assert dot == "graph marker_pairs {\n  0;\n}\n"
 
     def test_explicit_references(self):
         gt, ds = _dataset()

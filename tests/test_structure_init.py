@@ -26,11 +26,11 @@ from markercal.structure_init import (
 )
 
 
-def _acc(a, b, d_mean, s, kind=CAMERA_PAIR, transform=None) -> PairAccumulator:
+def _acc(a, b, d_mean, s, transform=None) -> PairAccumulator:
     t = transform if transform is not None else RigidTransform.identity()
     samples = PoseStack.of([t] * s)
     selected = SelectedTransform(t, d_mean * s, d_mean, 0)
-    return PairAccumulator(PairKey(a, b, kind), samples, selected)
+    return PairAccumulator(PairKey(a, b), samples, selected)
 
 
 def _random_transform(rng) -> RigidTransform:
@@ -60,11 +60,11 @@ def _prim_total_weight(vertices, weights):
 class TestBuildGraph:
     def test_weight_formula_well_sampled(self):
         # s >= tau_n so the inflation factor is 1
-        g = build_graph([_acc(0, 1, d_mean=0.02, s=20)], tau_n=10.0)
+        g = build_graph([_acc(0, 1, d_mean=0.02, s=20)], CAMERA_PAIR, tau_n=10.0)
         assert g.edges[PairKey(0, 1)].weight == pytest.approx(0.02, abs=1e-15)
 
     def test_weight_formula_undersampled(self):
-        g = build_graph([_acc(0, 1, d_mean=0.02, s=5)], tau_n=10.0)
+        g = build_graph([_acc(0, 1, d_mean=0.02, s=5)], CAMERA_PAIR, tau_n=10.0)
         e = g.edges[PairKey(0, 1)]
         assert e.weight == pytest.approx(0.04, abs=1e-15)
         assert e.weight == pytest.approx(e.d_mean * max(1.0, 10.0 / e.s), abs=1e-12)
@@ -75,42 +75,40 @@ class TestBuildGraph:
 
     def test_empty_pair_gives_no_edge(self):
         empty = PairAccumulator(PairKey(2, 3))
-        g = build_graph([_acc(0, 1, 0.02, 20), empty], tau_n=10.0)
+        g = build_graph([_acc(0, 1, 0.02, 20), empty], CAMERA_PAIR, tau_n=10.0)
         assert set(g.edges) == {PairKey(0, 1)}
 
     def test_explicit_vertices_are_kept(self):
-        g = build_graph([_acc(0, 1, 0.02, 20)], tau_n=10.0, vertices={0, 1, 2})
+        g = build_graph([_acc(0, 1, 0.02, 20)], CAMERA_PAIR, tau_n=10.0, vertices={0, 1, 2})
         assert g.vertices == {0, 1, 2}
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            build_graph([], tau_n=0.5)
+            build_graph([], CAMERA_PAIR, tau_n=0.5)
         # NaN compares false both ways: it must fail too, not give NaN weights
         with pytest.raises(ValueError):
-            build_graph([_acc(0, 1, 0.02, 20)], tau_n=float("nan"))
-        with pytest.raises(ValueError):
-            build_graph([_acc(0, 1, 0.1, 5), _acc(0, 1, 0.1, 5, kind=MARKER_PAIR)])
+            build_graph([_acc(0, 1, 0.02, 20)], CAMERA_PAIR, tau_n=float("nan"))
         unselected = PairAccumulator(PairKey(0, 1), PoseStack.of([RigidTransform.identity()]))
         with pytest.raises(ValueError):
-            build_graph([unselected])
+            build_graph([unselected], CAMERA_PAIR)
 
 
 class TestMinimumSpanningTree:
     def test_triangle_takes_two_smallest(self):
         g = build_graph(
-            [_acc(0, 1, 1.0, 10), _acc(1, 2, 2.0, 10), _acc(0, 2, 3.0, 10)]
+            [_acc(0, 1, 1.0, 10), _acc(1, 2, 2.0, 10), _acc(0, 2, 3.0, 10)], CAMERA_PAIR
         )
         assert minimum_spanning_tree(g) == [PairKey(0, 1), PairKey(1, 2)]
 
     def test_tree_input_returns_all_edges(self):
         g = build_graph(
-            [_acc(0, 1, 1.0, 10), _acc(1, 2, 5.0, 10), _acc(2, 3, 3.0, 10)]
+            [_acc(0, 1, 1.0, 10), _acc(1, 2, 5.0, 10), _acc(2, 3, 3.0, 10)], CAMERA_PAIR
         )
         assert set(minimum_spanning_tree(g)) == set(g.edges)
 
     def test_equal_weights_break_ties_lexicographically(self):
         g = build_graph(
-            [_acc(0, 1, 1.0, 10), _acc(0, 2, 1.0, 10), _acc(1, 2, 1.0, 10)]
+            [_acc(0, 1, 1.0, 10), _acc(0, 2, 1.0, 10), _acc(1, 2, 1.0, 10)], CAMERA_PAIR
         )
         assert minimum_spanning_tree(g) == [PairKey(0, 1), PairKey(0, 2)]
 
@@ -124,7 +122,7 @@ class TestMinimumSpanningTree:
                 for b in range(a + 1, n):
                     if rng.random() < 0.45:
                         accs.append(_acc(a, b, float(rng.uniform(0.01, 5.0)), 10))
-            g = build_graph(accs, vertices=set(range(n)))
+            g = build_graph(accs, CAMERA_PAIR, vertices=set(range(n)))
             oracle = _prim_total_weight(g.vertices, {k: e.weight for k, e in g.edges.items()})
             if oracle is None:
                 with pytest.raises(DisconnectedGraph):
@@ -138,7 +136,7 @@ class TestMinimumSpanningTree:
 
     def test_disconnected_reports_components(self):
         g = build_graph(
-            [_acc(0, 1, 1.0, 10), _acc(3, 4, 1.0, 10)], vertices={0, 1, 2, 3, 4}
+            [_acc(0, 1, 1.0, 10), _acc(3, 4, 1.0, 10)], CAMERA_PAIR, vertices={0, 1, 2, 3, 4}
         )
         with pytest.raises(DisconnectedGraph) as exc:
             minimum_spanning_tree(g)
@@ -146,20 +144,20 @@ class TestMinimumSpanningTree:
         assert exc.value.kind == "camera"
 
     def test_zero_weight_edges_allowed(self):
-        g = build_graph([_acc(0, 1, 0.0, 10), _acc(1, 2, 0.0, 10)])
+        g = build_graph([_acc(0, 1, 0.0, 10), _acc(1, 2, 0.0, 10)], CAMERA_PAIR)
         assert len(minimum_spanning_tree(g)) == 2
 
 
 class TestChainPoses:
     def test_reference_is_identity(self):
-        g = build_graph([_acc(0, 1, 1.0, 10)])
+        g = build_graph([_acc(0, 1, 1.0, 10)], CAMERA_PAIR)
         est = chain_poses(g, minimum_spanning_tree(g), reference=0)
         np.testing.assert_array_equal(est.poses[0].as_matrix(), np.eye(4))
 
     def test_two_vertex_edge_direction(self):
         rng = np.random.default_rng(149)
         x = _random_transform(rng)  # stored as the 1 -> 0 transform
-        g = build_graph([_acc(0, 1, 1.0, 10, transform=x)])
+        g = build_graph([_acc(0, 1, 1.0, 10, transform=x)], CAMERA_PAIR)
         tree = minimum_spanning_tree(g)
         est = chain_poses(g, tree, reference=0)
         np.testing.assert_allclose(est.poses[1].as_matrix(), x.as_matrix(), atol=1e-15)
@@ -173,7 +171,7 @@ class TestChainPoses:
         x01 = _random_transform(rng)  # 1 -> 0
         x12 = _random_transform(rng)  # 2 -> 1
         g = build_graph(
-            [_acc(0, 1, 1.0, 10, transform=x01), _acc(1, 2, 1.0, 10, transform=x12)]
+            [_acc(0, 1, 1.0, 10, transform=x01), _acc(1, 2, 1.0, 10, transform=x12)], CAMERA_PAIR
         )
         est = chain_poses(g, minimum_spanning_tree(g), reference=0)
         np.testing.assert_allclose(
@@ -188,7 +186,7 @@ class TestChainPoses:
             _acc(1, 3, 2.0, 10, transform=_random_transform(rng)),
             _acc(3, 4, 0.5, 10, transform=_random_transform(rng)),
         ]
-        g = build_graph(accs)
+        g = build_graph(accs, CAMERA_PAIR)
         tree = minimum_spanning_tree(g)
         est0 = chain_poses(g, tree, reference=0)
         est3 = chain_poses(g, tree, reference=3)
@@ -199,18 +197,18 @@ class TestChainPoses:
             )
 
     def test_bad_reference_rejected(self):
-        g = build_graph([_acc(0, 1, 1.0, 10)])
+        g = build_graph([_acc(0, 1, 1.0, 10)], CAMERA_PAIR)
         with pytest.raises(ValueError):
             chain_poses(g, minimum_spanning_tree(g), reference=9)
 
 
 class TestDot:
     def test_contains_vertices_edges_and_tree_style(self):
-        g = build_graph(
-            [_acc(0, 1, 1.0, 10), _acc(1, 2, 2.0, 10), _acc(0, 2, 9.0, 10)]
-        )
-        tree = minimum_spanning_tree(g)
-        text = to_dot(g, tree)
-        assert "graph camera_pairs {" in text
-        assert "0 -- 1" in text and "1 -- 2" in text and "0 -- 2" in text
-        assert text.count("style=bold") == 2
+        for side in (CAMERA_PAIR, MARKER_PAIR):
+            g = build_graph(
+                [_acc(0, 1, 1.0, 10), _acc(1, 2, 2.0, 10), _acc(0, 2, 9.0, 10)], side
+            )
+            text = to_dot(g, minimum_spanning_tree(g))
+            assert text.startswith(f"graph {side}_pairs {{\n")
+            assert "0 -- 1" in text and "1 -- 2" in text and "0 -- 2" in text
+            assert text.count("style=bold") == 2
