@@ -197,23 +197,29 @@ class _BlockPattern:
     """Where the (8,18) camera|marker|frame block of each observation sits.
 
     `cols` (N,18) is the parameter column of each block column, -1 for the
-    columns of a reference camera or marker, which own no parameters.
-    np.bincount places the blocks' J^T J, stored by (row, observation,
-    column), by two indices in that order: `aw_index` (12,N,18) the
-    camera/marker rows into one flat array, the (S+1, S+1) camera/marker
-    part A and then the (S+1, 6F) camera/marker x frame part W, and
-    `v_index` (6,N,6) the frame blocks into the (F,6,6) blocks V. The frame
-    x camera/marker rows (W^T again) are not summed. Row and column S take
-    the reference columns and are cut off; so is the gradient's slot P.
-    Every parameter sits in the same block row in every observation, so
-    each slot still adds its terms in observation order.
+    columns of a reference camera or marker, which own no parameters. Row
+    and column S of the camera/marker part take the reference columns and
+    are cut off; so is the gradient's slot P.
+
+    The camera/marker part A is summed per (camera, marker) pair:
+    `pair_rows` holds each pair's observations in observation order (a
+    stable sort by pair), and `a_index` (K,12,12) places each pair's one
+    12x12 product into the flat (S+1, S+1) A, the pairs added in pair
+    order. The camera/marker x frame part W and the (F,6,6) frame blocks V
+    are summed per observation: `wv_index` (N,18,6) places each
+    observation's 18x6 product against its frame columns, rows 0-11 into
+    the flat (S+1, 6F) W and rows 12-17 into V after it. The frame x
+    camera/marker rows (W^T again) are not summed. Every parameter sits in
+    the same block row in every observation, so each slot of W, V and the
+    gradient adds its terms in observation order.
     """
 
     cols: np.ndarray
     n_struct: int  # S, the camera and marker parameters, 6 (C + M - 2)
     n_params: int  # P
-    aw_index: np.ndarray
-    v_index: np.ndarray
+    pair_rows: tuple[np.ndarray, ...]  # K arrays of observation rows
+    a_index: np.ndarray  # (K,12,12) into the flat (S+1, S+1) A
+    wv_index: np.ndarray  # (N,18,6) into the flat W, then V
     g_index: np.ndarray  # (N,18) into the (P+1,) gradient
 
     @staticmethod
@@ -221,14 +227,19 @@ class _BlockPattern:
         s1, n_frame = n_struct + 1, n_params - n_struct
         sc = np.where(cols[:, :12] < 0, n_struct, cols[:, :12])
         fc = cols[:, 12:] - n_struct  # 6 * frame + coordinate
-        # C-ordered (row, observation, column), so that ravel() is a view
-        rows = np.ascontiguousarray(sc.T)[:, :, None]
-        aw_index = np.empty((12, len(cols), 18), dtype=np.int64)
-        np.add(rows * s1, sc, out=aw_index[..., :12])
-        np.add(s1 * s1 + rows * n_frame, fc, out=aw_index[..., 12:])
-        v_index = 6 * np.ascontiguousarray(fc.T)[:, :, None] + np.arange(6)
+        pair = sc[:, 0] * s1 + sc[:, 6]
+        order = np.argsort(pair, kind="stable")
+        starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+        bounds = [*starts.tolist(), len(order)]
+        first = sc[order[starts]]  # (K,12), each pair's columns
+        wv_index = np.empty((len(cols), 18, 6), dtype=np.int64)
+        np.add(sc[:, :, None] * n_frame, fc[:, None, :], out=wv_index[:, :12])
+        np.add(s1 * n_frame + 6 * fc[:, :, None], np.arange(6), out=wv_index[:, 12:])
         return _BlockPattern(
-            cols, n_struct, n_params, aw_index, v_index, np.where(cols < 0, n_params, cols)
+            cols, n_struct, n_params,
+            tuple(order[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
+            first[:, :, None] * s1 + first[:, None, :],
+            wv_index, np.where(cols < 0, n_params, cols),
         )
 
 
@@ -285,23 +296,28 @@ class BlockJacobian:
         return dense[..., :n_params].reshape(self.shape)
 
     def normal(self, r: np.ndarray) -> SchurNormal:
-        """J^T J and J^T r summed from per-observation block products, each
-        slot's terms added in observation order."""
+        """J^T J and J^T r summed blockwise. A adds one X^T X per (camera,
+        marker) pair, X its (8n,12) stacked camera/marker rows, in pair
+        order; W, V and g add each observation's product against its frame
+        columns and its residuals, each slot in observation order."""
         p = self._pattern
         n_s, s1 = p.n_struct, p.n_struct + 1
         n_f = p.n_params - n_s
+        pairs = np.empty((len(p.pair_rows), 12, 12))
+        for k, rows in enumerate(p.pair_rows):
+            x = self.blocks[rows, :, :12].reshape(-1, 12)
+            np.matmul(x.T, x, out=pairs[k])  # numpy's symmetric product: A stays exactly symmetric
+        a = np.bincount(p.a_index.ravel(), pairs.ravel(), s1 * s1)
         jt = np.swapaxes(self.blocks, 1, 2)
-        # whole blocks, as numpy's symmetric product, written row by row so
-        # that the camera/marker rows of all observations are contiguous
-        jtj = np.empty((18, len(jt), 18))
-        np.matmul(jt, self.blocks, out=jtj.transpose(1, 0, 2))
-        aw = np.bincount(p.aw_index.ravel(), jtj[:12].ravel(), s1 * (s1 + n_f))
-        v = np.bincount(p.v_index.ravel(), jtj[12:, :, 12:].ravel(), 6 * n_f)
+        # (N,18,6) products against the frame columns: W's rows, then V's
+        wv = np.bincount(
+            p.wv_index.ravel(), np.matmul(jt, self.blocks[..., 12:]).ravel(), (s1 + 6) * n_f
+        )
         g = np.bincount(p.g_index.ravel(), np.matmul(jt, r.reshape(-1, 8, 1)).ravel(), p.n_params + 1)
         return SchurNormal(
-            aw[: s1 * s1].reshape(s1, s1)[:n_s, :n_s],
-            aw[s1 * s1 :].reshape(s1, n_f)[:n_s],
-            v.reshape(-1, 6, 6),
+            a.reshape(s1, s1)[:n_s, :n_s],
+            wv[: s1 * n_f].reshape(s1, n_f)[:n_s],
+            wv[s1 * n_f :].reshape(-1, 6, 6),
             g[:n_s],
             g[n_s:-1],
         )

@@ -109,13 +109,15 @@ def select_optimal(acc: PairAccumulator) -> tuple[RigidTransform, float]:
 
     Ties follow argmin_summed_distance (exact duplicates go to the lowest
     sample index). Stores the selection on the accumulator and returns
-    (best transform, total distance).
+    (best transform, total distance). The best transform owns a copy of its
+    sample, so a graph edge does not keep the collector's whole stack alive.
     """
     if not acc.samples:
         raise EmptyCandidateSet(f"no samples for pair {acc.key}")
     rows, totals = argmin_summed_distance(acc.samples, [0])
     best_idx, d_total = int(rows[0]), float(totals[0])
-    best = acc.samples[best_idx]
+    chosen = acc.samples[best_idx]
+    best = RigidTransform(chosen.rotation.copy(), chosen.translation.copy())
     acc.selected = SelectedTransform(best, d_total, d_total / len(acc.samples), best_idx)
     return best, d_total
 

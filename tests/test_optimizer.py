@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -756,15 +757,26 @@ class TestRefinementPasses:
         assert builder.keys.tobytes() == keys.tobytes()
         assert builder.obs_pix.tobytes() == obs.tobytes()
         assert builder._k.tobytes() == k.tobytes()
-        # the joined camera/marker and camera/marker x frame indices
+        # each (camera, marker) pair's observations in observation order, the
+        # pairs in the order of their columns (a reference's last), and the
+        # flat slots of A, W and V that the pattern scatters into
         pattern = builder._pattern
         n_struct, n_frame = pattern.n_struct, pattern.n_params - pattern.n_struct
-        s1 = n_struct + 1
-        sc = np.where(pattern.cols[:, :12] < 0, n_struct, pattern.cols[:, :12])
-        fc = pattern.cols[:, 12:] - n_struct
-        rows = np.ascontiguousarray(sc.T)[:, :, None]
-        aw_index = np.concatenate([rows * s1 + sc, s1 * s1 + rows * n_frame + fc], axis=2)
-        assert pattern.aw_index.tobytes() == aw_index.tobytes()
+        s1, cols = n_struct + 1, pattern.cols
+        sc = np.where(cols[:, :12] < 0, n_struct, cols[:, :12])
+        groups = {}
+        for n, pair in enumerate(zip(sc[:, 0].tolist(), sc[:, 6].tolist())):
+            groups.setdefault(pair, []).append(n)
+        assert [rows.tolist() for rows in pattern.pair_rows] == [groups[k] for k in sorted(groups)]
+        first = sc[[groups[k][0] for k in sorted(groups)]]
+        a_index = np.ravel_multi_index((first[:, :, None], first[:, None, :]), (s1, s1))
+        assert pattern.a_index.tobytes() == a_index.tobytes()
+        fc = cols[:, None, 12:] - n_struct
+        w_index = np.ravel_multi_index((sc[:, :, None], fc), (s1, n_frame))
+        v_index = s1 * n_frame + np.ravel_multi_index(
+            (fc // 6, fc.transpose(0, 2, 1) % 6, fc % 6), (n_frame // 6, 6, 6)
+        )
+        assert pattern.wv_index.tobytes() == np.concatenate([w_index, v_index], axis=1).tobytes()
 
     def test_missing_intrinsics_names_the_first_sorted_detections_camera(self):
         # cameras 5 and 3 lack intrinsics; the first detection in key order
@@ -944,28 +956,69 @@ class TestBlockSolve:
             self._check(self._system(seed, n_cams=3, dist=dist)[0])
 
     @pytest.mark.parametrize("dist", [None, DIST])
-    def test_normal_sums_whole_block_products_in_observation_order(self, dist):
-        # oracle: each observation's whole J^T J and J^T r added into dense
-        # arrays one observation after another; every slot of A, W, V and g
-        # must come out bit for bit the same
+    def test_normal_sums_pairs_in_pair_order_and_observations_in_order(self, dist):
+        # oracles added into dense arrays one term after another: A from each
+        # (camera, marker) pair's X^T X over its stacked (8n,12) rows, the
+        # pairs in the order of their columns; W and V from each
+        # observation's (18,6) product against its frame columns and g from
+        # its J^T r, in observation order. Every slot must come out bit for
+        # bit the same, and A exactly symmetric
         system, layout = self._system(9, n_cams=3, dist=dist)
         jac, r = system.jacobian, system.residuals
         n_params, n_s = layout.total, 6 * (len(layout.camera_ids) + len(layout.marker_ids))
-        jt = np.swapaxes(jac.blocks, 1, 2)
-        jtj, jtr = np.matmul(jt, jac.blocks), np.matmul(jt, r.reshape(-1, 8, 1))[..., 0]
         cols = np.where(jac.cols < 0, n_params, jac.cols)
         h, g = np.zeros((n_params + 1, n_params + 1)), np.zeros(n_params + 1)
+        pairs = {}
+        for n, c in enumerate(cols):
+            pairs.setdefault((c[0], c[6]), []).append(n)
+        for key in sorted(pairs):
+            x = jac.blocks[pairs[key], :, :12].reshape(-1, 12)
+            h[np.ix_(cols[pairs[key][0], :12], cols[pairs[key][0], :12])] += x.T @ x
         for n in range(len(cols)):
-            h[np.ix_(cols[n], cols[n])] += jtj[n]
-            g[cols[n]] += jtr[n]
+            block = jac.blocks[n]
+            h[np.ix_(cols[n], cols[n, 12:])] += block.T @ block[:, 12:]
+            g[cols[n]] += block.T @ r[8 * n : 8 * n + 8]
         normal = jac.normal(r)
         n_f = (n_params - n_s) // 6
         frames = h[n_s:n_params, n_s:n_params].reshape(n_f, 6, n_f, 6)
         np.testing.assert_array_equal(normal.a, h[:n_s, :n_s])
+        np.testing.assert_array_equal(normal.a, normal.a.T)
         np.testing.assert_array_equal(normal.w, h[:n_s, n_s:n_params])
         np.testing.assert_array_equal(normal.v, frames[np.arange(n_f), :, np.arange(n_f)])
         np.testing.assert_array_equal(normal.g_s, g[:n_s])
         np.testing.assert_array_equal(normal.g_f, g[n_s:n_params])
+
+    @pytest.mark.parametrize("scene", TestRefinementPasses.SCENES)
+    def test_normal_matches_dense_products(self, scene):
+        dets, intr, template, layout, x = TestRefinementPasses()._scene(scene)
+        system = ResidualBuilder(dets, intr, template, layout).system(x)
+        jac, r = system.jacobian.toarray(), system.residuals
+        h, g = jac.T @ jac, jac.T @ r
+        n_s, n_f = h.shape[0] - 6 * len(layout.frame_ids), len(layout.frame_ids)
+        frames = h[n_s:, n_s:].reshape(n_f, 6, n_f, 6)[np.arange(n_f), :, np.arange(n_f)]
+        normal = system.jacobian.normal(r)
+        for got, want in ((normal.a, h[:n_s, :n_s]), (normal.w, h[:n_s, n_s:]), (normal.v, frames),
+                          (normal.g_s, g[:n_s]), (normal.g_f, g[n_s:])):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_normal_allocates_under_2kb_per_detection(self):
+        rng = np.random.default_rng(34)
+        cams, markers, frames, dets, intr, template = _make_scene(
+            rng, n_cams=4, n_markers=4, n_frames=64, noise=0.3
+        )
+        assert len(dets) >= 1000
+        layout = ParamLayout.build(cams, markers, frames, 0, 0)
+        system = ResidualBuilder(dets, intr, template, layout).system(pack_params(cams, markers, frames, layout))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            system.jacobian.normal(system.residuals)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / len(dets) < 2048
 
     def test_empty_reduced_system(self):
         # one camera and one marker: both are references, so only frames move

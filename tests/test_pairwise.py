@@ -42,6 +42,7 @@ from markercal.planar_pose import (
     corner_arrays,
     planar_poses,
 )
+from markercal.structure_init import build_graph
 
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 TPL = MarkerTemplate(side=0.04)
@@ -230,6 +231,27 @@ class TestSelectOptimal:
     def test_empty_raises(self):
         with pytest.raises(EmptyCandidateSet):
             select_optimal(PairAccumulator(PairKey(0, 1)))
+
+    def test_graph_edge_owns_its_transform(self):
+        # collected pairs are slices of their side's one sample stack; each
+        # graph edge holds a copy of its selected sample, the same bits, not a
+        # view that keeps the stack alive
+        rng = np.random.default_rng(211)
+        sets = {(t, cam, 0): (_random_transform(rng), _random_transform(rng))
+                for t in range(3) for cam in range(3)}
+        accs = collect_camera_pairs(_table(sets))
+        for acc in accs.values():
+            select_optimal(acc)
+        graph = build_graph(list(accs.values()), CAMERA_PAIR)
+        assert len(graph.edges) == 3
+        for key, edge in graph.edges.items():
+            acc = accs[key]
+            chosen = acc.samples[acc.selected.index]
+            assert np.shares_memory(chosen.rotation, acc.samples.rotations)
+            assert not np.shares_memory(edge.transform.rotation, acc.samples.rotations)
+            assert not np.shares_memory(edge.transform.translation, acc.samples.translations)
+            assert edge.transform.rotation.tobytes() == chosen.rotation.tobytes()
+            assert edge.transform.translation.tobytes() == chosen.translation.tobytes()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(109)
